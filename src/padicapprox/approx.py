@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .clopen import BallSpec, ClopenSet, product_set
+from .clopen import ClopenSet, product_set
 from .core import ExactnessError, Params, euler_phi, totient_sieve
 from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
@@ -96,14 +96,6 @@ def psi_value(comp: PsiComponent, q: int) -> Fraction:
     if isinstance(comp, ScaledPower):
         return comp.c * frac_pow(q, -comp.e)
     return comp.lookup(q)
-
-
-def psi_value_float(comp: PsiComponent, q: int) -> float:
-    if isinstance(comp, PowerLaw):
-        return float(q) ** -float(comp.tau)
-    if isinstance(comp, ScaledPower):
-        return float(comp.c) * float(q) ** -float(comp.e)
-    return float(comp.lookup(q))
 
 
 def step_exponent(comp: PsiComponent, a0: int, p: int) -> int:
@@ -245,15 +237,14 @@ def build_layer(params: Params, psi: ApproxTuple, a0: int, reduced: bool, depth:
     for t, _ in data:
         if t > depth:
             raise ValueError(f"insufficient depth: layer a0={a0} needs level {t}, depth is {depth}")
-    factors = []
-    for t, residues in data:
-        if not residues:
-            return ClopenSet.empty(params.p, params.n, depth)
-        factors.append(
-            ClopenSet.from_rectangles(
-                params.p, 1, depth, [BallSpec((Fraction(r),), (t,)) for r in sorted(residues)]
-            )
-        )
+    return _product_layer(params, data, depth)
+
+
+def _product_layer(params: Params, data: Sequence[tuple[int, set[int]]], depth: int) -> ClopenSet:
+    """Product over coordinates of the unions of level-t_i cosets given by (t_i, residues)."""
+    if any(not residues for _, residues in data):
+        return ClopenSet.empty(params.p, params.n, depth)
+    factors = [ClopenSet.from_cosets(params.p, depth, t, residues) for t, residues in data]
     if params.n == 1:
         return factors[0]
     return product_set(factors)
@@ -276,10 +267,8 @@ def partial_limsup(
     need = required_depth(params, psi, lo, hi)
     if need > depth:
         raise ValueError(f"insufficient depth: range needs level {need}, depth is {depth}")
-    out = ClopenSet.empty(params.p, params.n, depth)
-    for a0 in range(lo, hi + 1):
-        out = out.union(build_layer(params, psi, a0, reduced, depth))
-    return out
+    layers = (build_layer(params, psi, a0, reduced, depth) for a0 in range(lo, hi + 1))
+    return ClopenSet.union_all(params.p, params.n, depth, layers)
 
 
 def divergence_curve(
@@ -481,24 +470,12 @@ def ubiquity_fraction(
         exps.append(max(0, ball_exponent(params.p, radius)))
     if max(exps) > depth:
         raise ValueError(f"insufficient depth: need {max(exps)}")
-    acc = ClopenSet.empty(params.p, params.n, depth)
+    layers = []
     for a0 in range(M**k, M ** (k + 1) + 1):
         nums = layer_numerators(a0, reduced=False)
-        factors = []
-        for i in range(params.n):
-            residues = _coordinate_residues(params.p, a0, exps[i], nums)
-            if not residues:
-                factors = []
-                break
-            factors.append(
-                ClopenSet.from_rectangles(
-                    params.p, 1, depth, [BallSpec((Fraction(r),), (exps[i],)) for r in sorted(residues)]
-                )
-            )
-        if not factors:
-            continue
-        layer = factors[0] if params.n == 1 else product_set(factors)
-        acc = acc.union(layer)
+        data = [(t, _coordinate_residues(params.p, a0, t, nums)) for t in exps]
+        layers.append(_product_layer(params, data, depth))
+    acc = ClopenSet.union_all(params.p, params.n, depth, layers)
     if ball is not None:
         acc = acc.intersect(ball)
         return acc.measure() / ball.measure()
@@ -514,7 +491,10 @@ def layer_sweep_rows(
     params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int
 ) -> Iterator[Mapping[str, object]]:
     """One row per a0: layer measure, the phi-formula reference, the running
-    union measure, and both partial series (series skipped if irrational)."""
+    union measure, and both partial series (series skipped if irrational).
+
+    Each row also carries the running union itself under "union", so the last
+    row's set is partial_limsup over the same range."""
     acc = ClopenSet.empty(params.p, params.n, depth)
     kh = Fraction(0)
     ds = Fraction(0)
@@ -537,6 +517,7 @@ def layer_sweep_rows(
             "layer_measure": layer.measure(),
             "reference": reference_measure(params, psi, a0) if a0 % params.p else Fraction(0),
             "union_measure": acc.measure(),
+            "union": acc,
             "khintchine_partial": kh if series_exact else None,
             "duffin_schaeffer_partial": ds if series_exact else None,
         }

@@ -154,6 +154,7 @@ def cmd_partial_limsup(args) -> None:
     params = Params(args.p, args.n)
     psi = psi_tuple_from_args(args, args.n)
     depth = args.depth or approx.required_depth(params, psi, args.start, args.end)
+    S = None
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -165,7 +166,9 @@ def cmd_partial_limsup(args) -> None:
                 writer.writerow([fmt(row[k]) for k in
                                  ("a0", "layer_measure", "reference", "union_measure",
                                   "khintchine_partial", "duffin_schaeffer_partial")])
-    S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, depth)
+                S = row["union"]
+    if S is None:
+        S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, depth)
     if args.save_set:
         with open(args.save_set, "w") as fh:
             fh.write(S.to_text())

@@ -4,22 +4,38 @@ A node at level j stands for a coset c + (p^j Z_p)^n and is either full, empty,
 or carries p^n children, one per next-digit vector. Nodes are interned per
 (p, n) space, so identical subtrees share one id: a rectangle with very unequal
 radii costs O(depth) nodes instead of exponentially many, set algebra is
-memoized on node-id pairs, and canonical form is structural equality of ids.
+memoized on node ids, and canonical form is structural equality of ids.
 
-Measures are exact Fractions with denominator dividing p^{n*K}; box counts are
-exact integers.
+Sets are built in bulk: unions of one-dimensional cosets are partitioned by
+digit from the bottom up, and many-operand unions are one n-ary apply memoized
+on frozensets of ids. Every node carries its integer box counts at each level
+below it; measures (exact Fractions with denominator dividing p^{n*K}) and box
+counts are read from those. All caches live for the whole process.
+
+Trie walks recurse once per level (two interpreter frames each), so depth is
+capped at MAX_DEPTH, well inside the interpreter's default recursion limit;
+the .clopen parser is iterative and checks nesting against the header depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .core import is_prime
 
 EMPTY = 0
 FULL = 1
+MAX_DEPTH = 300
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the trie depth limit MAX_DEPTH={MAX_DEPTH}")
 
 
 class _Space:
@@ -34,9 +50,11 @@ class _Space:
         self._union: dict[tuple[int, int], int] = {}
         self._inter: dict[tuple[int, int], int] = {}
         self._compl: dict[int, int] = {}
-        self._measure: dict[int, Fraction] = {}
-        self._boxes: dict[tuple[int, int], int] = {}
+        self._union_many: dict[frozenset[int], int] = {}
+        self._profile: dict[int, tuple[int, ...]] = {}
+        self._text: dict[int, str] = {EMPTY: "E", FULL: "F"}
         self._empty_children = (EMPTY,) * self.width
+        self._full_children = (FULL,) * self.width
 
     def node(self, children: tuple[int, ...]) -> int:
         first = children[0]
@@ -53,8 +71,28 @@ class _Space:
         if nid == EMPTY:
             return self._empty_children
         if nid == FULL:
-            return (FULL,) * self.width
+            return self._full_children
         return self._children[nid]
+
+    def cosets(self, t: int, residues: Iterable[int]) -> int:
+        """Union of the cosets r + p^t Z_p (n = 1), partitioned by digit bottom-up.
+
+        Level j holds one node per residue mod p^j; a bucket whose p children
+        are all FULL collapses to FULL in node().
+        """
+        p = self.p
+        level = dict.fromkeys(sorted({r % p**t for r in residues}), FULL)
+        for j in range(t - 1, -1, -1):
+            scale = p**j
+            buckets: dict[int, list[int]] = {}
+            for r, nid in level.items():
+                digit, low = divmod(r, scale)
+                kids = buckets.get(low)
+                if kids is None:
+                    kids = buckets[low] = [EMPTY] * p
+                kids[digit] = nid
+            level = {low: self.node(tuple(kids)) for low, kids in buckets.items()}
+        return level.get(0, EMPTY)
 
     def union(self, a: int, b: int) -> int:
         if a == FULL or b == FULL:
@@ -67,8 +105,23 @@ class _Space:
         out = self._union.get(key)
         if out is None:
             ca, cb = self._children[a], self._children[b]
-            out = self.node(tuple(self.union(x, y) for x, y in zip(ca, cb)))
+            out = self.node(tuple([self.union(x, y) for x, y in zip(ca, cb)]))
             self._union[key] = out
+        return out
+
+    def union_many(self, ids: Iterable[int]) -> int:
+        """n-ary union (Bryant's apply), memoized on the frozenset of operand ids."""
+        key = frozenset(ids)
+        if FULL in key:
+            return FULL
+        key = key - {EMPTY}
+        if len(key) < 3:
+            return self.union(*key) if len(key) == 2 else next(iter(key), EMPTY)
+        out = self._union_many.get(key)
+        if out is None:
+            rows = [self._children[i] for i in key]
+            out = self.node(tuple([self.union_many(col) for col in zip(*rows)]))
+            self._union_many[key] = out
         return out
 
     def intersect(self, a: int, b: int) -> int:
@@ -82,7 +135,7 @@ class _Space:
         out = self._inter.get(key)
         if out is None:
             ca, cb = self._children[a], self._children[b]
-            out = self.node(tuple(self.intersect(x, y) for x, y in zip(ca, cb)))
+            out = self.node(tuple([self.intersect(x, y) for x, y in zip(ca, cb)]))
             self._inter[key] = out
         return out
 
@@ -93,33 +146,48 @@ class _Space:
             return EMPTY
         out = self._compl.get(a)
         if out is None:
-            out = self.node(tuple(self.complement(c) for c in self._children[a]))
+            out = self.node(tuple([self.complement(c) for c in self._children[a]]))
             self._compl[a] = out
         return out
 
-    def measure(self, a: int) -> Fraction:
+    def profile(self, a: int) -> tuple[int, ...]:
+        """Box counts of node a at levels 0..height(a); deeper levels scale the last by width."""
         if a == EMPTY:
-            return Fraction(0)
+            return (0,)
         if a == FULL:
-            return Fraction(1)
-        out = self._measure.get(a)
+            return (1,)
+        out = self._profile.get(a)
         if out is None:
-            out = sum((self.measure(c) for c in self._children[a]), Fraction(0)) / self.width
-            self._measure[a] = out
+            subs = [self.profile(c) for c in self._children[a] if c != EMPTY]
+            height = max(len(prof) for prof in subs)
+            counts = [0] * height
+            for prof in subs:
+                for k, v in enumerate(prof):
+                    counts[k] += v
+                v = prof[-1]
+                for k in range(len(prof), height):
+                    v *= self.width
+                    counts[k] += v
+            out = (1, *counts)
+            self._profile[a] = out
         return out
 
+    def measure(self, a: int) -> Fraction:
+        prof = self.profile(a)
+        return Fraction(prof[-1], self.width ** (len(prof) - 1))
+
     def box_count(self, a: int, k: int) -> int:
-        if a == EMPTY:
-            return 0
-        if k == 0:
-            return 1
-        if a == FULL:
-            return self.width**k
-        key = (a, k)
-        out = self._boxes.get(key)
+        prof = self.profile(a)
+        if k < len(prof):
+            return prof[k]
+        return prof[-1] * self.width ** (k - len(prof) + 1)
+
+    def text(self, a: int) -> str:
+        """Preorder serialization of node a: F/E terminals, M plus the children."""
+        out = self._text.get(a)
         if out is None:
-            out = sum(self.box_count(c, k - 1) for c in self._children[a])
-            self._boxes[key] = out
+            out = "M" + "".join([self.text(c) for c in self._children[a]])
+            self._text[a] = out
         return out
 
 
@@ -163,8 +231,7 @@ class ClopenSet:
     __slots__ = ("p", "n", "depth", "_root", "_sp")
 
     def __init__(self, p: int, n: int, depth: int, _root: int | None = None):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        _check_depth(depth)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "depth", depth)
@@ -187,23 +254,41 @@ class ClopenSet:
     @classmethod
     def from_rectangles(cls, p: int, n: int, depth: int, rects: Sequence[BallSpec]) -> "ClopenSet":
         out = cls.empty(p, n, depth)
-        for r in rects:
-            out = out.insert_rectangle(r)
-        return out
+        return cls(p, n, depth, out._sp.union_many([out._rectangle_node(r) for r in rects]))
+
+    @classmethod
+    def from_cosets(cls, p: int, depth: int, t: int, residues: Iterable[int]) -> "ClopenSet":
+        """Union of the cosets r + p^t Z_p in Z_p over the integer residues r."""
+        if t < 0:
+            raise ValueError("coset level must be >= 0")
+        if t > depth:
+            raise ValueError(f"insufficient depth: cosets need level {t}, depth is {depth}")
+        return cls(p, 1, depth, _space(p, 1).cosets(t, residues))
+
+    @classmethod
+    def union_all(cls, p: int, n: int, depth: int, sets: Iterable["ClopenSet"]) -> "ClopenSet":
+        """Union of many sets in one n-ary apply; the depth is the max of depth and theirs."""
+        roots = []
+        for s in sets:
+            if s.p != p or s.n != n:
+                raise ValueError("mismatched p or n")
+            depth = max(depth, s.depth)
+            roots.append(s._root)
+        return cls(p, n, depth, _space(p, n).union_many(roots))
 
     # -- algebra -----------------------------------------------------------
 
     def insert_rectangle(self, rect: BallSpec) -> "ClopenSet":
+        node = self._rectangle_node(rect)
+        return ClopenSet(self.p, self.n, self.depth, self._sp.union(self._root, node))
+
+    def _rectangle_node(self, rect: BallSpec) -> int:
         if len(rect.center) != self.n:
             raise ValueError(f"rectangle dimension {len(rect.center)} != n={self.n}")
         if max(rect.exponents, default=0) > self.depth:
             raise ValueError(
                 f"insufficient depth: rectangle needs level {max(rect.exponents)}, depth is {self.depth}"
             )
-        node = self._rectangle_node(rect)
-        return ClopenSet(self.p, self.n, self.depth, self._sp.union(self._root, node))
-
-    def _rectangle_node(self, rect: BallSpec) -> int:
         p, n, sp = self.p, self.n, self._sp
         tmax = max(rect.exponents, default=0)
         digits = []
@@ -323,47 +408,44 @@ class ClopenSet:
 
     def to_text(self) -> str:
         """Deterministic preorder walk: F/E terminals, M plus p^n children."""
-        parts: list[str] = []
-
-        def walk(node: int) -> None:
-            if node == EMPTY:
-                parts.append("E")
-            elif node == FULL:
-                parts.append("F")
-            else:
-                parts.append("M")
-                for c in self._sp.children(node):
-                    walk(c)
-
-        walk(self._root)
-        return f"clopen 1 {self.p} {self.n} {self.depth}\n" + "".join(parts)
+        return f"clopen 1 {self.p} {self.n} {self.depth}\n" + self._sp.text(self._root)
 
     @classmethod
     def from_text(cls, text: str) -> "ClopenSet":
-        header, body = text.split("\n", 1)
-        tag, version, p, n, depth = header.split()
-        if tag != "clopen" or version != "1":
+        header, _, body = text.partition("\n")
+        fields = header.split()
+        if len(fields) != 5 or fields[:2] != ["clopen", "1"]:
             raise ValueError("unrecognized clopen serialization header")
-        p, n, depth = int(p), int(n), int(depth)
+        p, n, depth = (int(f) for f in fields[2:])
+        _check_depth(depth)
         sp = _space(p, n)
-        pos = 0
-
-        def parse() -> int:
-            nonlocal pos
-            ch = body[pos]
-            pos += 1
-            if ch == "E":
-                return EMPTY
-            if ch == "F":
-                return FULL
+        # Iterative preorder parse: one open child list per pending M node, so
+        # nesting is bounded by the header depth and never by the call stack.
+        stack: list[list[int]] = []
+        for pos, ch in enumerate(body):
             if ch == "M":
-                return sp.node(tuple(parse() for _ in range(sp.width)))
-            raise ValueError(f"bad node tag {ch!r}")
-
-        root = parse()
-        if pos != len(body):
-            raise ValueError("trailing data in clopen serialization")
-        return cls(p, n, depth, root)
+                if len(stack) >= depth:
+                    raise ValueError(f"clopen body nests deeper than its depth {depth}")
+                stack.append([])
+                continue
+            if ch == "E":
+                nid = EMPTY
+            elif ch == "F":
+                nid = FULL
+            else:
+                raise ValueError(f"bad node tag {ch!r}")
+            while stack:
+                kids = stack[-1]
+                kids.append(nid)
+                if len(kids) < sp.width:
+                    break
+                stack.pop()
+                nid = sp.node(tuple(kids))
+            else:
+                if pos + 1 != len(body):
+                    raise ValueError("trailing data in clopen serialization")
+                return cls(p, n, depth, nid)
+        raise ValueError("truncated clopen serialization")
 
 
 def set_algebra(a: ClopenSet, b: ClopenSet | None, op: str) -> ClopenSet:
@@ -398,28 +480,17 @@ def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
     depth = max(f.depth for f in factors)
     memo: dict[tuple[int, ...], int] = {}
 
-    def child1(node: int, digit: int) -> int:
-        if node in (EMPTY, FULL):
-            return node
-        return sp1.children(node)[digit]
-
     def build(ids: tuple[int, ...]) -> int:
-        if any(i == EMPTY for i in ids):
+        # ids run from the last factor to the first, so itertools.product
+        # varies the first coordinate's digit fastest, as the slot order does
+        if EMPTY in ids:
             return EMPTY
-        if all(i == FULL for i in ids):
+        if ids.count(FULL) == n:
             return FULL
         out = memo.get(ids)
         if out is None:
-            children = []
-            for v in range(spn.width):
-                rem = v
-                sub = []
-                for _ in range(n):
-                    rem, d = divmod(rem, p)
-                    sub.append(d)
-                children.append(build(tuple(child1(ids[i], sub[i]) for i in range(n))))
-            out = spn.node(tuple(children))
+            out = spn.node(tuple([build(c) for c in product(*[sp1.children(i) for i in ids])]))
             memo[ids] = out
         return out
 
-    return ClopenSet(p, n, depth, build(tuple(f._root for f in factors)))
+    return ClopenSet(p, n, depth, build(tuple(f._root for f in reversed(factors))))

@@ -710,12 +710,12 @@ def cover_preimage(
         raise ValueError(f"insufficient depth: need {worst}, have {depth}")
     if points is None:
         points = enumerate_S_tau(f, tau[f.d :], h_max, h_min=h_min)
-    out = ClopenSet.empty(p, f.d, depth)
+    rects = []
     for pt in points:
         h = pt.height
         exps = tuple(
             max(0, ball_exponent(p, [(delta, Fraction(1)), (Fraction(h), -tau[i])]))
             for i in range(f.d)
         )
-        out = out.insert_rectangle(BallSpec(pt.coordinates(f.d), exps))
-    return out
+        rects.append(BallSpec(pt.coordinates(f.d), exps))
+    return ClopenSet.from_rectangles(p, f.d, depth, rects)

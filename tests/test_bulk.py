@@ -1,0 +1,411 @@
+"""Differential tests of the bulk trie kernels against the paths they replace.
+
+Each fast path (coset builder, n-ary union, box-count profiles, memoized
+serialization, product builder) is checked against the one-at-a-time
+construction or the plain recursion it replaced, kept here as the oracle, and
+against brute force over residue vectors where the space is small.
+"""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicapprox import approx
+from padicapprox.approx import ApproxTuple, PowerLaw, ScaledPower, build_layer, partial_limsup
+from padicapprox.cli import main
+from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, product_set
+from padicapprox.core import Params
+from padicapprox.exactcmp import ball_exponent
+
+# ---------------------------------------------------------------------------
+# Oracles: the previous one-at-a-time and Fraction-recursive paths
+# ---------------------------------------------------------------------------
+
+
+def fold_insert(p, n, depth, rects):
+    out = ClopenSet.empty(p, n, depth)
+    for r in rects:
+        out = out.insert_rectangle(r)
+    return out
+
+
+def fold_union(p, n, depth, sets):
+    out = ClopenSet.empty(p, n, depth)
+    for s in sets:
+        out = out.union(s)
+    return out
+
+
+def fraction_measure(S):
+    sp, memo = S._sp, {}
+
+    def walk(a):
+        if a == EMPTY:
+            return Fraction(0)
+        if a == FULL:
+            return Fraction(1)
+        if a not in memo:
+            memo[a] = sum((walk(c) for c in sp.children(a)), Fraction(0)) / sp.width
+        return memo[a]
+
+    return walk(S._root)
+
+
+def recursive_box_count(S, k):
+    sp = S._sp
+
+    def walk(a, k):
+        if a == EMPTY:
+            return 0
+        if k == 0:
+            return 1
+        if a == FULL:
+            return sp.width**k
+        return sum(walk(c, k - 1) for c in sp.children(a))
+
+    return walk(S._root, k)
+
+
+def recursive_text(S):
+    parts = []
+
+    def walk(a):
+        if a == EMPTY:
+            parts.append("E")
+        elif a == FULL:
+            parts.append("F")
+        else:
+            parts.append("M")
+            for c in S._sp.children(a):
+                walk(c)
+
+    walk(S._root)
+    return f"clopen 1 {S.p} {S.n} {S.depth}\n" + "".join(parts)
+
+
+def divmod_product(factors):
+    p, n = factors[0].p, len(factors)
+    spn = ClopenSet.empty(p, n, 0)._sp
+    sp1 = factors[0]._sp
+
+    def build(ids):
+        if any(i == EMPTY for i in ids):
+            return EMPTY
+        if all(i == FULL for i in ids):
+            return FULL
+        children = []
+        for v in range(spn.width):
+            digits = []
+            for _ in range(n):
+                v, d = divmod(v, p)
+                digits.append(d)
+            children.append(build(tuple(sp1.children(i)[d] for i, d in zip(ids, digits))))
+        return spn.node(tuple(children))
+
+    return ClopenSet(p, n, max(f.depth for f in factors), build(tuple(f._root for f in factors)))
+
+
+def brute_cover(p, n, K, rects):
+    """Residue vectors mod p^K lying in some rectangle."""
+    mod = p**K
+    centers = [
+        [(c.numerator * pow(c.denominator, -1, mod)) % mod for c in r.center] for r in rects
+    ]
+    return {
+        x
+        for x in itertools.product(range(mod), repeat=n)
+        if any(
+            all((xi - ci) % p**t == 0 for xi, ci, t in zip(x, cs, r.exponents))
+            for cs, r in zip(centers, rects)
+        )
+    }
+
+
+# ---------------------------------------------------------------------------
+# Strategies: p in {2, 3, 5}, n in {1, 2}, spaces small enough for brute force
+# ---------------------------------------------------------------------------
+
+LEVELS = {2: 4, 3: 3, 5: 2}
+
+
+@st.composite
+def coset_data(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    t = draw(st.integers(0, LEVELS[p]))
+    bound = p ** (t + 1)
+    residues = draw(st.lists(st.integers(-bound, bound), max_size=2 * p**t))
+    return p, t, residues
+
+
+@st.composite
+def rect_data(draw, min_size=0):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    K = LEVELS[p]
+    unit_dens = [d for d in range(1, 8) if d % p]
+    center = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(unit_dens))
+    rect = st.builds(
+        BallSpec,
+        st.tuples(*[center] * n),
+        st.tuples(*[st.integers(0, K)] * n),
+    )
+    return p, n, K, draw(st.lists(rect, min_size=min_size, max_size=8))
+
+
+# ---------------------------------------------------------------------------
+# Coset builder
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_data(), st.integers(0, 2))
+def test_from_cosets_matches_rectangle_fold(data, extra):
+    p, t, residues = data
+    depth = t + extra
+    got = ClopenSet.from_cosets(p, depth, t, residues)
+    want = fold_insert(p, 1, depth, [BallSpec((Fraction(r),), (t,)) for r in residues])
+    assert got == want and got.depth == depth
+    assert got.measure() == Fraction(len({r % p**t for r in residues}), p**t)
+
+
+def test_from_cosets_full_buckets_collapse():
+    assert ClopenSet.from_cosets(3, 5, 4, range(3**4)) == ClopenSet.full(3, 1, 5)
+    # every residue congruent to 2 mod 3^2 at level 4 is the level-2 ball around 2
+    ball = ClopenSet.empty(3, 1, 5).insert_rectangle(BallSpec((Fraction(2),), (2,)))
+    assert ClopenSet.from_cosets(3, 5, 4, range(2, 3**4, 9)) == ball
+    assert ClopenSet.from_cosets(3, 5, 0, [7]) == ClopenSet.full(3, 1, 5)
+    assert ClopenSet.from_cosets(3, 5, 3, []).is_empty()
+
+
+def test_from_cosets_validates_level():
+    with pytest.raises(ValueError, match="insufficient depth"):
+        ClopenSet.from_cosets(3, 2, 3, [0])
+    with pytest.raises(ValueError, match=">= 0"):
+        ClopenSet.from_cosets(3, 2, -1, [0])
+    with pytest.raises(ValueError, match="prime"):
+        ClopenSet.from_cosets(4, 2, 1, [0])
+
+
+# ---------------------------------------------------------------------------
+# n-ary union
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(rect_data())
+def test_from_rectangles_matches_insert_fold_and_brute_force(data):
+    p, n, K, rects = data
+    S = ClopenSet.from_rectangles(p, n, K, rects)
+    assert S == fold_insert(p, n, K, rects)
+    cover = brute_cover(p, n, K, rects)
+    assert S.measure() == Fraction(len(cover), p ** (n * K))
+    assert set(S.enumerate_cosets(K)) == cover
+
+
+@settings(max_examples=80, deadline=None)
+@given(rect_data(min_size=1), st.integers(1, 5), st.booleans())
+def test_union_all_matches_binary_fold(data, parts, with_full):
+    p, n, K, rects = data
+    sets = [ClopenSet.from_rectangles(p, n, K, rects[i::parts]) for i in range(parts)]
+    if with_full:
+        sets.append(ClopenSet.full(p, n, K))
+    got = ClopenSet.union_all(p, n, K, sets)
+    assert got == fold_union(p, n, K, sets)
+    if not with_full:
+        assert got == ClopenSet.from_rectangles(p, n, K, rects)
+    assert ClopenSet.union_all(p, n, K, sets + sets) == got
+
+
+def test_union_all_edge_cases():
+    assert ClopenSet.union_all(3, 2, 4, []) == ClopenSet.empty(3, 2, 4)
+    S = ClopenSet.from_cosets(3, 2, 2, [1, 4])
+    assert ClopenSet.union_all(3, 1, 1, [S]).depth == 2
+    with pytest.raises(ValueError, match="mismatched"):
+        ClopenSet.union_all(3, 2, 2, [S])
+
+
+def test_partial_limsup_matches_layer_fold():
+    for p, n, psi, lo, hi, reduced in [
+        (3, 1, ScaledPower(Fraction(1, 2), Fraction(1)), 1, 40, True),
+        (2, 2, PowerLaw(Fraction(2)), 3, 14, False),
+        (5, 2, ScaledPower(Fraction(3), Fraction(2)), 1, 12, True),
+    ]:
+        params, tup = Params(p, n), ApproxTuple.uniform(psi, n)
+        depth = approx.required_depth(params, tup, lo, hi)
+        layers = [build_layer(params, tup, a0, reduced, depth) for a0 in range(lo, hi + 1)]
+        assert partial_limsup(params, tup, lo, hi, reduced, depth) == fold_union(p, n, depth, layers)
+
+
+def test_ubiquity_fraction_matches_rectangle_path():
+    params = Params(3, 1)
+    alpha, M, k, depth, c1 = [Fraction(2)], 3, 2, 14, Fraction(9)
+    t = max(0, ball_exponent(3, [(c1, Fraction(1)), (Fraction(M), -alpha[0] * (k + 1))]))
+    acc = ClopenSet.empty(3, 1, depth)
+    for a0 in range(M**k, M ** (k + 1) + 1):
+        nums = approx.layer_numerators(a0, reduced=False)
+        residues = approx._coordinate_residues(3, a0, t, nums)
+        acc = acc.union(fold_insert(3, 1, depth, [BallSpec((Fraction(r),), (t,)) for r in residues]))
+    assert approx.ubiquity_fraction(params, alpha, M, k, depth, c1) == acc.measure()
+
+
+# ---------------------------------------------------------------------------
+# Box-count profiles
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(rect_data(), st.integers(0, 2))
+def test_profile_measure_and_box_counts_match_recursion(data, extra):
+    p, n, K, rects = data
+    S = ClopenSet.from_rectangles(p, n, K + extra, rects)
+    assert S.measure() == fraction_measure(S)
+    assert S.measure() == Fraction(len(brute_cover(p, n, K, rects)), p ** (n * K))
+    for k in range(S.depth + 1):
+        assert S.box_count(k) == recursive_box_count(S, k)
+    C = S.complement()
+    assert C.measure() == fraction_measure(C) == 1 - S.measure()
+
+
+def test_profile_on_layers_with_shared_subtrees():
+    params, psi = Params(3, 2), ApproxTuple.uniform(PowerLaw(Fraction(2)), 2)
+    depth = approx.required_depth(params, psi, 1, 20)
+    S = partial_limsup(params, psi, 1, 20, False, depth)
+    assert S.measure() == fraction_measure(S)
+    assert [S.box_count(k) for k in range(depth + 1)] == [
+        recursive_box_count(S, k) for k in range(depth + 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Product builder and serialization
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.tuples(st.integers(0, 2), st.sets(st.integers(0, 24))),
+                                           min_size=2, max_size=3))
+def test_product_set_matches_divmod_builder(p, coords):
+    factors = [ClopenSet.from_cosets(p, 2, t, residues) for t, residues in coords]
+    prod = product_set(factors)
+    assert prod == divmod_product(factors)
+    want = Fraction(1)
+    for f in factors:
+        want *= f.measure()
+    assert prod.measure() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rect_data())
+def test_to_text_matches_recursive_walk(data):
+    p, n, K, rects = data
+    S = ClopenSet.from_rectangles(p, n, K, rects)
+    text = S.to_text()
+    assert text == recursive_text(S)
+    assert ClopenSet.from_text(text) == S
+
+
+def test_to_text_bytes_on_heavily_shared_sets():
+    params, psi = Params(2, 2), ApproxTuple((PowerLaw(Fraction(2)), ScaledPower(Fraction(3), Fraction(2))))
+    depth = approx.required_depth(params, psi, 1, 24)
+    S = partial_limsup(params, psi, 1, 24, True, depth)
+    texts = [S.to_text(), S.complement().to_text(), build_layer(params, psi, 17, True, depth).to_text()]
+    for text, T in zip(texts, [S, S.complement(), build_layer(params, psi, 17, True, depth)]):
+        assert text == recursive_text(T)
+        assert ClopenSet.from_text(text).to_text() == text
+    # a product of identical factors shares every subtree of one coordinate
+    U = ClopenSet.from_cosets(3, 4, 4, range(0, 81, 2))
+    P = product_set([U, U])
+    assert P.to_text() == recursive_text(P) == P.to_text()
+
+
+# ---------------------------------------------------------------------------
+# Parser bounds and the depth limit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("clopen 1 3 1 4\nMFE", "truncated"),
+        ("clopen 1 3 1 4\n", "truncated"),
+        ("clopen 1 3 1 4", "truncated"),
+        ("", "header"),
+        ("clopen 1 3 1\nF", "header"),
+        ("clopen 2 3 1 4\nF", "header"),
+        ("clopen 1 3 1 4\nFF", "trailing"),
+        ("clopen 1 3 1 4\nMFEX", "bad node tag"),
+        ("clopen 1 3 1 1\nMMFFFEE", "deeper than its depth"),
+        ("clopen 1 3 1 x\nF", "invalid literal"),
+        (f"clopen 1 3 1 {MAX_DEPTH + 1}\nF", f"MAX_DEPTH={MAX_DEPTH}"),
+    ],
+)
+def test_from_text_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        ClopenSet.from_text(text)
+
+
+@pytest.mark.parametrize("body", ["MFE", "", "MFEEX"])
+def test_boxdim_cli_rejects_malformed_set_file(tmp_path, capsys, body):
+    path = tmp_path / "bad.clopen"
+    path.write_text("clopen 1 3 1 4\n" + body)
+    code = main(["boxdim", "--p", "3", "--set", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["kind"] == "invalid-input"
+
+
+def test_depth_limit_boundary():
+    d = MAX_DEPTH
+    deep = [0, 2 ** (d - 1), 2 ** (d - 2)]
+    ones = [ClopenSet.from_cosets(2, d, d, [r]) for r in deep]
+    A = ClopenSet.union_all(2, 1, d, ones)
+    assert A == fold_union(2, 1, d, ones)
+    assert A.measure() == Fraction(3, 2**d)
+    assert A.box_count(d) == 3 and A.box_count(d - 1) == 2
+    assert A.complement().complement() == A
+    assert A.difference(ones[0]).intersect(ones[1]) == ones[1]
+    assert ClopenSet.from_text(A.to_text()) == A
+    assert A.enumerate_cosets(d) == [(r,) for r in sorted(deep)]
+    P = product_set([A, A.complement()])
+    assert P.measure() == A.measure() * (1 - A.measure())
+    rects = [BallSpec((Fraction(r), Fraction(r)), (d, d)) for r in deep]
+    R = ClopenSet.from_rectangles(2, 2, d, rects)
+    assert R.box_count(d) == 3 and ClopenSet.from_text(R.to_text()) == R
+    for build in (
+        lambda: ClopenSet.empty(2, 1, d + 1),
+        lambda: ClopenSet.from_cosets(2, d + 1, d + 1, [0]),
+        lambda: ClopenSet.from_rectangles(2, 1, d + 1, [BallSpec((Fraction(0),), (d + 1,))]),
+        lambda: ClopenSet.from_text(f"clopen 1 2 1 {d + 1}\nF"),
+    ):
+        with pytest.raises(ValueError, match=f"exceeds the trie depth limit MAX_DEPTH={d}"):
+            build()
+
+
+# ---------------------------------------------------------------------------
+# partial-limsup --csv builds each layer once
+# ---------------------------------------------------------------------------
+
+
+def test_partial_limsup_csv_reuses_sweep_union(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = approx.build_layer
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "build_layer", counting)
+    argv = ["partial-limsup", "--p", "3", "--n", "2", "--psi", "q^-2", "--from", "2", "--to", "9",
+            "--boxes", "1", "2", "3"]
+    outputs = []
+    for extra in ([], ["--csv", str(tmp_path / "sweep.csv")]):
+        calls.clear()
+        set_path = tmp_path / f"set{len(extra)}.clopen"
+        assert main(argv + extra + ["--save-set", str(set_path)]) == 0
+        outputs.append((capsys.readouterr().out, set_path.read_bytes()))
+        assert sorted(calls) == list(range(2, 10))
+    assert outputs[0] == outputs[1]
