@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import approx, dimension, manifold, minkowski
 from .clopen import ClopenSet
-from .core import HypothesisError, PAdicInt, Params, embed_rational
+from .core import HypothesisError, PAdicInt, Params, embed_rational, parse_fraction
 
 SCHEMA_VERSION = "1"
 
@@ -40,25 +40,27 @@ def emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 _PSI_PATTERNS = [
-    (re.compile(r"^q\^(-?[\d/]+)$"), lambda m: approx.PowerLaw(-Fraction(m.group(1)))),
+    (re.compile(r"^q\^(-?[\d/]+)$"), lambda m: approx.PowerLaw(-parse_fraction(m.group(1)))),
     (
         re.compile(r"^([\d/]+)\*q\^(-?[\d/]+)$"),
-        lambda m: approx.ScaledPower(Fraction(m.group(1)), -Fraction(m.group(2))),
+        lambda m: approx.ScaledPower(parse_fraction(m.group(1)), -parse_fraction(m.group(2))),
     ),
     (
         re.compile(r"^1/\(([\d/]*)q\)$"),
-        lambda m: approx.ScaledPower(Fraction(1) / Fraction(m.group(1) or 1), Fraction(1)),
+        lambda m: approx.ScaledPower(1 / _nonzero(parse_fraction(m.group(1) or "1")), Fraction(1)),
     ),
     (
         re.compile(r"^([\d/]+)/q$"),
-        lambda m: approx.ScaledPower(Fraction(m.group(1)), Fraction(1)),
+        lambda m: approx.ScaledPower(parse_fraction(m.group(1)), Fraction(1)),
     ),
 ]
+
+
+def _nonzero(x: Fraction) -> Fraction:
+    if x == 0:
+        raise ValueError("division by zero in the approximation function")
+    return x
 
 
 def parse_psi(text: str) -> approx.PsiComponent:
@@ -68,7 +70,7 @@ def parse_psi(text: str) -> approx.PsiComponent:
         entries = []
         for part in text[len("table:") :].split(","):
             q, v = part.split("=")
-            entries.append((int(q), Fraction(v)))
+            entries.append((int(q), parse_fraction(v)))
         return approx.TableFunction(tuple(entries))
     for pattern, build in _PSI_PATTERNS:
         m = pattern.match(text)
@@ -279,9 +281,7 @@ def cmd_dirichlet_solve(args) -> None:
 
 def cmd_enumerate_s_tau(args) -> None:
     f = load_map(args)
-    pts = manifold.enumerate_S_tau(
-        f, [Fraction(t) for t in args.tau], args.hmax, h_min=args.hmin, workers=args.workers
-    )
+    pts = manifold.enumerate_S_tau(f, [Fraction(t) for t in args.tau], args.hmax, h_min=args.hmin)
     blocks: dict[str, int] = {}
     h = 1
     while h <= args.hmax:
@@ -458,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hmax", type=int, required=True)
     sp.add_argument("--hmin", type=int, default=1)
     sp.add_argument("--limit", type=int, default=50, help="max points echoed in JSON")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="shard the denominator range across threads; output is identical")
     sp.set_defaults(func=cmd_enumerate_s_tau)
 
     sp = sub.add_parser("cover-preimage", help="rectangle cover of the approximable preimage")

@@ -24,6 +24,14 @@ class ExactnessError(ValueError):
     """Requested value has no exact rational representation."""
 
 
+def parse_fraction(text: str | int) -> Fraction:
+    """A rational from text such as '3', '-7/5' or '1.25'; ValueError on a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -71,11 +71,6 @@ def floor_log_powprod(p: int, factors: PowerProduct) -> int:
     return est
 
 
-def least_power_exceeding(p: int, factors: PowerProduct) -> int:
-    """min{e in Z : p^e > prod base_i^exp_i}, exact."""
-    return floor_log_powprod(p, factors) + 1
-
-
 def ball_exponent(p: int, radius: PowerProduct) -> int:
     """Closed-ball exponent of an open p-adic ball of the given radius.
 
@@ -94,26 +89,27 @@ def frac_pow(x: Fraction | int, exp: Fraction | int) -> Fraction:
     exp = Fraction(exp)
     if exp.denominator == 1:
         return x ** int(exp)
+    if x <= 0:
+        raise ValueError(f"fractional power {exp} of the non-positive base {x}")
     root = exp.denominator
-    num = _int_nth_root(x.numerator, root)
-    den = _int_nth_root(x.denominator, root)
-    if num is None or den is None:
+    num = int_root_floor(x.numerator, root)
+    den = int_root_floor(x.denominator, root)
+    if num**root != x.numerator or den**root != x.denominator:
         raise ExactnessError(f"{x}^{exp} is irrational")
     return Fraction(num, den) ** exp.numerator
 
 
-def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact k-th root of a positive integer, or None."""
-    if n == 1:
-        return 1
-    r = max(1, int(round(math.exp(_log_int(n) / k))))
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r if r**k == n else None
-
-
-def float_powprod(factors: PowerProduct) -> float:
-    """Float value of a power product, for display only."""
-    return math.exp(powprod_log_estimate(factors))
+def int_root_floor(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by Newton iteration on integers."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    if n == 0:
+        return 0
+    if k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # upper seed: 2^ceil(bits/k) >= n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y

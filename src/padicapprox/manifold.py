@@ -14,29 +14,69 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .clopen import BallSpec, ClopenSet
-from .core import HypothesisError, PAdicInt, embed_rational, is_prime
-from .exactcmp import ball_exponent, cmp_powprod, floor_log_powprod
+from .core import HypothesisError, PAdicInt, is_prime, parse_fraction
+from .exactcmp import ball_exponent, floor_log_powprod, int_root_floor
 from .minkowski import LinearFormSystem, SolverError, solve_structured
 
 Monomial = tuple[Fraction, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
+class IntegerForm:
+    """The homogenization F(a_0, c) = scale * a_0^degree * f(c / a_0) of one
+    component f, as integer terms (coefficient, a_0 exponent, c exponents).
+
+    scale is the lcm of the coefficient denominators (a p-unit) and
+    degree = max(1, deg f). For a_0 prime to p,
+        f(c / a_0) - t / a_0 = (F(a_0, c) - unit(a_0) * t) / (scale * a_0^degree),
+    so the left side has the p-valuation of the integer F(a_0, c) - unit(a_0) * t.
+    """
+
+    scale: int
+    degree: int
+    terms: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+    def unit(self, a0: int) -> int:
+        """scale * a_0^(degree-1): the multiplier of t, a p-unit when a_0 is."""
+        return self.scale * a0 ** (self.degree - 1)
+
+    def at(self, a0: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """F(a_0, .) for a fixed a_0, as integer monomials in c."""
+        return tuple((coeff * a0**k, exps) for coeff, k, exps in self.terms)
+
+    def __call__(self, a0: int, c: Sequence[int]) -> int:
+        return _eval_monomials(self.at(a0), c)
+
+
+def _eval_monomials(monos: Sequence[tuple[int, tuple[int, ...]]], c: Sequence[int]) -> int:
+    """Value of an integer polynomial, given as (coefficient, exponents), at c."""
+    total = 0
+    for coeff, exps in monos:
+        for x, e in zip(c, exps):
+            if e:
+                coeff *= x**e
+        total += coeff
+    return total
+
+
+@dataclass(frozen=True)
 class PolyMap:
     """f = (f_1, ..., f_m): Z_p^d -> Z_p^m with p-integral coefficients.
 
-    Each component is a tuple of (coefficient, exponent-vector) monomials.
+    Each component is a tuple of (coefficient, exponent-vector) monomials;
+    `forms` holds the integer homogenization of each component.
     """
 
     p: int
     d: int
     m: int
     polys: tuple[tuple[Monomial, ...], ...]
+    forms: tuple[IntegerForm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -59,6 +99,15 @@ class PolyMap:
                     mono.append((coeff, exps))
             normalized.append(tuple(sorted(mono, key=lambda t: t[1])))
         object.__setattr__(self, "polys", tuple(normalized))
+        forms = []
+        for poly in normalized:
+            scale = math.lcm(1, *(c.denominator for c, _ in poly))
+            degree = max([1] + [sum(e) for _, e in poly])
+            terms = tuple(
+                (c.numerator * (scale // c.denominator), degree - sum(e), e) for c, e in poly
+            )
+            forms.append(IntegerForm(scale, degree, terms))
+        object.__setattr__(self, "forms", tuple(forms))
 
     @property
     def n(self) -> int:
@@ -113,10 +162,36 @@ class PolyMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolyMap":
-        polys = tuple(
-            tuple((Fraction(c), tuple(e)) for c, e in poly) for poly in data["polys"]
-        )
-        return cls(int(data["p"]), int(data["d"]), int(data["m"]), polys)
+        """Inverse of to_json_dict; ValueError on any malformed part."""
+        if not isinstance(data, dict):
+            raise ValueError("map JSON must be an object")
+        missing = [key for key in ("p", "d", "m", "polys") if key not in data]
+        if missing:
+            raise ValueError(f"map JSON lacks {', '.join(missing)}")
+        if not isinstance(data["polys"], list):
+            raise ValueError("map JSON 'polys' must be a list of monomial lists")
+        polys = []
+        for poly in data["polys"]:
+            if not isinstance(poly, list):
+                raise ValueError(f"component {poly!r} is not a list of monomials")
+            mono = []
+            for term in poly:
+                if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], list)):
+                    raise ValueError(f"monomial {term!r} is not [coefficient, [exponents]]")
+                coeff, exps = term
+                mono.append((parse_fraction(_json_scalar(coeff)), tuple(_json_int(e) for e in exps)))
+            polys.append(tuple(mono))
+        return cls(_json_int(data["p"]), _json_int(data["d"]), _json_int(data["m"]), tuple(polys))
+
+
+def _json_scalar(value) -> int | str:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer or a string in map JSON, got {value!r}")
+    return value
+
+
+def _json_int(value) -> int:
+    return int(_json_scalar(value))
 
 
 @dataclass(frozen=True)
@@ -202,6 +277,7 @@ class DirichletInstance:
     tau: tuple[Fraction, ...]
     v: tuple[Fraction, ...]
     H: int
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.f
@@ -236,6 +312,23 @@ class DirichletInstance:
         """(n + m*lambda)/d with lambda = 0."""
         return Fraction(self.f.n, self.f.d)
 
+    def levels(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Closed-ball exponents (at least 0) of the target balls at shift k:
+        s_i for |x_i - a_i/a_0|_p < p^(sigma+k) H^(-v_i) and u_j for
+        |f_j(a/a_0) - a_(d+j)/a_0|_p < (p^(-k) H)^(-tau_j). Cached per k."""
+        out = self._levels.get(k)
+        if out is None:
+            p, H = self.f.p, Fraction(self.H)
+            s_exps = tuple(
+                max(0, ball_exponent(p, [(Fraction(p), self.sigma_shift + k), (H, -v)]))
+                for v in self.v
+            )
+            u_exps = tuple(
+                max(0, ball_exponent(p, [(Fraction(p), k * t), (H, -t)])) for t in self.tau
+            )
+            out = self._levels[k] = (s_exps, u_exps)
+        return out
+
 
 @dataclass(frozen=True)
 class H0Report:
@@ -254,23 +347,6 @@ def _int_threshold_strict(p: int, exponent: Fraction) -> int:
     return floor_log_int_power(p, exponent)
 
 
-def _integer_root_floor(n: int, k: int) -> int:
-    """floor(n^(1/k)) by Newton iteration on big integers."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    x = 1 << -(-n.bit_length() // k)  # upper seed: 2^ceil(bits/k) >= n^(1/k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x
-
-
 def floor_log_int_power(p: int, exponent: Fraction) -> int:
     """floor(p^exponent) for a positive rational exponent, exact at any size."""
     exponent = Fraction(exponent)
@@ -279,13 +355,7 @@ def floor_log_int_power(p: int, exponent: Fraction) -> int:
         return 1
     if a < 0:
         return 0  # p^e < 1 for negative e
-    est = _integer_root_floor(p**a, b)
-    # Newton floor can only be exact or one off after integer division noise
-    while (est + 1) ** b <= p**a:
-        est += 1
-    while est**b > p**a:
-        est -= 1
-    return est
+    return int_root_floor(p**a, b)
 
 
 def dirichlet_h0(inst: DirichletInstance) -> H0Report:
@@ -393,45 +463,36 @@ def _strip_non_p_gcd(p: int, b: Sequence[int]) -> list[int]:
 
 
 def verify_dirichlet(inst: DirichletInstance, point: RationalPoint, k: int) -> bool:
-    """Exact re-check of the full inequality system and side conditions."""
+    """Exact re-check of the full inequality system and side conditions.
+
+    Each inequality |w|_p < r is the congruence w = 0 mod p^t at the level t
+    of `DirichletInstance.levels`, checked on integers: a_0 x_i - a_i for the
+    independent block and the homogenized form of f_j for the dependent one.
+    """
     f = inst.f
     p = f.p
     a = point.a
     if k < 0 or a[0] % p == 0 or not point.primitive:
         return False
-    pkH = [(Fraction(p), Fraction(k)), (Fraction(inst.H), Fraction(1))]
     # heights: max |a_i| <= p^{-k} H, i.e. p^k max|a_i| <= H
     if p**k * point.height > inst.H:
         return False
+    s_exps, u_exps = inst.levels(k)
     prec = inst.precision
     for i in range(f.d):
-        diff = inst.x[i].truncate(prec) - embed_rational(a[i + 1], a[0], p=p, precision=prec)
-        vexp = prec if diff.is_zero_to_precision else diff.valuation()
-        bound = [(Fraction(p), inst.sigma_shift + k), (Fraction(inst.H), -inst.v[i])]
-        if cmp_powprod([(Fraction(p), Fraction(-vexp))], bound) >= 0:
-            if diff.is_zero_to_precision:
+        diff = (a[0] * inst.x[i].residue - a[i + 1]) % p**prec
+        if s_exps[i] > prec:
+            if diff == 0:
                 raise SolverError(
                     f"comparison below precision {prec}: increase the base point precision"
                 )
             return False
-    y = point.coordinates(f.d)
-    values = f.eval_exact(y)
-    for j in range(f.m):
-        w = values[j] - Fraction(a[f.d + j + 1], a[0])
-        # |w|_p < (p^{-k} H)^{-tau_j}
-        if w != 0:
-            num, den = w.numerator, w.denominator
-            vexp = 0
-            while num % p == 0:
-                num //= p
-                vexp += 1
-            while den % p == 0:
-                den //= p
-                vexp -= 1
-            lhs = [(Fraction(p), Fraction(-vexp))]
-            rhs = [(Fraction(p), k * inst.tau[j]), (Fraction(inst.H), -inst.tau[j])]
-            if cmp_powprod(lhs, rhs) >= 0:
-                return False
+        if diff % p ** s_exps[i]:
+            return False
+    c = a[1 : f.d + 1]
+    for j, form in enumerate(f.forms):
+        if (form(a[0], c) - form.unit(a[0]) * a[f.d + j + 1]) % p ** u_exps[j]:
+            return False
     return True
 
 
@@ -479,62 +540,52 @@ def _exhaustive_dirichlet(inst: DirichletInstance) -> tuple[RationalPoint, int]:
     k = 0
     while p**k <= inst.H:
         Hk = inst.H // p**k
-        s_exps = []
-        for i in range(f.d):
-            radius = [(Fraction(p), inst.sigma_shift + k), (Fraction(inst.H), -inst.v[i])]
-            s_exps.append(max(0, ball_exponent(p, radius)))
-        u_exps = []
-        for j in range(f.m):
-            radius = [(Fraction(p), k * inst.tau[j]), (Fraction(inst.H), -inst.tau[j])]
-            u_exps.append(max(0, ball_exponent(p, radius)))
+        s_exps, u_exps = inst.levels(k)
         if max(s_exps, default=0) > prec:
             raise SolverError("needed congruence level exceeds the base point precision")
+        moduli = [p**u for u in u_exps]
         for a0 in range(1, Hk + 1):
             if a0 % p == 0:
                 continue
             coords: list[list[int]] = []
-            ok = True
             for i in range(f.d):
                 mod = p ** s_exps[i]
-                target = a0 * inst.x[i].residue % mod
-                cands = _centered_candidates(target, mod, Hk)
+                cands = _centered_candidates(a0 * inst.x[i].residue % mod, mod, Hk)
                 if not cands:
-                    ok = False
                     break
                 coords.append(cands)
-            if not ok:
-                continue
-            for combo in itertools.product(*coords):
-                y = tuple(Fraction(c, a0) for c in combo)
-                values = f.eval_exact(y)
-                dep: list[list[int]] = []
-                good = True
-                for j in range(f.m):
-                    mod = p ** u_exps[j]
-                    w = values[j] * a0
-                    if w.denominator % p == 0:
-                        good = False
-                        break
-                    target = w.numerator * pow(w.denominator, -1, mod) % mod if mod > 1 else 0
-                    cands = _centered_candidates(target, mod, Hk)
-                    if not cands:
-                        good = False
-                        break
-                    dep.append(cands)
-                if not good:
-                    continue
-                for tail in itertools.product(*dep):
-                    a = (a0,) + combo + tail
-                    g = 0
-                    for vv in a:
-                        g = math.gcd(g, vv)
-                    if g != 1:
+            else:
+                fixed = [form.at(a0) for form in f.forms]
+                inverses = [pow(form.unit(a0), -1, mod) for form, mod in zip(f.forms, moduli)]
+                for combo in itertools.product(*coords):
+                    values = [_eval_monomials(monos, combo) for monos in fixed]
+                    dep = _dependent_candidates(values, inverses, moduli, Hk)
+                    if dep is None:
                         continue
-                    point = RationalPoint(a)
-                    if verify_dirichlet(inst, point, k):
-                        return point, k
+                    for tail in itertools.product(*dep):
+                        a = (a0, *combo, *tail)
+                        if math.gcd(*a) != 1:
+                            continue
+                        point = RationalPoint(a)
+                        if verify_dirichlet(inst, point, k):
+                            return point, k
         k += 1
     raise SolverError("no solution found: H below threshold or an implementation bug")
+
+
+def _dependent_candidates(
+    values: Sequence[int], inverses: Sequence[int], moduli: Sequence[int], bound: int
+) -> list[list[int]] | None:
+    """For each dependent coordinate j, the t in [-bound, bound] with
+    F_j = unit_j * t mod moduli[j], where values[j] = F_j and inverses[j] is
+    unit_j^-1 modulo a multiple of moduli[j]; None if some list is empty."""
+    out = []
+    for value, inv, mod in zip(values, inverses, moduli):
+        cands = _centered_candidates(value * inv % mod, mod, bound)
+        if not cands:
+            return None
+        out.append(cands)
+    return out
 
 
 def _centered_candidates(target: int, mod: int, bound: int) -> list[int]:
@@ -557,16 +608,17 @@ def enumerate_S_tau(
     h_max: int,
     h_min: int = 1,
     budget: int = 30_000_000,
-    workers: int = 1,
 ) -> list[RationalPoint]:
     """All primitive (a_0, ..., a_n), gcd(a_0, p)=1, height in [h_min, h_max],
-    with |f_j(a_1/a_0, ..., a_d/a_0) - a_{d+j}/a_0|_p < h^{-tau_{d+j}} for all j.
+    with |f_j(a_1/a_0, ..., a_d/a_0) - a_{d+j}/a_0|_p < h^{-tau_{d+j}} for all j,
+    in lexicographic order.
 
     Enumerates the independent block and pins each dependent coordinate by its
     congruence class at the weakest admissible level, then checks membership
-    exactly at the point's true height. With workers > 1 the denominators are
-    sharded across a thread pool; the sorted merge makes the result identical
-    to the sequential run (CPython threads trade no exactness, just latency).
+    exactly at the point's true height h. All of it runs on integers: with
+    F_j the homogenized form of f_j, the error has the p-valuation of
+    F_j(a_0, c) - unit_j(a_0) * a_{d+j}, and the strict inequality is that this
+    integer vanishes mod p^level(h, j), one level per height and component.
     """
     p = f.p
     tau_dep = [Fraction(t) for t in tau_dep]
@@ -574,97 +626,42 @@ def enumerate_S_tau(
         raise ValueError("need one dependent exponent per component")
     if (2 * h_max + 1) ** f.d * h_max > budget:
         raise ValueError("enumeration budget exceeded")
-    denominators = [a0 for a0 in range(1, h_max + 1) if a0 % p]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        shards = [denominators[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda shard: _enumerate_s_tau_shard(f, tau_dep, h_max, h_min, shard), shards
-            )
-        found = [pt for part in parts for pt in part]
-        return sorted(found, key=lambda pt: pt.a)
-    return sorted(
-        _enumerate_s_tau_shard(f, tau_dep, h_max, h_min, denominators), key=lambda pt: pt.a
-    )
-
-
-def _enumerate_s_tau_shard(
-    f: PolyMap,
-    tau_dep: list[Fraction],
-    h_max: int,
-    h_min: int,
-    denominators: Sequence[int],
-) -> list[RationalPoint]:
-    p = f.p
-    # weakest congruence level: smallest t with p^{-t} < h_base^{-tau}
-    exp_cache: dict[tuple[int, int], int] = {}
-
-    def level(h: int, j: int) -> int:
-        key = (h, j)
-        out = exp_cache.get(key)
-        if out is None:
-            out = max(0, ball_exponent(p, [(Fraction(h), -tau_dep[j])]))
-            exp_cache[key] = out
-        return out
-
+    if max(1, h_min) > h_max:
+        return []
+    # every level ever asked for is at a height in [h_min, h_max]
+    heights = range(max(1, h_min), h_max + 1)
+    moduli = [
+        {h: p ** max(0, ball_exponent(p, [(Fraction(h), -t)])) for h in heights} for t in tau_dep
+    ]
+    top = [max(mods.values()) for mods in moduli]
     found: list[RationalPoint] = []
-    for a0 in denominators:
-        for combo in itertools.product(range(-h_max, h_max + 1), repeat=f.d):
-            h_base = max(a0, *(abs(c) for c in combo)) if f.d else a0
-            if h_base < 1:
-                continue
-            y = tuple(Fraction(c, a0) for c in combo)
-            values = f.eval_exact(y)
-            dep_cands: list[list[int]] = []
-            ok = True
-            for j in range(f.m):
-                mod = p ** level(max(h_base, h_min), j)
-                w = values[j] * a0
-                target = w.numerator * pow(w.denominator, -1, mod) % mod if mod > 1 else 0
-                cands = _centered_candidates(target, mod, h_max)
-                if not cands:
-                    ok = False
-                    break
-                dep_cands.append(cands)
-            if not ok:
-                continue
-            for tail in itertools.product(*dep_cands):
-                a = (a0,) + combo + tail
-                h = max(abs(v) for v in a)
-                if h > h_max or h < h_min:
-                    continue
-                g = 0
-                for vv in a:
-                    g = math.gcd(g, vv)
-                if g != 1:
-                    continue
-                if _s_tau_member(f, tau_dep, a, h):
-                    found.append(RationalPoint(a))
-    return sorted(found, key=lambda pt: pt.a)
-
-
-def _s_tau_member(f: PolyMap, tau_dep: Sequence[Fraction], a: tuple[int, ...], h: int) -> bool:
-    p = f.p
-    y = tuple(Fraction(c, a[0]) for c in a[1 : f.d + 1])
-    values = f.eval_exact(y)
-    for j in range(f.m):
-        w = values[j] - Fraction(a[f.d + j + 1], a[0])
-        if w == 0:
+    for a0 in range(1, h_max + 1):
+        if a0 % p == 0:
             continue
-        num, den = w.numerator, w.denominator
-        vexp = 0
-        while num % p == 0:
-            num //= p
-            vexp += 1
-        while den % p == 0:
-            den //= p
-            vexp -= 1
-        # need p^{-vexp} < h^{-tau_j}
-        if cmp_powprod([(Fraction(p), Fraction(-vexp))], [(Fraction(h), -tau_dep[j])]) >= 0:
-            return False
-    return True
+        fixed = [form.at(a0) for form in f.forms]
+        units = [form.unit(a0) for form in f.forms]
+        inverses = [pow(u, -1, mod) for u, mod in zip(units, top)]
+        for combo in itertools.product(range(-h_max, h_max + 1), repeat=f.d):
+            h_base = max(a0, *map(abs, combo))
+            # weakest congruence level: the one at the smallest admissible height
+            h_low = max(h_base, h_min)
+            values = [_eval_monomials(monos, combo) for monos in fixed]
+            dep = _dependent_candidates(values, inverses, [mods[h_low] for mods in moduli], h_max)
+            if dep is None:
+                continue
+            for tail in itertools.product(*dep):
+                h = max(h_base, *map(abs, tail))
+                if h < h_min:
+                    continue
+                a = (a0, *combo, *tail)
+                if math.gcd(*a) != 1:
+                    continue
+                if all(
+                    (value - unit * t) % mods[h] == 0
+                    for value, unit, t, mods in zip(values, units, tail, moduli)
+                ):
+                    found.append(RationalPoint(a))
+    return found
 
 
 def cover_preimage(
@@ -702,20 +699,22 @@ def cover_preimage(
             )
         if delta > min(Fraction(1), 1 / lipschitz_bound):
             raise ValueError("delta too large for the Lipschitz bound")
-    worst = max(
-        max(0, ball_exponent(p, [(delta, Fraction(1)), (Fraction(h_max), -tau[i])]))
-        for i in range(f.d)
-    )
+    exps_at: dict[int, tuple[int, ...]] = {}
+
+    def exponents(h: int) -> tuple[int, ...]:
+        """Rectangle exponents at height h, computed once per distinct height."""
+        out = exps_at.get(h)
+        if out is None:
+            out = exps_at[h] = tuple(
+                max(0, ball_exponent(p, [(delta, Fraction(1)), (Fraction(h), -tau[i])]))
+                for i in range(f.d)
+            )
+        return out
+
+    worst = max(exponents(h_max))
     if worst > depth:
         raise ValueError(f"insufficient depth: need {worst}, have {depth}")
     if points is None:
         points = enumerate_S_tau(f, tau[f.d :], h_max, h_min=h_min)
-    rects = []
-    for pt in points:
-        h = pt.height
-        exps = tuple(
-            max(0, ball_exponent(p, [(delta, Fraction(1)), (Fraction(h), -tau[i])]))
-            for i in range(f.d)
-        )
-        rects.append(BallSpec(pt.coordinates(f.d), exps))
+    rects = [BallSpec(pt.coordinates(f.d), exponents(pt.height)) for pt in points]
     return ClopenSet.from_rectangles(p, f.d, depth, rects)

@@ -134,6 +134,24 @@ def test_cover_preimage_cli(capsys):
     assert Fraction(out["measure"]) > 0
 
 
+def test_zero_denominator_psi_is_invalid_input(capsys):
+    code, out = run_cli(
+        capsys, "claims-check", "--p", "3", "--n", "1", "--psi", "1/0*q^-2", "--a0", "4", "--b0", "6"
+    )
+    assert code == 2
+    assert out["error"]["kind"] == "invalid-input"
+    assert "zero denominator" in out["error"]["message"]
+
+
+def test_map_json_without_polys_is_invalid_input(capsys):
+    code, out = run_cli(
+        capsys, "enumerate-s-tau", "--map-json", '{"p":3,"d":1,"m":1}', "--tau", "7/5", "--hmax", "5"
+    )
+    assert code == 2
+    assert out["error"]["kind"] == "invalid-input"
+    assert "polys" in out["error"]["message"]
+
+
 def test_boxdim_cli_from_counts(capsys):
     counts = ",".join(f"{k}:{3**k}" for k in range(1, 9))
     code, out = run_cli(capsys, "boxdim", "--p", "3", "--counts", counts)
