@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clopen import ClopenSet, product_set
 from .core import ExactnessError, Params, euler_phi, totient_sieve
@@ -110,6 +110,11 @@ def step_exponent(comp: PsiComponent, a0: int, p: int) -> int:
     return max(t, 0)
 
 
+def _below_inverse(comp: PsiComponent, q: int) -> bool:
+    """psi(q) < 1/q, exact."""
+    return cmp_powprod(psi_powprod(comp, q), [(Fraction(q), Fraction(-1))]) < 0
+
+
 @dataclass(frozen=True)
 class ApproxTuple:
     """The n-tuple Psi = (psi_1, ..., psi_n)."""
@@ -131,10 +136,7 @@ class ApproxTuple:
 
     def proper_at(self, q: int) -> bool:
         """psi_i(q) < 1/q for every component."""
-        return all(
-            cmp_powprod(psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) < 0
-            for c in self.components
-        )
+        return all(_below_inverse(c, q) for c in self.components)
 
     def proper_on(self, lo: int, hi: int) -> bool:
         for c in self.components:
@@ -142,15 +144,15 @@ class ApproxTuple:
                 qs = [lo]  # q^{1-tau} is monotone; properness at lo implies it beyond
                 if lo == 1:
                     qs = [1, min(2, hi)]
-                if any(cmp_powprod(psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) >= 0 for q in qs):
+                if not all(_below_inverse(c, q) for q in qs):
                     return False
             elif isinstance(c, ScaledPower):
                 probe = lo if c.e >= 1 else hi
-                if cmp_powprod(psi_powprod(c, probe), [(Fraction(probe), Fraction(-1))]) >= 0:
+                if not _below_inverse(c, probe):
                     return False
             else:
                 for q, _ in c.values:
-                    if lo <= q <= hi and cmp_powprod(psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) >= 0:
+                    if lo <= q <= hi and not _below_inverse(c, q):
                         return False
         return True
 
@@ -212,11 +214,16 @@ def layer_coordinate_data(
 
 def layer_measure(params: Params, psi: ApproxTuple, a0: int, reduced: bool) -> Fraction:
     """Exact Haar measure of the layer, via its product structure."""
+    return _data_measure(params.p, layer_coordinate_data(params, psi, a0, reduced))
+
+
+def _data_measure(p: int, data: Sequence[tuple[int, set[int]]]) -> Fraction:
+    """Measure of the product layer given by layer_coordinate_data records."""
     mu = Fraction(1)
-    for t, residues in layer_coordinate_data(params, psi, a0, reduced):
+    for t, residues in data:
         if not residues:
             return Fraction(0)
-        mu *= Fraction(len(residues), params.p**t)
+        mu *= Fraction(len(residues), p**t)
     return mu
 
 
@@ -279,16 +286,14 @@ def divergence_curve(
     reduced: bool = True,
     stop_above: Fraction | None = None,
 ) -> list[tuple[int, Fraction]]:
-    """Measure of partial_limsup[1, N] for N = 1..n_max, computed incrementally.
+    """Measure of partial_limsup[1, N] for N = 1..n_max: the union column of layer_sweep_rows.
 
     Stops early once the measure exceeds stop_above, if given.
     """
     out: list[tuple[int, Fraction]] = []
-    acc = ClopenSet.empty(params.p, params.n, depth)
-    for a0 in range(1, n_max + 1):
-        acc = acc.union(build_layer(params, psi, a0, reduced, depth))
-        mu = acc.measure()
-        out.append((a0, mu))
+    for row in layer_sweep_rows(params, psi, 1, n_max, reduced, depth):
+        mu = row["union_measure"]
+        out.append((row["a0"], mu))
         if stop_above is not None and mu > stop_above:
             break
     return out
@@ -299,30 +304,37 @@ def divergence_curve(
 # ---------------------------------------------------------------------------
 
 
-def khintchine_sum(params: Params, psi: ApproxTuple, n_terms: int) -> Fraction:
-    """sum_{q=1}^{N} q^n prod_i psi_i(q), exact rational."""
-    total = Fraction(0)
-    for q in range(1, n_terms + 1):
-        term = Fraction(q) ** params.n
+def _series_terms(
+    params: Params, psi: ApproxTuple, lo: int, hi: int
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """(q^n prod_i psi_i(q), phi(q)^n prod_i psi_i(q)) for q = lo..hi.
+
+    Each psi_i(q) is evaluated once; the first irrational value raises
+    ExactnessError. Terms, not running sums, so a caller that needs one series
+    does not pay for adding up the other.
+    """
+    phi = totient_sieve(hi)
+    for q in range(lo, hi + 1):
+        term = Fraction(1)
         for comp in psi.components:
             term *= psi_value(comp, q)
-        total += term
-    return total
+        yield Fraction(q) ** params.n * term, Fraction(phi[q]) ** params.n * term
+
+
+def khintchine_sum(params: Params, psi: ApproxTuple, n_terms: int) -> Fraction:
+    """sum_{q=1}^{N} q^n prod_i psi_i(q), exact rational."""
+    return sum((kh for kh, _ in _series_terms(params, psi, 1, n_terms)), Fraction(0))
 
 
 def duffin_schaeffer_sum(
     params: Params, psi: ApproxTuple, n_terms: int
 ) -> tuple[Fraction, Fraction | None]:
     """sum_{q=1}^{N} phi(q)^n prod_i psi_i(q) and its ratio to the khintchine sum."""
-    phi = totient_sieve(n_terms) if n_terms >= 1 else [0]
-    total = Fraction(0)
-    for q in range(1, n_terms + 1):
-        term = Fraction(phi[q]) ** params.n
-        for comp in psi.components:
-            term *= psi_value(comp, q)
-        total += term
-    k = khintchine_sum(params, psi, n_terms)
-    return total, (total / k if k else None)
+    kh = ds = Fraction(0)
+    for k, d in _series_terms(params, psi, 1, n_terms):
+        kh += k
+        ds += d
+    return ds, (ds / kh if kh else None)
 
 
 def layer_reference_sum(params: Params, psi: ApproxTuple, lo: int, hi: int) -> Fraction:
@@ -363,16 +375,37 @@ def intersection_measure(params: Params, psi: ApproxTuple, a0: int, b0: int, red
     """Exact measure of layer(a0) cap layer(b0), via coordinatewise coset filtering."""
     da = layer_coordinate_data(params, psi, a0, reduced)
     db = layer_coordinate_data(params, psi, b0, reduced)
+    return _data_intersection(params.p, da, db)
+
+
+def _data_intersection(
+    p: int, da: Sequence[tuple[int, set[int]]], db: Sequence[tuple[int, set[int]]]
+) -> Fraction:
+    """Measure of the intersection of two layers given by layer_coordinate_data records.
+
+    Per coordinate, a finer coset lies in the coarser union iff its residue
+    reduces into the coarser residue set.
+    """
     mu = Fraction(1)
     for (ta, ra), (tb, rb) in zip(da, db):
         if ta > tb:
             (ta, ra), (tb, rb) = (tb, rb), (ta, ra)
-        mod = params.p**ta
+        mod = p**ta
         count = sum(1 for r in rb if r % mod in ra)
         if count == 0:
             return Fraction(0)
-        mu *= Fraction(count, params.p**tb)
+        mu *= Fraction(count, p**tb)
     return mu
+
+
+def _ratio_denominator(
+    n: int, a0: int, b0: int, values: Iterable[tuple[Fraction, Fraction]]
+) -> Fraction:
+    """a0^n b0^n prod_i psi_i(a0) psi_i(b0), from the pairs (psi_i(a0), psi_i(b0))."""
+    denom = Fraction(a0 * b0) ** n
+    for va, vb in values:
+        denom *= va * vb
+    return denom
 
 
 def measure_claims_check(params: Params, psi: ApproxTuple, a0: int, b0: int) -> ClaimsReport:
@@ -384,14 +417,16 @@ def measure_claims_check(params: Params, psi: ApproxTuple, a0: int, b0: int) -> 
     """
     if math.gcd(a0, params.p) != 1 or math.gcd(b0, params.p) != 1:
         raise ValueError("a0 and b0 must be coprime to p")
-    mu_a = layer_measure(params, psi, a0, reduced=True)
-    mu_b = layer_measure(params, psi, b0, reduced=True)
+    da = layer_coordinate_data(params, psi, a0, True)
+    db = layer_coordinate_data(params, psi, b0, True)
+    mu_a = _data_measure(params.p, da)
+    mu_b = _data_measure(params.p, db)
     ref_a = reference_measure(params, psi, a0)
     ref_b = reference_measure(params, psi, b0)
-    mu_ab = intersection_measure(params, psi, a0, b0, reduced=True)
-    denom = Fraction(a0) ** params.n * Fraction(b0) ** params.n
-    for comp in psi.components:
-        denom *= psi_value(comp, a0) * psi_value(comp, b0)
+    mu_ab = _data_intersection(params.p, da, db)
+    denom = _ratio_denominator(
+        params.n, a0, b0, ((psi_value(c, a0), psi_value(c, b0)) for c in psi.components)
+    )
     ratio = None if a0 == b0 else mu_ab / denom
     return ClaimsReport(
         a0=a0,
@@ -418,25 +453,11 @@ def claim_c_max_ratio(
     data = {q: layer_coordinate_data(params, psi, q, True) for q in pairs}
     psis = {q: [psi_value(c, q) for c in psi.components] for q in pairs}
     for i, a0 in enumerate(pairs):
-        da = data[a0]
         for b0 in pairs[i + 1 :]:
-            db = data[b0]
-            mu = Fraction(1)
-            for (ta, ra), (tb, rb) in zip(da, db):
-                if ta > tb:
-                    ta, ra, tb, rb = tb, rb, ta, ra
-                mod = params.p**ta
-                count = sum(1 for r in rb if r % mod in ra)
-                if count == 0:
-                    mu = Fraction(0)
-                    break
-                mu *= Fraction(count, params.p**tb)
+            mu = _data_intersection(params.p, data[a0], data[b0])
             if mu == 0:
                 continue
-            denom = Fraction(a0 * b0) ** params.n
-            for va, vb in zip(psis[a0], psis[b0]):
-                denom *= va * vb
-            ratio = mu / denom
+            ratio = mu / _ratio_denominator(params.n, a0, b0, zip(psis[a0], psis[b0]))
             if ratio > best:
                 best, arg = ratio, (a0, b0)
     return best, arg
@@ -496,28 +517,24 @@ def layer_sweep_rows(
     Each row also carries the running union itself under "union", so the last
     row's set is partial_limsup over the same range."""
     acc = ClopenSet.empty(params.p, params.n, depth)
-    kh = Fraction(0)
-    ds = Fraction(0)
-    series_exact = True
-    phi = totient_sieve(hi)
+    series = _series_terms(params, psi, lo, hi)
+    kh = ds = Fraction(0)
     for a0 in range(lo, hi + 1):
         layer = build_layer(params, psi, a0, reduced, depth)
         acc = acc.union(layer)
-        if series_exact:
+        if series is not None:
             try:
-                term = Fraction(1)
-                for comp in psi.components:
-                    term *= psi_value(comp, a0)
-                kh += Fraction(a0) ** params.n * term
-                ds += Fraction(phi[a0]) ** params.n * term
+                k, d = next(series)
+                kh += k
+                ds += d
             except ExactnessError:
-                series_exact = False
+                series = kh = ds = None
         yield {
             "a0": a0,
             "layer_measure": layer.measure(),
             "reference": reference_measure(params, psi, a0) if a0 % params.p else Fraction(0),
             "union_measure": acc.measure(),
             "union": acc,
-            "khintchine_partial": kh if series_exact else None,
-            "duffin_schaeffer_partial": ds if series_exact else None,
+            "khintchine_partial": kh,
+            "duffin_schaeffer_partial": ds,
         }

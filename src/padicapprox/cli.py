@@ -193,14 +193,14 @@ def cmd_minkowski(args) -> None:
     n = len(args.form)
     rows = []
     for spec in args.form:
-        entries = [Fraction(v) for v in spec.split(",")]
+        entries = [parse_fraction(v) for v in spec.split(",")]
         if len(entries) != n + 1:
             raise ValueError(f"each form needs {n + 1} coefficients")
         rows.append(tuple(embed_rational(c.numerator, c.denominator, p=p, precision=args.precision)
                           for c in entries))
     sys_ = minkowski.LinearFormSystem(
         p, n, tuple(rows), tuple(args.height),
-        tuple(Fraction(t) for t in args.tau), tuple(Fraction(s) for s in args.sigma),
+        tuple(parse_fraction(t) for t in args.tau), tuple(parse_fraction(s) for s in args.sigma),
     )
     sol = minkowski.solve(sys_)
     emit(
@@ -262,7 +262,7 @@ def cmd_dirichlet_solve(args) -> None:
         PAdicInt(f.p, args.precision, int(r)) for r in args.x.split(",")
     )
     inst = manifold.DirichletInstance(
-        f, x, tuple(Fraction(t) for t in args.tau), tuple(Fraction(v) for v in args.v), args.H
+        f, x, tuple(parse_fraction(t) for t in args.tau), tuple(parse_fraction(v) for v in args.v), args.H
     )
     rep = manifold.dirichlet_h0(inst)
     sol = manifold.dirichlet_solve(inst)
@@ -281,7 +281,7 @@ def cmd_dirichlet_solve(args) -> None:
 
 def cmd_enumerate_s_tau(args) -> None:
     f = load_map(args)
-    pts = manifold.enumerate_S_tau(f, [Fraction(t) for t in args.tau], args.hmax, h_min=args.hmin)
+    pts = manifold.enumerate_S_tau(f, [parse_fraction(t) for t in args.tau], args.hmax, h_min=args.hmin)
     blocks: dict[str, int] = {}
     h = 1
     while h <= args.hmax:
@@ -295,8 +295,8 @@ def cmd_cover_preimage(args) -> None:
     f = load_map(args)
     cover = manifold.cover_preimage(
         f,
-        [Fraction(t) for t in args.tau],
-        Fraction(args.delta),
+        [parse_fraction(t) for t in args.tau],
+        parse_fraction(args.delta),
         args.hmax,
         depth=args.depth,
         h_min=args.hmin,
@@ -313,19 +313,19 @@ def cmd_cover_preimage(args) -> None:
 def cmd_dim(args) -> None:
     which = args.formula
     if which == "jb":
-        tau = [Fraction(t) for t in args.tau]
+        tau = [parse_fraction(t) for t in args.tau]
         value = dimension.jb_dimension(tau)
         n = len(tau)
         report = {"tau_i > 1": True, f"sum(tau_i) > {n + 1}": True}
         emit({"formula": "jb", "tau": tau, "value": value, "hypothesis_report": report})
     elif which == "rynne":
-        tau = [Fraction(t) for t in args.tau]
+        tau = [parse_fraction(t) for t in args.tau]
         value = dimension.rynne_dimension(tau)
         report = {"sum(tau_i) >= 1": True, "sorted": tau == sorted(tau, reverse=True)}
         emit({"formula": "rynne", "tau": tau, "value": value, "hypothesis_report": report})
     elif which == "ww":
         res = dimension.ww_exponent(
-            [Fraction(a) for a in args.a], [Fraction(t) for t in args.t], args.variant
+            [parse_fraction(a) for a in args.a], [parse_fraction(t) for t in args.t], args.variant
         )
         emit(
             {
@@ -343,7 +343,7 @@ def cmd_dim(args) -> None:
         )
     else:
         value = dimension.manifold_lower_bound(
-            [Fraction(t) for t in args.tau], args.d, args.m, args.which
+            [parse_fraction(t) for t in args.tau], args.d, args.m, args.which
         )
         emit(
             {

@@ -15,6 +15,8 @@ counts are read from those. All caches live for the whole process.
 Trie walks recurse once per level (two interpreter frames each), so depth is
 capped at MAX_DEPTH, well inside the interpreter's default recursion limit;
 the .clopen parser is iterative and checks nesting against the header depth.
+A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
+p^n child slots is allocated.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import is_prime
 EMPTY = 0
 FULL = 1
 MAX_DEPTH = 300
+MAX_WIDTH = 4096  # largest branching factor p^n; every interior node holds p^n child ids
 
 
 def _check_depth(depth: int) -> None:
@@ -202,6 +205,9 @@ def _space(p: int, n: int) -> _Space:
             raise ValueError(f"p must be prime, got {p}")
         if n < 1:
             raise ValueError("n >= 1 required")
+        # p >= 2, so a large n fails the first test before p**n is formed
+        if n >= MAX_WIDTH.bit_length() or p**n > MAX_WIDTH:
+            raise ValueError(f"p^n = {p}^{n} exceeds the trie width limit MAX_WIDTH={MAX_WIDTH}")
         sp = _Space(p, n)
         _SPACES[key] = sp
     return sp

@@ -7,7 +7,6 @@ floating point enters any value that a caller might compare against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,11 +41,7 @@ def is_prime(n: int) -> bool:
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = _split_power(n - 1, 2)
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -67,15 +62,16 @@ def valuation(x: int | Fraction, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation undefined (infinite) for 0")
+    return _split_power(x.numerator, p)[0] - _split_power(x.denominator, p)[0]
+
+
+def _split_power(x: int, p: int) -> tuple[int, int]:
+    """(v, u) with x = p^v * u and p not dividing u, for a nonzero integer x."""
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return v, x
 
 
 def norm(x: int | Fraction, p: int) -> Fraction:
@@ -99,8 +95,7 @@ def euler_phi(q: int) -> int:
     while d * d <= n:
         if n % d == 0:
             result -= result // d
-            while n % d == 0:
-                n //= d
+            n = _split_power(n, d)[1]
         d += 1 if d == 2 else 2
     if n > 1:
         result -= result // n
@@ -173,12 +168,7 @@ class PAdicInt:
         """Valuation of the class; defined only when the residue is nonzero."""
         if self.residue == 0:
             raise ValueError("zero to known precision: valuation not determined")
-        v = 0
-        r = self.residue
-        while r % self.prime == 0:
-            r //= self.prime
-            v += 1
-        return v
+        return _split_power(self.residue, self.prime)[0]
 
     def norm(self) -> Fraction:
         """|x|_p when determined; zero-to-precision classes have no exact norm."""
@@ -256,24 +246,3 @@ def shift_map(x: PAdicInt) -> PAdicInt:
         shifted += 1
     return PAdicInt(x.prime, x.precision - 1, shifted)
 
-
-def _log_int(n: int) -> float:
-    """Natural log of a positive integer, safe for arbitrarily large ints."""
-    bits = n.bit_length()
-    if bits <= 900:
-        return math.log(n)
-    return math.log(n >> (bits - 900)) + (bits - 900) * math.log(2)
-
-
-def floor_log(value: int | Fraction, base: int) -> int:
-    """max{e in Z : base^e <= value} for a positive rational value, exact."""
-    value = Fraction(value)
-    if value <= 0:
-        raise ValueError("floor_log needs a positive value")
-    est = int((_log_int(value.numerator) - _log_int(value.denominator)) / math.log(base))
-    # float estimate, then exact adjustment
-    while Fraction(base) ** est > value:
-        est -= 1
-    while Fraction(base) ** (est + 1) <= value:
-        est += 1
-    return est

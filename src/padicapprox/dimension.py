@@ -27,17 +27,31 @@ def jb_dimension(tau: Sequence[Fraction]) -> Fraction:
     Needs every tau_i > 1 and sum tau_i > n+1.
     """
     tau = _fractions(tau)
-    n = len(tau)
+    _check_weighted(tau, len(tau), 0)
+    return min(_jb_term(tau, ti) for ti in tau)
+
+
+def _jb_term(tau: tuple[Fraction, ...], ti: Fraction) -> Fraction:
+    """(n+1 + sum_{tau_j < tau_i} (tau_i - tau_j)) / tau_i: the direction-i term of jb_dimension."""
+    return (Fraction(len(tau) + 1) + sum((ti - tj for tj in tau if tj < ti), Fraction(0))) / ti
+
+
+def _check_weighted(tau: tuple[Fraction, ...], d: int, m: int) -> None:
+    """The hypotheses on tau with d independent and m dependent coordinates.
+
+    Shared by waterfill_v and manifold_lower_bound('thm2.9'); with m = 0 only
+    tau_i > 1 and sum(tau_i) > n+1 remain, the hypotheses of jb_dimension and
+    waterfill_alpha.
+    """
+    dep = tau[d:]
     if any(t <= 1 for t in tau):
         raise HypothesisError("tau_i > 1", f"got {tau}")
-    if sum(tau) <= n + 1:
+    if m >= 1 and sum(dep) >= m + 1:
+        raise HypothesisError("sum(dependent tau) < m+1", f"got {sum(dep)}")
+    if sum(tau) <= len(tau) + 1:
         raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
-    best = None
-    for ti in tau:
-        num = Fraction(n + 1) + sum((ti - tj for tj in tau if tj < ti), Fraction(0))
-        cand = num / ti
-        best = cand if best is None else min(best, cand)
-    return best
+    if m >= 1 and min(tau[:d]) < max(dep):
+        raise HypothesisError("min indep tau >= max dep tau", f"got {tau}")
 
 
 def rynne_dimension(tau: Sequence[Fraction]) -> Fraction:
@@ -128,10 +142,7 @@ def waterfill_alpha(tau: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Frac
     """
     tau = _fractions(tau)
     n = len(tau)
-    if any(t <= 1 for t in tau):
-        raise HypothesisError("tau_i > 1", f"got {tau}")
-    if sum(tau) <= n + 1:
-        raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
+    _check_weighted(tau, n, 0)
     c = waterfill_level(tau, Fraction(n + 1))
     alpha = tuple(min(t, c) for t in tau)
     assert sum(alpha) == n + 1 and all(a > 1 for a in alpha)
@@ -145,16 +156,8 @@ def waterfill_v(tau: Sequence[Fraction], d: int, m: int) -> tuple[Fraction, ...]
     n = len(tau)
     if d < 1 or m < 1 or d + m != n:
         raise ValueError("need d >= 1, m >= 1, d + m = n")
-    if any(t <= 1 for t in tau):
-        raise HypothesisError("tau_i > 1", f"got {tau}")
-    dep = tau[d:]
-    if sum(dep) >= m + 1:
-        raise HypothesisError("sum(dependent tau) < m+1", f"got {sum(dep)}")
-    if sum(tau) <= n + 1:
-        raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
-    if min(tau[:d]) < max(dep):
-        raise HypothesisError("min indep tau >= max dep tau", f"got {tau}")
-    target = Fraction(n + 1) - sum(dep)
+    _check_weighted(tau, d, m)
+    target = Fraction(n + 1) - sum(tau[d:])
     c = waterfill_level(tau[:d], target)
     v = tuple(min(t, c) for t in tau[:d])
     if any(vi <= 1 for vi in v):
@@ -256,20 +259,8 @@ def manifold_lower_bound(
     if which == "thm2.9":
         if d + m != n:
             raise ValueError("d + m must equal n")
-        if any(t <= 1 for t in tau):
-            raise HypothesisError("tau_i > 1", f"got {tau}")
-        if m >= 1 and sum(tau[d:]) >= m + 1:
-            raise HypothesisError("sum(dependent tau) < m+1", f"got {sum(tau[d:])}")
-        if sum(tau) <= n + 1:
-            raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
-        if m >= 1 and min(tau[:d]) < max(tau[d:]):
-            raise HypothesisError("min indep tau >= max dep tau", f"got {tau}")
-        best = None
-        for i in range(d):
-            num = Fraction(n + 1) + sum((tau[i] - tj for tj in tau if tj < tau[i]), Fraction(0))
-            cand = num / tau[i] - m
-            best = cand if best is None else min(best, cand)
-        return best
+        _check_weighted(tau, d, m)
+        return min((_jb_term(tau, tau[i]) - m for i in range(d)), default=None)
     raise ValueError(f"unknown formula selector {which!r}")
 
 

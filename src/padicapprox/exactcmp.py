@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import _log_int
-
 # A power product is a sequence of (base, exponent) pairs with positive
 # rational bases and rational exponents, denoting prod base_i ** exp_i.
 PowerProduct = Sequence[tuple[Fraction | int, Fraction | int]]
@@ -51,6 +49,14 @@ def cmp_powprod(lhs: PowerProduct, rhs: PowerProduct) -> int:
     if lval > rval:
         return 1
     return 0
+
+
+def _log_int(n: int) -> float:
+    """Natural log of a positive integer, safe for arbitrarily large ints."""
+    bits = n.bit_length()
+    if bits <= 900:
+        return math.log(n)
+    return math.log(n >> (bits - 900)) + (bits - 900) * math.log(2)
 
 
 def powprod_log_estimate(factors: PowerProduct) -> float:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .clopen import BallSpec, ClopenSet
-from .core import HypothesisError, PAdicInt, is_prime, parse_fraction
+from .core import HypothesisError, PAdicInt, _split_power, is_prime, parse_fraction
 from .exactcmp import ball_exponent, floor_log_powprod, int_root_floor
 from .minkowski import LinearFormSystem, SolverError, solve_structured
 
@@ -457,8 +457,7 @@ def _strip_non_p_gcd(p: int, b: Sequence[int]) -> list[int]:
     g = 0
     for v in b:
         g = math.gcd(g, v)
-    while g % p == 0:
-        g //= p
+    g = _split_power(g, p)[1]
     return [v // g for v in b] if g > 1 else list(b)
 
 
@@ -515,11 +514,7 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
         b = _strip_non_p_gcd(p, sol.x)
         if b[0] < 0:
             b = [-v for v in b]
-        k = 0
-        b0 = b[0]
-        while b0 % p == 0:
-            b0 //= p
-            k += 1
+        k = _split_power(b[0], p)[0]
         if all(v % p**k == 0 for v in b):
             a = [v // p**k for v in b]
             point = RationalPoint(tuple(a))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import PAdicInt
+from .core import PAdicInt, _split_power
 from .exactcmp import floor_log_powprod
 
 
@@ -120,11 +120,7 @@ def _norm_exponent(sys: LinearFormSystem, x: Sequence[int], i: int) -> int | Non
     residue %= sys.p**k
     if residue == 0:
         return None
-    v = 0
-    while residue % sys.p == 0:
-        residue //= sys.p
-        v += 1
-    return v
+    return _split_power(residue, sys.p)[0]
 
 
 def lemma_thresholds(sys: LinearFormSystem) -> tuple[int, ...]:
@@ -285,8 +281,7 @@ def solve_structured(sys: LinearFormSystem, pivots: Sequence[int]) -> MinkowskiS
         c_piv = row[piv]
         if c_piv.residue == 0:
             raise ValueError(f"form {i} has zero-to-precision pivot coefficient")
-        nu = c_piv.valuation()
-        unit = c_piv.residue // sys.p**nu
+        nu, unit = _split_power(c_piv.residue, sys.p)
         pivot_data.append((piv, nu, unit))
         allowed.add(piv)
     boundary = sys.t_power == _prod_powers(sys.p, deltas)

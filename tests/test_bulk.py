@@ -341,6 +341,7 @@ def test_to_text_bytes_on_heavily_shared_sets():
         ("clopen 1 3 1 1\nMMFFFEE", "deeper than its depth"),
         ("clopen 1 3 1 x\nF", "invalid literal"),
         (f"clopen 1 3 1 {MAX_DEPTH + 1}\nF", f"MAX_DEPTH={MAX_DEPTH}"),
+        ("clopen 1 3 40 4\nF", "MAX_WIDTH"),
     ],
 )
 def test_from_text_rejects_malformed_input(text, message):

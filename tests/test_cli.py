@@ -152,6 +152,54 @@ def test_map_json_without_polys_is_invalid_input(capsys):
     assert "polys" in out["error"]["message"]
 
 
+def _zero_denominator_case(subcommand, flag, argv):
+    return pytest.param(argv, id=f"{subcommand} {flag}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _zero_denominator_case("enumerate-s-tau", "--tau", [
+            "enumerate-s-tau", "--map-json", SQUARE, "--tau", "1/0", "--hmax", "5"]),
+        _zero_denominator_case("cover-preimage", "--tau", [
+            "cover-preimage", "--map-json", SQUARE, "--tau", "12/5", "1/0", "--hmax", "5", "--depth", "4"]),
+        _zero_denominator_case("cover-preimage", "--delta", [
+            "cover-preimage", "--map-json", SQUARE, "--tau", "12/5", "7/5", "--delta", "1/0",
+            "--hmax", "5", "--depth", "4"]),
+        _zero_denominator_case("dirichlet-solve", "--tau", [
+            "dirichlet-solve", "--map-json", SQUARE, "--x", "5", "--tau", "1/0", "--v", "8/5", "--H", "64"]),
+        _zero_denominator_case("dirichlet-solve", "--v", [
+            "dirichlet-solve", "--map-json", SQUARE, "--x", "5", "--tau", "7/5", "--v", "1/0", "--H", "64"]),
+        _zero_denominator_case("minkowski", "--form", [
+            "minkowski", "--p", "3", "--form", "1/0,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"]),
+        _zero_denominator_case("minkowski", "--tau", [
+            "minkowski", "--p", "3", "--form", "7,-1", "--height", "5", "5", "--tau", "2/0", "--sigma", "1"]),
+        _zero_denominator_case("minkowski", "--sigma", [
+            "minkowski", "--p", "3", "--form", "7,-1", "--height", "5", "5", "--tau", "2", "--sigma", "1/0"]),
+        _zero_denominator_case("dim jb", "--tau", ["dim", "jb", "--tau", "3/0", "2"]),
+        _zero_denominator_case("dim rynne", "--tau", ["dim", "rynne", "--tau", "3", "2/0"]),
+        _zero_denominator_case("dim ww", "--a", ["dim", "ww", "--a", "1/0", "3/2", "--t", "3/2", "1/2"]),
+        _zero_denominator_case("dim ww", "--t", ["dim", "ww", "--a", "3/2", "3/2", "--t", "3/2", "1/0"]),
+        _zero_denominator_case("dim manifold", "--tau", [
+            "dim", "manifold", "--which", "thm2.9", "--tau", "12/5", "7/0", "--d", "1", "--m", "1"]),
+    ],
+)
+def test_rational_flag_with_zero_denominator_is_invalid_input(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out["error"]["kind"] == "invalid-input"
+    assert "zero denominator" in out["error"]["message"]
+
+
+def test_boxdim_cli_rejects_too_wide_set_header(tmp_path, capsys):
+    path = tmp_path / "wide.clopen"
+    path.write_text("clopen 1 3 40 4\nF")
+    code, out = run_cli(capsys, "boxdim", "--p", "3", "--set", str(path))
+    assert code == 2
+    assert out["error"]["kind"] == "invalid-input"
+    assert "MAX_WIDTH" in out["error"]["message"]
+
+
 def test_boxdim_cli_from_counts(capsys):
     counts = ",".join(f"{k}:{3**k}" for k in range(1, 9))
     code, out = run_cli(capsys, "boxdim", "--p", "3", "--counts", counts)

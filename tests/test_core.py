@@ -11,13 +11,13 @@ from padicapprox.core import (
     arithmetic,
     embed_rational,
     euler_phi,
-    floor_log,
     is_prime,
     norm,
     shift_map,
     totient_sieve,
     valuation,
 )
+from padicapprox.exactcmp import floor_log_powprod
 
 
 def test_valuation_basic_values():
@@ -170,12 +170,12 @@ def test_is_prime_small():
 )
 def test_floor_log_exact(num, den, base):
     v = Fraction(num, den)
-    e = floor_log(v, base)
+    e = floor_log_powprod(base, [(v, 1)])
     assert Fraction(base) ** e <= v < Fraction(base) ** (e + 1)
 
 
 def test_floor_log_matches_float_log_far_from_boundaries():
-    assert floor_log(Fraction(1000), 10) == 3
-    assert floor_log(Fraction(1, 1000), 10) == -3
-    assert floor_log(Fraction(999), 10) == 2
-    assert math.isclose(floor_log(2**100, 2), 100)
+    assert floor_log_powprod(10, [(Fraction(1000), 1)]) == 3
+    assert floor_log_powprod(10, [(Fraction(1, 1000), 1)]) == -3
+    assert floor_log_powprod(10, [(Fraction(999), 1)]) == 2
+    assert math.isclose(floor_log_powprod(2, [(2**100, 1)]), 100)
