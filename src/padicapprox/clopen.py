@@ -12,9 +12,11 @@ on frozensets of ids. Every node carries its integer box counts at each level
 below it; measures (exact Fractions with denominator dividing p^{n*K}) and box
 counts are read from those. All caches live for the whole process.
 
-Trie walks recurse once per level (two interpreter frames each), so depth is
-capped at MAX_DEPTH, well inside the interpreter's default recursion limit;
-the .clopen parser is iterative and checks nesting against the header depth.
+Set algebra, profiles and serialization recurse once per level (two
+interpreter frames each), so depth is capped at MAX_DEPTH, well inside the
+interpreter's default recursion limit. The reads that walk one path or one
+frontier (containment, coset enumeration, the .clopen parser) are iterative;
+the parser checks nesting against the header depth.
 A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
 p^n child slots is allocated.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import is_prime
@@ -48,7 +51,9 @@ class _Space:
         self.p = p
         self.n = n
         self.width = p**n
-        self._children: list[tuple[int, ...] | None] = [None, None]
+        # rows EMPTY and FULL hold the uniform child tuples, so every id indexes
+        # its children; uniform tuples are never interned (node() collapses them)
+        self._children: list[tuple[int, ...]] = [(EMPTY,) * self.width, (FULL,) * self.width]
         self._intern: dict[tuple[int, ...], int] = {}
         self._union: dict[tuple[int, int], int] = {}
         self._inter: dict[tuple[int, int], int] = {}
@@ -56,26 +61,17 @@ class _Space:
         self._union_many: dict[frozenset[int], int] = {}
         self._profile: dict[int, tuple[int, ...]] = {}
         self._text: dict[int, str] = {EMPTY: "E", FULL: "F"}
-        self._empty_children = (EMPTY,) * self.width
-        self._full_children = (FULL,) * self.width
 
     def node(self, children: tuple[int, ...]) -> int:
-        first = children[0]
-        if first in (EMPTY, FULL) and all(c == first for c in children):
-            return first
         nid = self._intern.get(children)
         if nid is None:
+            first = children[0]
+            if first < 2 and children.count(first) == self.width:
+                return first
             nid = len(self._children)
             self._children.append(children)
             self._intern[children] = nid
         return nid
-
-    def children(self, nid: int) -> tuple[int, ...]:
-        if nid == EMPTY:
-            return self._empty_children
-        if nid == FULL:
-            return self._full_children
-        return self._children[nid]
 
     def cosets(self, t: int, residues: Iterable[int]) -> int:
         """Union of the cosets r + p^t Z_p (n = 1), partitioned by digit bottom-up.
@@ -352,46 +348,62 @@ class ClopenSet:
         return self._sp.box_count(self._root, k)
 
     def enumerate_cosets(self, k: int) -> list[tuple[int, ...]]:
-        """Representatives (one integer mod p^k per coordinate) of level-k cosets meeting the set."""
+        """Representatives (one integer mod p^k per coordinate) of level-k cosets meeting the set.
+
+        Level-synchronous expansion: the frontier holds the nodes of one level
+        and, in a parallel list, their representatives; a FULL node at level
+        j < k yields its p^(n(k-j)) cosets arithmetically.
+        """
         if k < 0 or k > self.depth:
             raise ValueError(f"level {k} outside [0, depth={self.depth}]")
+        p, n, kids = self.p, self.n, self._sp._children
+        top = p**k
         out: list[tuple[int, ...]] = []
-        self._collect(self._root, k, 0, (0,) * self.n, out)
+        # parallel lists, not (node, rep) pairs: a level's frontier outlives
+        # young-generation GC passes, and pair tuples doubled what they promote
+        nodes, reps = ([], []) if self._root == EMPTY else ([self._root], [(0,) * n])
+        for j in range(k):
+            scale = p**j
+            # slot v holds digit (v // p^i) % p of coordinate i
+            offsets = [tuple([v // p**i % p * scale for i in range(n)]) for v in range(self._sp.width)]
+            below, below_reps = [], []
+            for node, rep in zip(nodes, reps):
+                if node == FULL:
+                    out.extend(product(*[range(a, top, scale) for a in rep]))
+                    continue
+                for v, child in enumerate(kids[node]):
+                    if child != EMPTY:
+                        below.append(child)
+                        below_reps.append(tuple(map(add, rep, offsets[v])))
+            nodes, reps = below, below_reps
+        out.extend(reps)
         return sorted(out)
 
-    def _collect(self, node: int, k: int, level: int, acc: tuple[int, ...], out: list) -> None:
-        if node == EMPTY:
-            return
-        if level == k:
-            out.append(acc)
-            return
-        p, sp = self.p, self._sp
-        scale = p**level
-        for v, child in enumerate(sp.children(node)):
-            if child == EMPTY:
-                continue
-            nxt = list(acc)
-            rem = v
-            for i in range(self.n):
-                rem, d = divmod(rem, p)
-                nxt[i] += d * scale
-            self._collect(child, k, level + 1, tuple(nxt), out)
-
     def contains_residue(self, point: tuple[int, ...], level: int) -> bool:
-        """True iff the coset point + (p^level Z_p)^n is entirely contained in the set."""
+        """True iff the coset point + (p^level Z_p)^n is entirely contained in the set.
+
+        point holds one integer per coordinate (any sign, any size: only its
+        residues mod p^level matter). level >= 0; a level beyond the depth asks
+        about finer cosets, which is well defined. A point of another arity or a
+        negative level raises ValueError.
+        """
+        n = self.n
+        if len(point) != n:
+            raise ValueError(f"point dimension {len(point)} != n={n}")
+        if level < 0:
+            raise ValueError(f"level {level} must be >= 0")
+        kids, p = self._sp._children, self.p
         node = self._root
-        p = self.p
-        coords = list(point)
-        for _ in range(level):
-            if node == FULL:
-                return True
-            if node == EMPTY:
-                return False
+        rev = point[::-1]
+        scale = 1
+        while level and node > 1:
+            # slot index sum_i digit_i p^i by Horner, last coordinate first
             v = 0
-            for i in range(self.n):
-                coords[i], d = coords[i] // p, coords[i] % p
-                v += d * p**i
-            node = self._sp.children(node)[v]
+            for c in rev:
+                v = v * p + c // scale % p
+            node = kids[node][v]
+            scale *= p
+            level -= 1
         return node == FULL
 
     # -- identity ----------------------------------------------------------
@@ -427,28 +439,30 @@ class ClopenSet:
         sp = _space(p, n)
         # Iterative preorder parse: one open child list per pending M node, so
         # nesting is bounded by the header depth and never by the call stack.
+        width, node = sp.width, sp.node
         stack: list[list[int]] = []
-        for pos, ch in enumerate(body):
-            if ch == "M":
-                if len(stack) >= depth:
-                    raise ValueError(f"clopen body nests deeper than its depth {depth}")
-                stack.append([])
-                continue
+        chars = iter(body)
+        for ch in chars:
             if ch == "E":
                 nid = EMPTY
             elif ch == "F":
                 nid = FULL
+            elif ch == "M":
+                if len(stack) >= depth:
+                    raise ValueError(f"clopen body nests deeper than its depth {depth}")
+                stack.append([])
+                continue
             else:
                 raise ValueError(f"bad node tag {ch!r}")
             while stack:
                 kids = stack[-1]
                 kids.append(nid)
-                if len(kids) < sp.width:
+                if len(kids) < width:
                     break
                 stack.pop()
-                nid = sp.node(tuple(kids))
+                nid = node(tuple(kids))
             else:
-                if pos + 1 != len(body):
+                if next(chars, None) is not None:
                     raise ValueError("trailing data in clopen serialization")
                 return cls(p, n, depth, nid)
         raise ValueError("truncated clopen serialization")
@@ -495,7 +509,7 @@ def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
             return FULL
         out = memo.get(ids)
         if out is None:
-            out = spn.node(tuple([build(c) for c in product(*[sp1.children(i) for i in ids])]))
+            out = spn.node(tuple([build(c) for c in product(*[sp1._children[i] for i in ids])]))
             memo[ids] = out
         return out
 

@@ -226,8 +226,8 @@ def manifold_lower_bound(
 
     which = 'thm2.7': equal weights, s = (n+1)/tau - m for 1+1/n < tau < 1+1/m.
     which = 'thm2.8': d=1 curves, s = (n+1 - sum_{j>=2} tau_j)/tau_1.
-    which = 'thm2.9': general weights, min over the d independent directions of
-    the weighted formula minus m.
+    which = 'thm2.9': general weights, min over the d >= 1 independent directions
+    of the weighted formula minus m (m >= 0).
     """
     tau = _fractions(tau)
     n = len(tau)
@@ -259,8 +259,10 @@ def manifold_lower_bound(
     if which == "thm2.9":
         if d + m != n:
             raise ValueError("d + m must equal n")
+        if d < 1 or m < 0:
+            raise ValueError("thm2.9 needs d >= 1 and m >= 0")
         _check_weighted(tau, d, m)
-        return min((_jb_term(tau, tau[i]) - m for i in range(d)), default=None)
+        return min(_jb_term(tau, tau[i]) - m for i in range(d))
     raise ValueError(f"unknown formula selector {which!r}")
 
 

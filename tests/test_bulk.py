@@ -49,7 +49,7 @@ def fraction_measure(S):
         if a == FULL:
             return Fraction(1)
         if a not in memo:
-            memo[a] = sum((walk(c) for c in sp.children(a)), Fraction(0)) / sp.width
+            memo[a] = sum((walk(c) for c in sp._children[a]), Fraction(0)) / sp.width
         return memo[a]
 
     return walk(S._root)
@@ -65,7 +65,7 @@ def recursive_box_count(S, k):
             return 1
         if a == FULL:
             return sp.width**k
-        return sum(walk(c, k - 1) for c in sp.children(a))
+        return sum(walk(c, k - 1) for c in sp._children[a])
 
     return walk(S._root, k)
 
@@ -80,7 +80,7 @@ def recursive_text(S):
             parts.append("F")
         else:
             parts.append("M")
-            for c in S._sp.children(a):
+            for c in S._sp._children[a]:
                 walk(c)
 
     walk(S._root)
@@ -103,7 +103,7 @@ def divmod_product(factors):
             for _ in range(n):
                 v, d = divmod(v, p)
                 digits.append(d)
-            children.append(build(tuple(sp1.children(i)[d] for i, d in zip(ids, digits))))
+            children.append(build(tuple(sp1._children[i][d] for i, d in zip(ids, digits))))
         return spn.node(tuple(children))
 
     return ClopenSet(p, n, max(f.depth for f in factors), build(tuple(f._root for f in factors)))
@@ -327,23 +327,23 @@ def test_to_text_bytes_on_heavily_shared_sets():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("clopen 1 3 1 4\nMFE", "truncated"),
-        ("clopen 1 3 1 4\n", "truncated"),
-        ("clopen 1 3 1 4", "truncated"),
-        ("", "header"),
-        ("clopen 1 3 1\nF", "header"),
-        ("clopen 2 3 1 4\nF", "header"),
-        ("clopen 1 3 1 4\nFF", "trailing"),
-        ("clopen 1 3 1 4\nMFEX", "bad node tag"),
-        ("clopen 1 3 1 1\nMMFFFEE", "deeper than its depth"),
-        ("clopen 1 3 1 x\nF", "invalid literal"),
-        (f"clopen 1 3 1 {MAX_DEPTH + 1}\nF", f"MAX_DEPTH={MAX_DEPTH}"),
-        ("clopen 1 3 40 4\nF", "MAX_WIDTH"),
-    ],
-)
+MALFORMED_TEXTS = [
+    ("clopen 1 3 1 4\nMFE", "truncated"),
+    ("clopen 1 3 1 4\n", "truncated"),
+    ("clopen 1 3 1 4", "truncated"),
+    ("", "header"),
+    ("clopen 1 3 1\nF", "header"),
+    ("clopen 2 3 1 4\nF", "header"),
+    ("clopen 1 3 1 4\nFF", "trailing"),
+    ("clopen 1 3 1 4\nMFEX", "bad node tag"),
+    ("clopen 1 3 1 1\nMMFFFEE", "deeper than its depth"),
+    ("clopen 1 3 1 x\nF", "invalid literal"),
+    (f"clopen 1 3 1 {MAX_DEPTH + 1}\nF", f"MAX_DEPTH={MAX_DEPTH}"),
+    ("clopen 1 3 40 4\nF", "MAX_WIDTH"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_TEXTS)
 def test_from_text_rejects_malformed_input(text, message):
     with pytest.raises(ValueError, match=message):
         ClopenSet.from_text(text)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from padicapprox import cli
 from padicapprox.cli import main, parse_psi
 from padicapprox.approx import PowerLaw, ScaledPower, TableFunction
 from fractions import Fraction
@@ -189,6 +190,58 @@ def test_rational_flag_with_zero_denominator_is_invalid_input(capsys, argv):
     assert code == 2
     assert out["error"]["kind"] == "invalid-input"
     assert "zero denominator" in out["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "manifold", "--which", "thm2.9", "--tau", "2", "2", "2", "--d", "-1", "--m", "4"],
+        ["dim", "manifold", "--which", "thm2.9", "--tau", "2", "2", "--d", "3", "--m", "-1"],
+    ],
+)
+def test_thm29_rejects_empty_independent_or_negative_dependent_block(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out["error"] == {"kind": "invalid-input", "message": "thm2.9 needs d >= 1 and m >= 0"}
+
+
+def _run_any(capsys, argv):
+    """(exit status, stdout, stderr) of one call, argparse usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_REUSE_ARGVS = {
+    # --form is an append action with a [] default: a shared default must not grow
+    "minkowski two forms": ["minkowski", "--p", "3", "--precision", "12", "--form", "7,-1,2",
+                            "--form", "3,1,-4", "--height", "6", "6", "6", "--tau", "3/2", "3/2",
+                            "--sigma", "1", "1"],
+    "minkowski one form": ["minkowski", "--p", "3", "--precision", "12", "--form", "7,-1",
+                           "--height", "8", "8", "--tau", "2", "--sigma", "1"],
+    "dim": ["dim", "manifold", "--which", "thm2.7", "--tau", "8/5", "8/5", "--d", "1", "--m", "1"],
+    "json error": ["dim", "manifold", "--which", "thm2.9", "--tau", "2", "2", "--d", "3", "--m", "-1"],
+    "usage error": ["dim", "jb"],
+}
+
+
+def test_parser_reuse_is_stateless(capsys):
+    fresh = {}
+    for name, argv in PARSER_REUSE_ARGVS.items():
+        cli._parser.cache_clear()
+        fresh[name] = _run_any(capsys, argv)
+    assert [code for code, _, _ in fresh.values()] == [0, 0, 0, 2, 2]
+    names = list(PARSER_REUSE_ARGVS)
+    orders = [names, names[::-1], names[1::2] + names[::2], [names[0], names[-1], names[1]] * 2]
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for order in orders:
+        for name in order:
+            assert _run_any(capsys, PARSER_REUSE_ARGVS[name]) == fresh[name], name
+    assert cli._parser() is parser
 
 
 def test_boxdim_cli_rejects_too_wide_set_header(tmp_path, capsys):

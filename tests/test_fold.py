@@ -453,7 +453,12 @@ taus = st.lists(st.builds(Fraction, st.integers(1, 16), st.integers(1, 5)), min_
 @given(taus, st.integers(-1, 4))
 def test_weighted_hypotheses_match_separate_checks(tau, d):
     m = len(tau) - d
-    assert outcome(manifold_lower_bound, tau, d, m, "thm2.9") == outcome(old_thm29, tau, d, m)
+    if d < 1 or m < 0:
+        # the old loop returned None or raised IndexError here; both are now rejected
+        want_thm29 = ("raised", ValueError, "thm2.9 needs d >= 1 and m >= 0")
+    else:
+        want_thm29 = outcome(old_thm29, tau, d, m)
+    assert outcome(manifold_lower_bound, tau, d, m, "thm2.9") == want_thm29
     want = outcome(old_jb, tau)
     assert outcome(jb_dimension, tau) == want
     if want[0] == "raised":

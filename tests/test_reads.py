@@ -1,0 +1,360 @@
+"""Differential tests of the clopen read paths against the walks they replaced.
+
+The flat `contains_residue` descent, the level-synchronous `enumerate_cosets`,
+the `from_text` parser and one-probe `node()` interning are checked against
+the previous per-coordinate descent, recursive coset collection,
+per-character parser and collapse-first interning, kept here as oracles.
+Sets range over p in {2, 3, 5}, n in {1, 2, 3} (width at most 125) and depth
+at most 8.
+"""
+
+import random
+from contextlib import contextmanager
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicapprox import clopen
+from padicapprox.clopen import EMPTY, FULL, BallSpec, ClopenSet, product_set
+from test_bulk import MALFORMED_TEXTS
+
+# ---------------------------------------------------------------------------
+# Oracles: the previous read paths
+# ---------------------------------------------------------------------------
+
+
+class OracleSpace:
+    """Collapse-first interning: uniform EMPTY/FULL tuples are tested before the lookup."""
+
+    def __init__(self, width):
+        self.width = width
+        self.children = [None, None]
+        self.intern = {}
+
+    def node(self, children):
+        first = children[0]
+        if first in (EMPTY, FULL) and all(c == first for c in children):
+            return first
+        nid = self.intern.get(children)
+        if nid is None:
+            nid = len(self.children)
+            self.children.append(children)
+            self.intern[children] = nid
+        return nid
+
+
+def old_children(sp, nid):
+    if nid == EMPTY:
+        return (EMPTY,) * sp.width
+    if nid == FULL:
+        return (FULL,) * sp.width
+    return sp._children[nid]
+
+
+def old_contains_residue(S, point, level):
+    node, p = S._root, S.p
+    coords = list(point)
+    for _ in range(level):
+        if node == FULL:
+            return True
+        if node == EMPTY:
+            return False
+        v = 0
+        for i in range(S.n):
+            coords[i], d = coords[i] // p, coords[i] % p
+            v += d * p**i
+        node = old_children(S._sp, node)[v]
+    return node == FULL
+
+
+def old_enumerate_cosets(S, k):
+    out = []
+
+    def collect(node, level, acc):
+        if node == EMPTY:
+            return
+        if level == k:
+            out.append(acc)
+            return
+        scale = S.p**level
+        for v, child in enumerate(old_children(S._sp, node)):
+            if child == EMPTY:
+                continue
+            nxt = list(acc)
+            rem = v
+            for i in range(S.n):
+                rem, d = divmod(rem, S.p)
+                nxt[i] += d * scale
+            collect(child, level + 1, tuple(nxt))
+
+    collect(S._root, 0, (0,) * S.n)
+    return sorted(out)
+
+
+def old_from_text(text):
+    """Per-character parse into a fresh OracleSpace; returns (space, root id)."""
+    header, _, body = text.partition("\n")
+    fields = header.split()
+    if len(fields) != 5 or fields[:2] != ["clopen", "1"]:
+        raise ValueError("unrecognized clopen serialization header")
+    p, n, depth = (int(f) for f in fields[2:])
+    clopen._check_depth(depth)
+    sp = OracleSpace(clopen._space(p, n).width)
+    stack = []
+    for pos, ch in enumerate(body):
+        if ch == "M":
+            if len(stack) >= depth:
+                raise ValueError(f"clopen body nests deeper than its depth {depth}")
+            stack.append([])
+            continue
+        if ch == "E":
+            nid = EMPTY
+        elif ch == "F":
+            nid = FULL
+        else:
+            raise ValueError(f"bad node tag {ch!r}")
+        while stack:
+            kids = stack[-1]
+            kids.append(nid)
+            if len(kids) < sp.width:
+                break
+            stack.pop()
+            nid = sp.node(tuple(kids))
+        else:
+            if pos + 1 != len(body):
+                raise ValueError("trailing data in clopen serialization")
+            return sp, nid
+    raise ValueError("truncated clopen serialization")
+
+
+@contextmanager
+def fresh_space(p, n):
+    """Swap in an empty (p, n) space, so node ids start at 2 as in a new process."""
+    key = (p, n)
+    saved = clopen._SPACES.pop(key, None)
+    try:
+        yield clopen._space(p, n)
+    finally:
+        clopen._SPACES.pop(key, None)
+        if saved is not None:
+            clopen._SPACES[key] = saved
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def read_sets(draw):
+    """Sets from rectangles, cosets, products, complements and the EMPTY/FULL roots."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["rectangles", "cosets", "product", "empty", "full"]))
+    n = 1 if kind == "cosets" else draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 8))
+
+    def coset_factor():
+        t = draw(st.integers(0, depth))
+        bound = p ** (t + 1)
+        return ClopenSet.from_cosets(p, depth, t, draw(st.lists(st.integers(-bound, bound), max_size=5)))
+
+    if kind == "rectangles":
+        center = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([d for d in range(1, 8) if d % p]))
+        rect = st.builds(BallSpec, st.tuples(*[center] * n), st.tuples(*[st.integers(0, depth)] * n))
+        S = ClopenSet.from_rectangles(p, n, depth, draw(st.lists(rect, max_size=6)))
+    elif kind == "cosets":
+        S = coset_factor()
+    elif kind == "product":
+        S = product_set([coset_factor() for _ in range(n)])
+    else:
+        S = ClopenSet.empty(p, n, depth) if kind == "empty" else ClopenSet.full(p, n, depth)
+    return S.complement() if draw(st.booleans()) else S
+
+
+COSET_LIMIT = 3000
+# The text is a preorder walk of the expanded tree, so shared subtrees are
+# written once per occurrence: a product of three p = 5 coset sets at depth 7
+# has a body far larger than memory.
+TEXT_LIMIT = 200_000
+
+
+def text_length(S):
+    """Length of the body of S.to_text(), counted over the shared node table."""
+    kids, memo = S._sp._children, {EMPTY: 1, FULL: 1}
+
+    def length(a):
+        if a not in memo:
+            memo[a] = 1 + sum(length(c) for c in kids[a])
+        return memo[a]
+
+    return length(S._root)
+
+
+# ---------------------------------------------------------------------------
+# contains_residue
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(read_sets(), st.data())
+def test_contains_residue_matches_per_coordinate_descent(S, data):
+    big = S.p ** (S.depth + 3)
+    coord = st.integers(-big, big)
+    probes = data.draw(st.lists(
+        st.tuples(st.tuples(*[coord] * S.n), st.integers(0, S.depth + 2)), min_size=1, max_size=40))
+    for point, level in probes:
+        assert S.contains_residue(point, level) == old_contains_residue(S, point, level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(read_sets(), st.data())
+def test_contains_residue_agrees_with_enumerated_cosets(S, data):
+    # a coset lies in the set iff its level-depth subcosets are all in the set
+    # (a level-depth coset meets the set only if it lies in it)
+    k = data.draw(st.integers(0, S.depth))
+    if S.p ** (S.n * (S.depth - k)) > COSET_LIMIT or S.box_count(S.depth) > COSET_LIMIT:
+        return
+    finest = set(S.enumerate_cosets(S.depth))
+    top, step = S.p**S.depth, S.p**k
+    point = data.draw(st.tuples(*[st.integers(0, step - 1)] * S.n))
+    subcosets = [()]
+    for c in point:
+        subcosets = [s + (r,) for s in subcosets for r in range(c, top, step)]
+    assert S.contains_residue(point, k) == all(s in finest for s in subcosets)
+
+
+def test_contains_residue_input_contract():
+    S = ClopenSet.from_rectangles(3, 2, 3, [BallSpec((Fraction(1), Fraction(2)), (1, 2))])
+    with pytest.raises(ValueError, match="point dimension 1 != n=2"):
+        S.contains_residue((1,), 2)
+    with pytest.raises(ValueError, match="point dimension 3 != n=2"):
+        S.contains_residue((1, 2, 3), 2)
+    with pytest.raises(ValueError, match="level -1 must be >= 0"):
+        S.contains_residue((1, 2), -1)
+    # levels past the depth ask about finer cosets
+    assert S.contains_residue((1 + 3**5, 2 - 9 * 3**4), 3**4)
+    assert not S.contains_residue((0, 2), 7)
+    assert not S.contains_residue((1, 2), 0) and ClopenSet.full(3, 2, 3).contains_residue((-5, 7), 0)
+    assert S.contains_residue((-2, 11), 2) and not S.contains_residue((-2, 11), 1)
+
+
+class CountingRows(list):
+    """A child table that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, nid):
+        self.reads += 1
+        return super().__getitem__(nid)
+
+
+def test_contains_residue_stops_at_terminal_nodes():
+    # the descent reads one child row per mixed node and stops at EMPTY or FULL,
+    # so a level far past the depth costs no more than the depth
+    with fresh_space(3, 2) as sp:
+        half = ClopenSet.from_rectangles(3, 2, 4, [BallSpec((Fraction(1), Fraction(0)), (1, 1))])
+        deep = ClopenSet.from_rectangles(3, 2, 4, [BallSpec((Fraction(5), Fraction(7)), (4, 3))])
+        sp._children = CountingRows(sp._children)
+        for S, point, want, rows in [
+            (ClopenSet.full(3, 2, 4), (2, 2), True, 0),
+            (ClopenSet.empty(3, 2, 4), (2, 2), False, 0),
+            (half, (1, 0), True, 1),
+            (half, (2, 0), False, 1),
+            (deep, (5, 7), True, 4),
+            (deep, (5, 7 + 3**3), True, 4),
+            (deep, (5 + 3**3, 7), False, 4),
+        ]:
+            sp._children.reads = 0
+            assert S.contains_residue(point, S.depth + 40) is want
+            assert sp._children.reads == rows
+
+
+# ---------------------------------------------------------------------------
+# enumerate_cosets
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_sets())
+def test_enumerate_cosets_matches_recursive_collect(S):
+    for k in range(S.depth + 1):
+        if S.box_count(k) > COSET_LIMIT:
+            break
+        got = S.enumerate_cosets(k)
+        assert got == old_enumerate_cosets(S, k)
+        assert len(got) == S.box_count(k)
+
+
+def test_enumerate_cosets_expands_full_nodes_at_every_level():
+    # a FULL child at level 1 and a FULL subtree at level 3 in one trie
+    S = ClopenSet.from_rectangles(2, 2, 4, [
+        BallSpec((Fraction(1), Fraction(0)), (1, 1)),
+        BallSpec((Fraction(2), Fraction(6)), (3, 3)),
+    ])
+    for k in range(5):
+        assert S.enumerate_cosets(k) == old_enumerate_cosets(S, k)
+    assert ClopenSet.full(3, 2, 3).enumerate_cosets(2) == [(a, b) for a in range(9) for b in range(9)]
+    assert ClopenSet.empty(3, 2, 3).enumerate_cosets(2) == []
+    assert ClopenSet.full(3, 1, 3).enumerate_cosets(0) == [(0,)]
+
+
+# ---------------------------------------------------------------------------
+# from_text and node interning
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_sets())
+def test_from_text_builds_the_same_node_ids_as_the_per_character_parser(S):
+    if text_length(S) > TEXT_LIMIT:
+        return
+    text = S.to_text()
+    assert len(text.partition("\n")[2]) == text_length(S)
+    oracle, root = old_from_text(text)
+    with fresh_space(S.p, S.n) as sp:
+        T = ClopenSet.from_text(text)
+        assert T._root == root
+        assert sp._children[2:] == oracle.children[2:]
+        assert T.to_text() == text
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_TEXTS)
+def test_from_text_error_messages_match_the_per_character_parser(text, message):
+    want = raised(old_from_text, text)
+    assert want is not None and message in want
+    assert raised(ClopenSet.from_text, text) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3)]),
+       st.integers(0, 2**32))
+def test_node_ids_match_collapse_first_interning(pn, seed):
+    p, n = pn
+    rng = random.Random(seed)
+    with fresh_space(p, n) as sp:
+        oracle = OracleSpace(sp.width)
+        ids, seen = [EMPTY, FULL], []
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.2:
+                children = (rng.choice([EMPTY, FULL]),) * sp.width
+            elif roll < 0.35 and seen:
+                children = rng.choice(seen)
+            else:
+                children = tuple(rng.choice(ids[-4:] + [EMPTY, FULL]) for _ in range(sp.width))
+            nid = sp.node(children)
+            assert nid == oracle.node(children)
+            seen.append(children)
+            ids.append(nid)
+        assert sp._children[2:] == oracle.children[2:]
+        assert sp._children[EMPTY] == (EMPTY,) * sp.width and sp._children[FULL] == (FULL,) * sp.width
