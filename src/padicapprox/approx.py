@@ -112,7 +112,7 @@ def step_exponent(comp: PsiComponent, a0: int, p: int) -> int:
 
 def _below_inverse(comp: PsiComponent, q: int) -> bool:
     """psi(q) < 1/q, exact."""
-    return cmp_powprod(psi_powprod(comp, q), [(Fraction(q), Fraction(-1))]) < 0
+    return cmp_powprod(psi_powprod(comp, q), [(q, -1)]) < 0
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import approx, dimension, manifold, minkowski
@@ -265,13 +266,12 @@ def cmd_dirichlet_solve(args) -> None:
     inst = manifold.DirichletInstance(
         f, x, tuple(parse_fraction(t) for t in args.tau), tuple(parse_fraction(v) for v in args.v), args.H
     )
-    rep = manifold.dirichlet_h0(inst)
     sol = manifold.dirichlet_solve(inst)
     emit(
         {
             "H": args.H,
-            "h0": rep.h0,
-            "h0_cases": rep.cases,
+            "h0": sol.h0_report.h0,
+            "h0_cases": sol.h0_report.cases,
             "point": list(sol.point.a),
             "k": sol.k,
             "verified": sol.verified,
@@ -283,11 +283,12 @@ def cmd_dirichlet_solve(args) -> None:
 def cmd_enumerate_s_tau(args) -> None:
     f = load_map(args)
     pts = manifold.enumerate_S_tau(f, [parse_fraction(t) for t in args.tau], args.hmax, h_min=args.hmin)
+    # a height lies in the dyadic block [2^k, 2^(k+1) - 1] iff its bit length is k + 1
+    per_length = Counter(pt.height.bit_length() for pt in pts)
     blocks: dict[str, int] = {}
     h = 1
     while h <= args.hmax:
-        hi = min(2 * h - 1, args.hmax)
-        blocks[f"[{h},{hi}]"] = sum(1 for pt in pts if h <= pt.height <= hi)
+        blocks[f"[{h},{min(2 * h - 1, args.hmax)}]"] = per_length[h.bit_length()]
         h *= 2
     emit({"count": len(pts), "dyadic_counts": blocks, "points": [list(pt.a) for pt in pts[: args.limit]]})
 
@@ -382,8 +383,21 @@ def cmd_boxdim(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised to main instead of exiting."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers inherit the class, so every usage error of the tree lands here:
+    # argparse's usage text and message go to stderr, then main reports the message
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicapprox",
         description="Exact experiments in simultaneous p-adic Diophantine approximation.",
     )
@@ -510,9 +524,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         args.func(args)
+    except _UsageError as exc:
+        emit({"error": {"kind": "usage", "message": str(exc)}})
+        return 2
     except HypothesisError as exc:
         emit({"error": {"kind": "hypothesis", "failed": exc.failed, "message": str(exc)}})
         return 2

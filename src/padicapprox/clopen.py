@@ -6,9 +6,9 @@ or carries p^n children, one per next-digit vector. Nodes are interned per
 radii costs O(depth) nodes instead of exponentially many, set algebra is
 memoized on node ids, and canonical form is structural equality of ids.
 
-Sets are built in bulk: unions of one-dimensional cosets are partitioned by
-digit from the bottom up, and many-operand unions are one n-ary apply memoized
-on frozensets of ids. Every node carries its integer box counts at each level
+Sets are built in bulk: boxes of one exponent vector are bucketed by digit
+codes bottom-up, and many-operand unions are one n-ary apply memoized on
+frozensets of ids. Every node carries its integer box counts at each level
 below it; measures (exact Fractions with denominator dividing p^{n*K}) and box
 counts are read from those. All caches live for the whole process.
 
@@ -23,11 +23,12 @@ p^n child slots is allocated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .core import is_prime
 
@@ -73,24 +74,34 @@ class _Space:
             self._intern[children] = nid
         return nid
 
-    def cosets(self, t: int, residues: Iterable[int]) -> int:
-        """Union of the cosets r + p^t Z_p (n = 1), partitioned by digit bottom-up.
+    def cosets(self, t: Sequence[int], codes: Iterable[int]) -> int:
+        """Union of the boxes with exponent vector t and the given codes (see box_code), bottom-up.
 
-        Level j holds one node per residue mod p^j; a bucket whose p children
-        are all FULL collapses to FULL in node().
+        Level j holds one node per code mod width^j. A coordinate with t_i <= j
+        is a wildcard at level j: slots that differ from a filled one only in
+        wildcard digits get its child. A bucket whose children are all FULL
+        collapses to FULL in node().
         """
-        p = self.p
-        level = dict.fromkeys(sorted({r % p**t for r in residues}), FULL)
-        for j in range(t - 1, -1, -1):
-            scale = p**j
+        p, width, node = self.p, self.width, self.node
+        top, low_t = max(t, default=0), min(t, default=0)
+        scale = width**top
+        level = dict.fromkeys(sorted({c % scale for c in codes}), FULL)
+        for j in range(top - 1, -1, -1):
+            scale //= width
             buckets: dict[int, list[int]] = {}
-            for r, nid in level.items():
-                digit, low = divmod(r, scale)
+            for code, nid in level.items():
+                slot, low = divmod(code, scale)
                 kids = buckets.get(low)
                 if kids is None:
-                    kids = buckets[low] = [EMPTY] * p
-                kids[digit] = nid
-            level = {low: self.node(tuple(kids)) for low, kids in buckets.items()}
+                    kids = buckets[low] = [EMPTY] * width
+                kids[slot] = nid
+            if j < low_t:
+                children = tuple
+            elif j + 1 in t:  # the wildcard set changes only just below some t_i
+                children = _wildcard_fill(p, width, tuple([p**i for i, ti in enumerate(t) if ti <= j]))
+            level = {}
+            for low, kids in buckets.items():
+                level[low] = node(children(kids))
         return level.get(0, EMPTY)
 
     def union(self, a: int, b: int) -> int:
@@ -227,6 +238,29 @@ class BallSpec:
             raise ValueError("radius exponents must be nonnegative")
 
 
+@functools.cache
+def _wildcard_fill(p: int, width: int, wild: tuple[int, ...]) -> itemgetter:
+    """Child tuple whose slot v reads slot v with its digits at the places `wild` zeroed."""
+    return itemgetter(*[v - sum(v // w % p * w for w in wild) for v in range(width)])
+
+
+def box_code(p: int, residues: Sequence[int], exponents: Sequence[int]) -> int:
+    """Code of the box prod_i (r_i + p^(t_i) Z_p): base-p^n digit j is its child slot
+    at level j, whose base-p digit i is digit j of r_i mod p^(t_i) (0 once j >= t_i)."""
+    if len(residues) == 1:
+        return residues[0] % p ** exponents[0]
+    width = p ** len(residues)
+    code = 0
+    for i, (r, t) in enumerate(zip(residues, exponents)):
+        r %= p**t
+        place = p**i
+        while r:
+            r, digit = divmod(r, p)
+            code += digit * place
+            place *= width
+    return code
+
+
 class ClopenSet:
     """Immutable clopen subset of Z_p^n, canonical by construction."""
 
@@ -255,8 +289,32 @@ class ClopenSet:
 
     @classmethod
     def from_rectangles(cls, p: int, n: int, depth: int, rects: Sequence[BallSpec]) -> "ClopenSet":
-        out = cls.empty(p, n, depth)
-        return cls(p, n, depth, out._sp.union_many([out._rectangle_node(r) for r in rects]))
+        _space(p, n)  # p and n are valid before any residue is taken mod p^t
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for rect in rects:
+            residues = []
+            for c, t in zip(rect.center, rect.exponents):
+                if c.denominator % p == 0:
+                    raise ValueError(f"center {c} is not a p-adic integer for p={p}")
+                residues.append(c.numerator * pow(c.denominator, -1, p**t))
+            groups.setdefault(rect.exponents, []).append(box_code(p, residues, rect.exponents))
+        return cls.from_codes(p, n, depth, groups)
+
+    @classmethod
+    def from_codes(
+        cls, p: int, n: int, depth: int, groups: Mapping[tuple[int, ...], Iterable[int]]
+    ) -> ClopenSet:
+        """Union over exponent vectors t of the boxes whose box_code at t is listed under t."""
+        _check_depth(depth)
+        sp = _space(p, n)
+        roots = []
+        for t, codes in groups.items():
+            if len(t) != n or min(t, default=0) < 0:
+                raise ValueError(f"exponent vector {t} needs {n} entries >= 0")
+            if max(t, default=0) > depth:
+                raise ValueError(f"insufficient depth: boxes need level {max(t)}, depth is {depth}")
+            roots.append(sp.cosets(t, codes))
+        return cls(p, n, depth, sp.union_many(roots))
 
     @classmethod
     def from_cosets(cls, p: int, depth: int, t: int, residues: Iterable[int]) -> "ClopenSet":
@@ -265,7 +323,7 @@ class ClopenSet:
             raise ValueError("coset level must be >= 0")
         if t > depth:
             raise ValueError(f"insufficient depth: cosets need level {t}, depth is {depth}")
-        return cls(p, 1, depth, _space(p, 1).cosets(t, residues))
+        return cls(p, 1, depth, _space(p, 1).cosets((t,), residues))
 
     @classmethod
     def union_all(cls, p: int, n: int, depth: int, sets: Iterable["ClopenSet"]) -> "ClopenSet":
@@ -281,41 +339,7 @@ class ClopenSet:
     # -- algebra -----------------------------------------------------------
 
     def insert_rectangle(self, rect: BallSpec) -> "ClopenSet":
-        node = self._rectangle_node(rect)
-        return ClopenSet(self.p, self.n, self.depth, self._sp.union(self._root, node))
-
-    def _rectangle_node(self, rect: BallSpec) -> int:
-        if len(rect.center) != self.n:
-            raise ValueError(f"rectangle dimension {len(rect.center)} != n={self.n}")
-        if max(rect.exponents, default=0) > self.depth:
-            raise ValueError(
-                f"insufficient depth: rectangle needs level {max(rect.exponents)}, depth is {self.depth}"
-            )
-        p, n, sp = self.p, self.n, self._sp
-        tmax = max(rect.exponents, default=0)
-        digits = []
-        for c, t in zip(rect.center, rect.exponents):
-            if c.denominator % p == 0:
-                raise ValueError(f"center {c} is not a p-adic integer for p={p}")
-            res = (c.numerator * pow(c.denominator, -1, p**t)) % p**t if t > 0 else 0
-            digs = []
-            for _ in range(t):
-                res, d = divmod(res, p)
-                digs.append(d)
-            digits.append(digs)
-        node = FULL
-        for level in range(tmax - 1, -1, -1):
-            children = [EMPTY] * sp.width
-            slots = [0]
-            for i in range(n):
-                if level < rect.exponents[i]:
-                    slots = [s + digits[i][level] * p**i for s in slots]
-                else:
-                    slots = [s + d * p**i for s in slots for d in range(p)]
-            for s in slots:
-                children[s] = node
-            node = sp.node(tuple(children))
-        return node
+        return self.union(ClopenSet.from_rectangles(self.p, self.n, self.depth, [rect]))
 
     def _binary(self, other: "ClopenSet", fn) -> "ClopenSet":
         if self.p != other.p or self.n != other.n:

@@ -19,36 +19,33 @@ from typing import Sequence
 PowerProduct = Sequence[tuple[Fraction | int, Fraction | int]]
 
 
-def _normalized(factors: PowerProduct) -> list[tuple[Fraction, Fraction]]:
-    out = []
+def _root_form(factors: PowerProduct) -> tuple[int, int, int]:
+    """Positive integers (s, N, D) with prod base_i^exp_i = (N/D)^(1/s), built from
+    .numerator / .denominator (ints and Fractions both have them) without a Fraction."""
+    s = num = den = 1
     for base, exp in factors:
-        base = Fraction(base)
-        exp = Fraction(exp)
-        if base <= 0:
+        bn, bd = base.numerator, base.denominator
+        if bn <= 0:
             raise ValueError("power product bases must be positive")
-        if base != 1 and exp != 0:
-            out.append((base, exp))
-    return out
+        lift = exp.denominator // math.gcd(s, exp.denominator)
+        if lift > 1:  # widen the common root to lcm(s, exp denominator)
+            num, den, s = num**lift, den**lift, s * lift
+        k = exp.numerator * (s // exp.denominator)
+        if k < 0:
+            bn, bd, k = bd, bn, -k
+        num *= bn**k
+        den *= bd**k
+    return s, num, den
 
 
 def cmp_powprod(lhs: PowerProduct, rhs: PowerProduct) -> int:
-    """Sign of lhs - rhs for two power products. Exact."""
-    left = _normalized(lhs)
-    right = _normalized(rhs)
-    scale = 1
-    for _, exp in left + right:
-        scale = scale * exp.denominator // math.gcd(scale, exp.denominator)
-    lval = Fraction(1)
-    for base, exp in left:
-        lval *= base ** int(exp * scale)
-    rval = Fraction(1)
-    for base, exp in right:
-        rval *= base ** int(exp * scale)
-    if lval < rval:
-        return -1
-    if lval > rval:
-        return 1
-    return 0
+    """Sign of lhs - rhs for two power products, exact: cross-multiplied at a common root."""
+    s, a, b = _root_form(lhs)
+    r, c, d = _root_form(rhs)
+    g = math.gcd(s, r)
+    left = a ** (r // g) * d ** (s // g)
+    right = c ** (s // g) * b ** (r // g)
+    return (left > right) - (left < right)
 
 
 def _log_int(n: int) -> float:
@@ -59,22 +56,24 @@ def _log_int(n: int) -> float:
     return math.log(n >> (bits - 900)) + (bits - 900) * math.log(2)
 
 
-def powprod_log_estimate(factors: PowerProduct) -> float:
-    """Float log of a power product, for search seeding only."""
-    total = 0.0
-    for base, exp in _normalized(factors):
-        total += float(exp) * (_log_int(base.numerator) - _log_int(base.denominator))
-    return total
+def _floor_log(p: int, s: int, num: int, den: int) -> int:
+    """max{e in Z : p^e <= (num/den)^(1/s)}: a float seed, corrected by p^(e*s) * den <= num."""
+
+    def at_most(e: int) -> bool:
+        k = e * s
+        return p**k * den <= num if k >= 0 else den <= num * p**-k
+
+    est = int((_log_int(num) - _log_int(den)) / (s * math.log(p)))
+    while not at_most(est):
+        est -= 1
+    while at_most(est + 1):
+        est += 1
+    return est
 
 
 def floor_log_powprod(p: int, factors: PowerProduct) -> int:
     """max{e in Z : p^e <= prod base_i^exp_i}, exact."""
-    est = int(powprod_log_estimate(factors) / math.log(p))
-    while cmp_powprod([(p, est)], factors) > 0:
-        est -= 1
-    while cmp_powprod([(p, est + 1)], factors) <= 0:
-        est += 1
-    return est
+    return _floor_log(p, *_root_form(factors))
 
 
 def ball_exponent(p: int, radius: PowerProduct) -> int:
@@ -83,8 +82,8 @@ def ball_exponent(p: int, radius: PowerProduct) -> int:
     {|x|_p < r} equals {|x|_p <= p^{-t}} for the unique t with
     p^{-t} < r <= p^{-t+1}; that t is 1 + floor_log_p(1/r).
     """
-    inverted = [(base, -Fraction(exp)) for base, exp in radius]
-    return floor_log_powprod(p, inverted) + 1
+    s, num, den = _root_form(radius)
+    return _floor_log(p, s, den, num) + 1
 
 
 def frac_pow(x: Fraction | int, exp: Fraction | int) -> Fraction:

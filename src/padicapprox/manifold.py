@@ -12,13 +12,14 @@ evaluation before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .clopen import BallSpec, ClopenSet
+from .clopen import ClopenSet, box_code
 from .core import HypothesisError, PAdicInt, _split_power, is_prime, parse_fraction
 from .exactcmp import ball_exponent, floor_log_powprod, int_root_floor
 from .minkowski import LinearFormSystem, SolverError, solve_structured
@@ -318,14 +319,11 @@ class DirichletInstance:
         |f_j(a/a_0) - a_(d+j)/a_0|_p < (p^(-k) H)^(-tau_j). Cached per k."""
         out = self._levels.get(k)
         if out is None:
-            p, H = self.f.p, Fraction(self.H)
+            p, H = self.f.p, self.H
             s_exps = tuple(
-                max(0, ball_exponent(p, [(Fraction(p), self.sigma_shift + k), (H, -v)]))
-                for v in self.v
+                max(0, ball_exponent(p, [(p, self.sigma_shift + k), (H, -v)])) for v in self.v
             )
-            u_exps = tuple(
-                max(0, ball_exponent(p, [(Fraction(p), k * t), (H, -t)])) for t in self.tau
-            )
+            u_exps = tuple(max(0, ball_exponent(p, [(p, k * t), (H, -t)])) for t in self.tau)
             out = self._levels[k] = (s_exps, u_exps)
         return out
 
@@ -337,14 +335,6 @@ class H0Report:
 
     def admissible(self, H: int) -> bool:
         return H > self.h0
-
-
-def _int_threshold_strict(p: int, exponent: Fraction) -> int:
-    """Largest integer H with NOT (H > p^exponent), i.e. floor of the power."""
-    exponent = Fraction(exponent)
-    if exponent <= 0:
-        return 1  # p^e <= 1: every H >= 2 is strictly above; keep 1 as the floor
-    return floor_log_int_power(p, exponent)
 
 
 def floor_log_int_power(p: int, exponent: Fraction) -> int:
@@ -383,7 +373,8 @@ def dirichlet_h0(inst: DirichletInstance) -> H0Report:
     }
     h0 = 1
     for name, e in exps.items():
-        thr = _int_threshold_strict(f.p, e)
+        # the largest H with NOT (H > p^e); for p^e <= 1 every H >= 2 is above, so 1
+        thr = max(1, floor_log_int_power(f.p, e))
         cases[name] = {"value": f"{f.p}^({e})", "float": float(f.p) ** float(e), "h0": thr}
         h0 = max(h0, thr)
     feas = _bucket_feasible_height(inst)
@@ -402,7 +393,7 @@ def _bucket_feasible_height(inst: DirichletInstance) -> int:
         t_power = (H + 1) ** (f.n + 1)
         ok = True
         for s, t in zip(sigma, tau):
-            value = [(Fraction(f.p), -s), (Fraction(t_power), t / (f.n + 1))]
+            value = [(f.p, -s), (t_power, t / (f.n + 1))]
             if floor_log_powprod(f.p, value) + 1 < 0:
                 ok = False
                 break
@@ -451,6 +442,7 @@ class DirichletSolution:
     k: int
     verified: bool
     method: str
+    h0_report: H0Report  # the threshold report H was checked against
 
 
 def _strip_non_p_gcd(p: int, b: Sequence[int]) -> list[int]:
@@ -519,11 +511,11 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
             a = [v // p**k for v in b]
             point = RationalPoint(tuple(a))
             if verify_dirichlet(inst, point, k):
-                return DirichletSolution(point, k, True, "congruence-scan")
+                return DirichletSolution(point, k, True, "congruence-scan", report)
     except SolverError:
         pass
     point, k = _exhaustive_dirichlet(inst)
-    return DirichletSolution(point, k, True, "exhaustive")
+    return DirichletSolution(point, k, True, "exhaustive", report)
 
 
 def _exhaustive_dirichlet(inst: DirichletInstance) -> tuple[RationalPoint, int]:
@@ -626,7 +618,7 @@ def enumerate_S_tau(
     # every level ever asked for is at a height in [h_min, h_max]
     heights = range(max(1, h_min), h_max + 1)
     moduli = [
-        {h: p ** max(0, ball_exponent(p, [(Fraction(h), -t)])) for h in heights} for t in tau_dep
+        {h: p ** max(0, ball_exponent(p, [(h, neg)])) for h in heights} for neg in [-t for t in tau_dep]
     ]
     top = [max(mods.values()) for mods in moduli]
     found: list[RationalPoint] = []
@@ -674,6 +666,7 @@ def cover_preimage(
 
     A finite-level inner approximation of the preimage of the weighted
     approximable set under x -> (x, f(x)).
+    Given `points` must have a_0 prime to p, as the points of S_tau do.
     """
     p = f.p
     tau = [Fraction(t) for t in tau]
@@ -694,22 +687,22 @@ def cover_preimage(
             )
         if delta > min(Fraction(1), 1 / lipschitz_bound):
             raise ValueError("delta too large for the Lipschitz bound")
-    exps_at: dict[int, tuple[int, ...]] = {}
+    negs = [-t for t in tau[: f.d]]
 
+    @functools.cache
     def exponents(h: int) -> tuple[int, ...]:
         """Rectangle exponents at height h, computed once per distinct height."""
-        out = exps_at.get(h)
-        if out is None:
-            out = exps_at[h] = tuple(
-                max(0, ball_exponent(p, [(delta, Fraction(1)), (Fraction(h), -tau[i])]))
-                for i in range(f.d)
-            )
-        return out
+        return tuple(max(0, ball_exponent(p, [(delta, 1), (h, neg)])) for neg in negs)
 
     worst = max(exponents(h_max))
     if worst > depth:
         raise ValueError(f"insufficient depth: need {worst}, have {depth}")
     if points is None:
         points = enumerate_S_tau(f, tau[f.d :], h_max, h_min=h_min)
-    rects = [BallSpec(pt.coordinates(f.d), exponents(pt.height)) for pt in points]
-    return ClopenSet.from_rectangles(p, f.d, depth, rects)
+    # box codes grouped by exponent vector; centre a_i/a_0 is a_i * a_0^-1 mod p^t_i
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pt in points:
+        t = exponents(pt.height)
+        residues = [pt.a[i] * pow(pt.a[0], -1, p**ti) for i, ti in enumerate(t, 1)]
+        groups.setdefault(t, []).append(box_code(p, residues, t))
+    return ClopenSet.from_codes(p, f.d, depth, groups)

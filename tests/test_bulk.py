@@ -21,15 +21,18 @@ from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, prod
 from padicapprox.core import Params
 from padicapprox.exactcmp import ball_exponent
 
+from oracles import rectangle_set
+
 # ---------------------------------------------------------------------------
 # Oracles: the previous one-at-a-time and Fraction-recursive paths
 # ---------------------------------------------------------------------------
 
 
 def fold_insert(p, n, depth, rects):
+    # the top-down oracle: insert_rectangle runs the bottom-up builder under test
     out = ClopenSet.empty(p, n, depth)
     for r in rects:
-        out = out.insert_rectangle(r)
+        out = out.union(rectangle_set(p, n, depth, r))
     return out
 
 

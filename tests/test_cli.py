@@ -285,3 +285,85 @@ def test_byte_identical_output_for_fixed_config():
     out1 = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
     out2 = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
     assert out1 == out2 and out1
+
+
+def test_dirichlet_solve_computes_h0_once(capsys, monkeypatch):
+    from padicapprox import manifold
+
+    calls = []
+    real = manifold.dirichlet_h0
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(manifold, "dirichlet_h0", counting)
+    argv = ["dirichlet-solve", "--map-json", SQUARE, "--x", "12345678901234567890",
+            "--precision", "60", "--tau", "7/5", "--v", "8/5", "--H", "64"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert out["h0"] == real(calls[0]).h0 == 38
+    assert out["h0_cases"] == json.loads(json.dumps(cli.fmt(real(calls[0]).cases)))
+
+
+def _dyadic_blocks_by_scan(points, hmax):
+    """The per-block rescan the single-pass count replaced."""
+    blocks = {}
+    h = 1
+    while h <= hmax:
+        hi = min(2 * h - 1, hmax)
+        blocks[f"[{h},{hi}]"] = sum(1 for pt in points if h <= pt.height <= hi)
+        h *= 2
+    return blocks
+
+
+@pytest.mark.parametrize("hmax, hmin", [(50, 1), (50, 20), (64, 1), (64, 33), (13, 3), (5, 9), (1, 1)])
+def test_enumerate_dyadic_counts_match_per_block_scan(capsys, hmax, hmin):
+    from padicapprox import manifold
+
+    code, out = run_cli(capsys, "enumerate-s-tau", "--map-json", SQUARE, "--tau", "7/5",
+                        "--hmax", str(hmax), "--hmin", str(hmin))
+    assert code == 0
+    points = manifold.enumerate_S_tau(
+        manifold.PolyMap.from_json_dict(json.loads(SQUARE)), [Fraction(7, 5)], hmax, h_min=hmin
+    )
+    want = _dyadic_blocks_by_scan(points, hmax)
+    assert out["dyadic_counts"] == want and out["count"] == len(points)
+    assert list(want) == sorted(want, key=lambda k: int(k[1:].split(",")[0]))
+    if hmin > hmax:
+        assert out["count"] == 0 and set(want.values()) == {0}
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["dim", "jb"], "the following arguments are required: --tau"),
+    (["dim", "ww", "--a", "1", "--t", "1", "--variant", "K9-sum"], "argument --variant: invalid choice"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+])
+def test_usage_errors_print_json(capsys, argv, needle):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    out = json.loads(captured.out)
+    assert out["error"]["kind"] == "usage" and needle in out["error"]["message"]
+    # argparse's own usage text and message stay on stderr
+    assert captured.err.startswith("usage: padicapprox")
+    assert f"error: {out['error']['message']}\n" in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--help"])
+    assert exc.value.code == 0
+    assert "usage: padicapprox dim" in capsys.readouterr().out
+
+
+def test_valid_call_after_usage_errors_matches_fresh_parser(capsys):
+    valid = ["dim", "manifold", "--which", "thm2.7", "--tau", "8/5", "8/5", "--d", "1", "--m", "1"]
+    cli._parser.cache_clear()
+    fresh = _run_any(capsys, valid)
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for bad in (["dim", "jb"], ["dim", "ww", "--a", "1", "--t", "1", "--variant", "x"], ["nope"]):
+        assert _run_any(capsys, bad)[0] == 2
+    assert _run_any(capsys, valid) == fresh
+    assert cli._parser() is parser and fresh[0] == 0

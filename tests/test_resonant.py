@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicapprox.clopen import BallSpec, ClopenSet
+from padicapprox.clopen import BallSpec
 from padicapprox.core import PAdicInt, embed_rational
 from padicapprox.exactcmp import ball_exponent, cmp_powprod
 from padicapprox.manifold import (
@@ -27,6 +27,8 @@ from padicapprox.manifold import (
     enumerate_S_tau,
     verify_dirichlet,
 )
+
+from oracles import fraction_ball_exponent, rectangles_oracle
 
 F = Fraction
 
@@ -97,14 +99,16 @@ def enumerate_oracle(f, tau_dep, h_max, h_min=1):
 
 
 def cover_oracle(f, tau, delta, depth, points):
+    """One Fraction-centred rectangle per point, with Fraction-kernel exponents,
+    each built top-down and folded by binary union."""
     rects = []
     for pt in points:
         exps = tuple(
-            max(0, ball_exponent(f.p, [(delta, Fraction(1)), (Fraction(pt.height), -tau[i])]))
+            max(0, fraction_ball_exponent(f.p, [(delta, Fraction(1)), (Fraction(pt.height), -tau[i])]))
             for i in range(f.d)
         )
         rects.append(BallSpec(pt.coordinates(f.d), exps))
-    return ClopenSet.from_rectangles(f.p, f.d, depth, rects)
+    return rectangles_oracle(f.p, f.d, depth, rects)
 
 
 def verify_oracle(inst, point, k):
@@ -198,17 +202,22 @@ def test_enumerate_matches_fraction_oracle(inputs):
 
 
 @settings(max_examples=25, deadline=None)
-@given(enumeration_inputs(), st.sampled_from([F(1), F(1, 2), F(1, 9)]), st.integers(0, 5))
-def test_cover_per_height_matches_per_point(inputs, delta, extra):
+@given(
+    enumeration_inputs(), st.sampled_from([F(1), F(1, 2), F(1, 9)]), st.integers(0, 5), st.integers(0, 4)
+)
+def test_cover_per_height_matches_per_point(inputs, delta, extra, spread):
     f, tau_dep, h_max, h_min = inputs
-    tau = [max(tau_dep) + F(extra + 1, 5)] * f.d + list(tau_dep)
+    # unequal independent exponents give boxes with wildcard levels when d = 2
+    tau = [max(tau_dep) + F(extra + 1 + i * spread, 5) for i in range(f.d)] + list(tau_dep)
     worst = max(
         max(0, ball_exponent(f.p, [(delta, F(1)), (F(h_max), -t)])) for t in tau[: f.d]
     )
     depth = worst + 1
     points = enumerate_S_tau(f, tau_dep, h_max, h_min=h_min)
     got = cover_preimage(f, tau, delta, h_max, depth, h_min=h_min, points=points)
-    assert got == cover_oracle(f, tau, delta, depth, points)
+    want = cover_oracle(f, tau, delta, depth, points)
+    assert got == want
+    assert got.to_text() == want.to_text()
     # the enumerating call builds the same set
     assert cover_preimage(f, tau, delta, h_max, depth, h_min=h_min) == got
 
