@@ -91,10 +91,15 @@ def psi_tuple_from_args(args, n: int) -> approx.ApproxTuple:
 
 
 def load_map(args) -> manifold.PolyMap:
-    if getattr(args, "map_json", None):
-        return manifold.PolyMap.from_json_dict(json.loads(args.map_json))
-    with open(args.map) as fh:
-        return manifold.PolyMap.from_json_dict(json.load(fh))
+    try:
+        if getattr(args, "map_json", None):
+            data = json.loads(args.map_json)
+        else:
+            with open(args.map) as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise ValueError("map JSON nests too deeply") from None
+    return manifold.PolyMap.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,9 @@ def cmd_partial_limsup(args) -> None:
     if S is None:
         S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, depth)
     if args.save_set:
+        text = S.to_text()  # may exceed the text budget: fail before the file is created
         with open(args.save_set, "w") as fh:
-            fh.write(S.to_text())
+            fh.write(text)
     out = {
         "range": [args.start, args.end],
         "reduced": args.reduced,
@@ -281,6 +287,8 @@ def cmd_dirichlet_solve(args) -> None:
 
 
 def cmd_enumerate_s_tau(args) -> None:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     f = load_map(args)
     pts = manifold.enumerate_S_tau(f, [parse_fraction(t) for t in args.tau], args.hmax, h_min=args.hmin)
     # a height lies in the dyadic block [2^k, 2^(k+1) - 1] iff its bit length is k + 1
@@ -307,8 +315,9 @@ def cmd_cover_preimage(args) -> None:
     if args.boxes:
         out["box_counts"] = {str(k): cover.box_count(k) for k in args.boxes}
     if args.save_set:
+        text = cover.to_text()  # may exceed the text budget: fail before the file is created
         with open(args.save_set, "w") as fh:
-            fh.write(cover.to_text())
+            fh.write(text)
     emit(out)
 
 
@@ -394,6 +403,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise _UsageError(message)
+
+    def _get_values(self, action, arg_strings):
+        # for `--flag=--` the argparse of Python 3.11 drops the "--" and returns [] as
+        # the value, which no command expects; take "--" as the literal value
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,13 +12,14 @@ frozensets of ids. Every node carries its integer box counts at each level
 below it; measures (exact Fractions with denominator dividing p^{n*K}) and box
 counts are read from those. All caches live for the whole process.
 
-Set algebra, profiles and serialization recurse once per level (two
-interpreter frames each), so depth is capped at MAX_DEPTH, well inside the
-interpreter's default recursion limit. The reads that walk one path or one
-frontier (containment, coset enumeration, the .clopen parser) are iterative;
-the parser checks nesting against the header depth.
+Set algebra and profiles recurse once per level (two interpreter frames
+each), so depth is capped at MAX_DEPTH, well inside the interpreter's default
+recursion limit. The reads that walk one path or one frontier (containment,
+coset enumeration, the .clopen parser and writer) are iterative; the parser
+checks nesting against the header depth.
 A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
-p^n child slots is allocated.
+p^n child slots is allocated, and a .clopen body longer than TEXT_BUDGET is
+refused before any of it is written.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EMPTY = 0
 FULL = 1
 MAX_DEPTH = 300
 MAX_WIDTH = 4096  # largest branching factor p^n; every interior node holds p^n child ids
+TEXT_BUDGET = 1 << 24  # longest .clopen body to_text builds, in characters (16 MiB)
 
 
 def _check_depth(depth: int) -> None:
@@ -192,13 +194,46 @@ class _Space:
             return prof[k]
         return prof[-1] * self.width ** (k - len(prof) + 1)
 
+    def unbuilt_texts(self, a: int) -> tuple[list[int], dict[int, int]]:
+        """The nodes reachable from a whose text is not memoized yet, in ascending
+        id order, and the text length of each of them and of their children.
+
+        Nodes are interned after their children, so a child's id is below its
+        parent's: lengths fill in ascending id order, once per node, without
+        building any text. A node whose text is memoized counts its length.
+        """
+        texts, kids = self._text, self._children
+        lengths: dict[int, int] = {}
+        level, todo = {a}, set()
+        while level:
+            built = level & texts.keys()
+            lengths.update(zip(built, map(len, map(texts.__getitem__, built))))
+            level -= built
+            todo |= level
+            level = set().union(*map(kids.__getitem__, level)) - todo
+        order = sorted(todo)
+        get = lengths.__getitem__
+        for b in order:
+            lengths[b] = 1 + sum(map(get, kids[b]))
+        return order, lengths
+
     def text(self, a: int) -> str:
-        """Preorder serialization of node a: F/E terminals, M plus the children."""
-        out = self._text.get(a)
-        if out is None:
-            out = "M" + "".join([self.text(c) for c in self._children[a]])
-            self._text[a] = out
-        return out
+        """Preorder serialization of node a: F/E terminals, M plus the children.
+
+        The text writes a shared subtree once per occurrence, so its length can
+        grow exponentially with depth while the node table stays small: it is
+        counted first, and a text over TEXT_BUDGET is refused before any of it
+        is built. Texts are memoized per node and built in ascending id order.
+        """
+        order, lengths = self.unbuilt_texts(a)
+        if lengths[a] > TEXT_BUDGET:
+            raise ValueError(
+                f"clopen text of {lengths[a]} characters exceeds the text budget TEXT_BUDGET={TEXT_BUDGET}"
+            )
+        texts, kids = self._text, self._children
+        for b in order:
+            texts[b] = "M" + "".join(map(texts.__getitem__, kids[b]))
+        return texts[a]
 
 
 _SPACES: dict[tuple[int, int], _Space] = {}
@@ -449,7 +484,8 @@ class ClopenSet:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        """Deterministic preorder walk: F/E terminals, M plus p^n children."""
+        """Deterministic preorder walk: F/E terminals, M plus p^n children; a body
+        over TEXT_BUDGET raises ValueError before any of it is built."""
         return f"clopen 1 {self.p} {self.n} {self.depth}\n" + self._sp.text(self._root)
 
     @classmethod

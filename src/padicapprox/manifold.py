@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -231,24 +232,23 @@ def dqe_constants(f: PolyMap, x: Sequence[PAdicInt] | None = None) -> DQEConstan
     return DQEConstants(C=Fraction(1), epsilon=Fraction(1), lam=lam, derivative_norms=norms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalPoint:
     """Integer vector (a_0, ..., a_n) seen as the rational point (a_1/a_0, ..., a_n/a_0)."""
 
     a: tuple[int, ...]
+    height: int = field(init=False, compare=False, repr=False)  # max |a_i|, stored once
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        if self.a[0] == 0:
+        a = tuple(map(int, self.a))
+        if a[0] == 0:
             raise ValueError("a_0 must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "height", max(map(abs, a)))
 
     @property
     def a0(self) -> int:
         return self.a[0]
-
-    @property
-    def height(self) -> int:
-        return max(abs(v) for v in self.a)
 
     def coprime_to(self, p: int) -> bool:
         return self.a0 % p != 0
@@ -589,6 +589,32 @@ def _centered_candidates(target: int, mod: int, bound: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _residue_column(
+    form: IntegerForm, a0: int, prefix: Sequence[int], inv: int, top: int, bound: int
+) -> list[int]:
+    """Integers congruent to inv * F(a_0, prefix, x) mod top, for x = -bound..bound.
+
+    F(a_0, prefix, .) is a polynomial of degree k in the last coordinate: its
+    k + 1 leading differences at x = -bound, reduced mod top, are summed back
+    up by k passes of `accumulate`.
+    """
+    poly = [0] * (1 + max((exps[-1] for _, _, exps in form.terms), default=0))
+    for coeff, k, exps in form.terms:
+        for x, e in zip(prefix, exps):
+            coeff *= x**e
+        poly[exps[-1]] += coeff * a0**k
+    values = [inv * sum(c * x**i for i, c in enumerate(poly)) for x in range(-bound, -bound + len(poly))]
+    leads = []
+    while values:
+        leads.append(values[0] % top)
+        values = [b - a for a, b in zip(values, values[1:])]
+    size = 2 * bound + 1
+    column = [leads.pop()] * size
+    while leads:
+        column = list(itertools.accumulate(itertools.islice(column, size - 1), initial=leads.pop()))
+    return column
+
+
 def enumerate_S_tau(
     f: PolyMap,
     tau_dep: Sequence[Fraction],
@@ -600,12 +626,14 @@ def enumerate_S_tau(
     with |f_j(a_1/a_0, ..., a_d/a_0) - a_{d+j}/a_0|_p < h^{-tau_{d+j}} for all j,
     in lexicographic order.
 
-    Enumerates the independent block and pins each dependent coordinate by its
-    congruence class at the weakest admissible level, then checks membership
-    exactly at the point's true height h. All of it runs on integers: with
-    F_j the homogenized form of f_j, the error has the p-valuation of
-    F_j(a_0, c) - unit_j(a_0) * a_{d+j}, and the strict inequality is that this
-    integer vanishes mod p^level(h, j), one level per height and component.
+    All of it runs on integers. With F_j the homogenized form of f_j, the error
+    has the p-valuation of F_j(a_0, c) - unit_j(a_0) * a_{d+j}, and the strict
+    inequality is that this integer vanishes mod M_j(h) = p^level(h, j). Every
+    M_j(h) divides top_j = max_h M_j(h), so with r_j = F_j * unit_j^-1 mod top_j
+    the condition reads r_j = a_{d+j} mod M_j(h). For each a_0 and prefix
+    (c_1, ..., c_{d-1}), r_j is one column over the last coordinate; the
+    dependent coordinates are pinned by their class at the weakest admissible
+    level and checked at the point's true height h.
     """
     p = f.p
     tau_dep = [Fraction(t) for t in tau_dep]
@@ -615,39 +643,48 @@ def enumerate_S_tau(
         raise ValueError("enumeration budget exceeded")
     if max(1, h_min) > h_max:
         return []
-    # every level ever asked for is at a height in [h_min, h_max]
+    # M_j(h) indexed by h = 0..h_max; heights below h_min read h_min's level
     heights = range(max(1, h_min), h_max + 1)
-    moduli = [
-        {h: p ** max(0, ball_exponent(p, [(h, neg)])) for h in heights} for neg in [-t for t in tau_dep]
-    ]
-    top = [max(mods.values()) for mods in moduli]
+    moduli = []
+    for t in tau_dep:
+        levels = [p ** max(0, ball_exponent(p, [(h, -t)])) for h in heights]
+        moduli.append([levels[0]] * heights.start + levels)
+    top = [max(mods) for mods in moduli]
+    span = range(-h_max, h_max + 1)
     found: list[RationalPoint] = []
     for a0 in range(1, h_max + 1):
         if a0 % p == 0:
             continue
-        fixed = [form.at(a0) for form in f.forms]
-        units = [form.unit(a0) for form in f.forms]
-        inverses = [pow(u, -1, mod) for u, mod in zip(units, top)]
-        for combo in itertools.product(range(-h_max, h_max + 1), repeat=f.d):
-            h_base = max(a0, *map(abs, combo))
-            # weakest congruence level: the one at the smallest admissible height
-            h_low = max(h_base, h_min)
-            values = [_eval_monomials(monos, combo) for monos in fixed]
-            dep = _dependent_candidates(values, inverses, [mods[h_low] for mods in moduli], h_max)
-            if dep is None:
-                continue
-            for tail in itertools.product(*dep):
-                h = max(h_base, *map(abs, tail))
-                if h < h_min:
-                    continue
-                a = (a0, *combo, *tail)
-                if math.gcd(*a) != 1:
-                    continue
-                if all(
-                    (value - unit * t) % mods[h] == 0
-                    for value, unit, t, mods in zip(values, units, tail, moduli)
-                ):
-                    found.append(RationalPoint(a))
+        inverses = [pow(form.unit(a0), -1, t) for form, t in zip(f.forms, top)]
+        for prefix in itertools.product(span, repeat=f.d - 1):
+            hp = max([a0, *map(abs, prefix)])
+            columns = [
+                _residue_column(form, a0, prefix, inv, t, h_max)
+                for form, inv, t in zip(f.forms, inverses, top)
+            ]
+            # the weakest modulus M_j(max(hp, |x|)) and (r + h_max) mod it, per position
+            lows = [mods[h_max:hp:-1] + [mods[hp]] * (2 * hp + 1) + mods[hp + 1 :] for mods in moduli]
+            offsets = [
+                list(map(operator.mod, map(operator.add, col, itertools.repeat(h_max)), low))
+                for col, low in zip(columns, lows)
+            ]
+            # a position survives when every least candidate offset - h_max is <= h_max
+            keep = map((2 * h_max).__ge__, map(max, itertools.repeat(0), *offsets))
+            for i in itertools.compress(range(len(span)), keep):
+                x = span[i]
+                h_base = max(hp, abs(x))
+                tails = [range(off[i] - h_max, h_max + 1, low[i]) for off, low in zip(offsets, lows)]
+                for tail in itertools.product(*tails):
+                    h = max(h_base, *map(abs, tail))
+                    if h < h_min:
+                        continue
+                    a = (a0, *prefix, x, *tail)
+                    # at h == h_base the pinning level is the true one
+                    if math.gcd(*a) == 1 and (
+                        h == h_base
+                        or all((col[i] - t) % mods[h] == 0 for col, t, mods in zip(columns, tail, moduli))
+                    ):
+                        found.append(RationalPoint(a))
     return found
 
 

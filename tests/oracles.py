@@ -5,15 +5,21 @@
   integer (s, N, D) kernel of `exactcmp` replaced.
 - The top-down one-rectangle trie builder (`ClopenSet._rectangle_node`) that
   the bottom-up coset builder of `clopen` replaced.
+- The per-point integer resonant-point enumerator that the residue-column
+  kernel of `manifold.enumerate_S_tau` replaced.
 
-Only the public trie primitives (`_space`, `node`) are shared with the code
-under test, so a fault in the new builders cannot leak into the oracles.
+Only the public trie primitives (`_space`, `node`), the integer forms of
+`PolyMap` and `ball_exponent` are shared with the code under test, so a fault
+in the new builders or the column kernel cannot leak into the oracles.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
+from padicapprox.exactcmp import ball_exponent
+from padicapprox.manifold import RationalPoint
 
 # ---------------------------------------------------------------------------
 # Fraction power-product kernel
@@ -130,3 +136,69 @@ def rectangles_oracle(p, n, depth, rects):
     for rect in rects:
         out = out.union(rectangle_set(p, n, depth, rect))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-point integer resonant-point enumerator
+# ---------------------------------------------------------------------------
+
+
+def _eval_monomials(monos, c):
+    total = 0
+    for coeff, exps in monos:
+        for x, e in zip(c, exps):
+            if e:
+                coeff *= x**e
+        total += coeff
+    return total
+
+
+def _centered_candidates(target, mod, bound):
+    if mod == 1:
+        return list(range(-bound, bound + 1))
+    t = target % mod
+    first = t - ((t + bound) // mod) * mod
+    return list(range(first, bound + 1, mod))
+
+
+def integer_enumerate_S_tau(f, tau_dep, h_max, h_min=1):
+    """S_tau point by point: every independent block is evaluated on its own,
+    the dependent coordinates are pinned at the weakest admissible level, and
+    each candidate is checked at its height from a per-height level table."""
+    p = f.p
+    tau_dep = [Fraction(t) for t in tau_dep]
+    if max(1, h_min) > h_max:
+        return []
+    heights = range(max(1, h_min), h_max + 1)
+    moduli = [
+        {h: p ** max(0, ball_exponent(p, [(h, -t)])) for h in heights} for t in tau_dep
+    ]
+    top = [max(mods.values()) for mods in moduli]
+    found = []
+    for a0 in range(1, h_max + 1):
+        if a0 % p == 0:
+            continue
+        fixed = [form.at(a0) for form in f.forms]
+        units = [form.unit(a0) for form in f.forms]
+        inverses = [pow(u, -1, mod) for u, mod in zip(units, top)]
+        for combo in itertools.product(range(-h_max, h_max + 1), repeat=f.d):
+            h_base = max(a0, *map(abs, combo))
+            h_low = max(h_base, h_min)
+            values = [_eval_monomials(monos, combo) for monos in fixed]
+            dep = [
+                _centered_candidates(value * inv % mods[h_low], mods[h_low], h_max)
+                for value, inv, mods in zip(values, inverses, moduli)
+            ]
+            for tail in itertools.product(*dep):
+                h = max(h_base, *map(abs, tail))
+                if h < h_min:
+                    continue
+                a = (a0, *combo, *tail)
+                if math.gcd(*a) != 1:
+                    continue
+                if all(
+                    (value - unit * t) % mods[h] == 0
+                    for value, unit, t, mods in zip(values, units, tail, moduli)
+                ):
+                    found.append(RationalPoint(a))
+    return found

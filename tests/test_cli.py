@@ -367,3 +367,46 @@ def test_valid_call_after_usage_errors_matches_fresh_parser(capsys):
         assert _run_any(capsys, bad)[0] == 2
     assert _run_any(capsys, valid) == fresh
     assert cli._parser() is parser and fresh[0] == 0
+
+
+def test_negative_limit_is_invalid_input(capsys):
+    # a negative --limit used to slice points[:-2] and echo all but the last two
+    code, out = run_cli(
+        capsys, "enumerate-s-tau", "--map-json", SQUARE, "--tau", "7/5", "--hmax", "4", "--limit", "-2"
+    )
+    assert code == 2
+    assert out["error"]["kind"] == "invalid-input" and "--limit" in out["error"]["message"]
+    code, out = run_cli(
+        capsys, "enumerate-s-tau", "--map-json", SQUARE, "--tau", "7/5", "--hmax", "4", "--limit", "0"
+    )
+    assert code == 0 and out["points"] == [] and out["count"] == 33
+
+
+def test_save_set_over_the_text_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
+    from padicapprox import clopen
+
+    argv = ["cover-preimage", "--map-json", SQUARE, "--tau", "12/5", "7/5",
+            "--hmax", "20", "--depth", "12", "--save-set"]
+    code, out = run_cli(capsys, *argv, str(tmp_path / "fits.clopen"))
+    assert code == 0
+    length = len((tmp_path / "fits.clopen").read_text().partition("\n")[2])
+    monkeypatch.setattr(clopen, "TEXT_BUDGET", length - 1)
+    code, out = run_cli(capsys, *argv, str(tmp_path / "over.clopen"))
+    assert code == 2 and out["error"]["kind"] == "invalid-input"
+    assert f"clopen text of {length} characters" in out["error"]["message"]
+    assert f"TEXT_BUDGET={length - 1}" in out["error"]["message"]
+    assert not (tmp_path / "over.clopen").exists()
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["khintchine", "--p", "3", "--n", "1", "--psi=--", "--terms", "3"], "invalid-input"),
+    (["khintchine", "--p=--", "--n", "1", "--psi", "q^-2", "--terms", "3"], "usage"),
+    (["enumerate-s-tau", "--map-json=--", "--tau", "7/5", "--hmax", "4"], "invalid-input"),
+    (["dim", "ww", "--a", "1", "--t", "1", "--variant=--"], "usage"),
+])
+def test_flag_value_of_two_dashes_exits_two(capsys, argv, kind):
+    # the argparse of Python 3.11 turned `--flag=--` into the value [], which escaped
+    # as AttributeError or TypeError
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["kind"] == kind

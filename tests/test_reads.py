@@ -188,6 +188,16 @@ COSET_LIMIT = 3000
 TEXT_LIMIT = 200_000
 
 
+def old_text(S):
+    """The body of S.to_text() by the recursive preorder walk, one call per occurrence."""
+    kids = S._sp._children
+
+    def walk(a):
+        return "E" if a == EMPTY else "F" if a == FULL else "M" + "".join(map(walk, kids[a]))
+
+    return walk(S._root)
+
+
 def text_length(S):
     """Length of the body of S.to_text(), counted over the shared node table."""
     kids, memo = S._sp._children, {EMPTY: 1, FULL: 1}
@@ -311,6 +321,36 @@ def test_enumerate_cosets_expands_full_nodes_at_every_level():
 # ---------------------------------------------------------------------------
 # from_text and node interning
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_sets())
+def test_to_text_matches_the_recursive_walk_and_count(S):
+    want = text_length(S)
+    order, lengths = S._sp.unbuilt_texts(S._root)
+    assert lengths[S._root] == want
+    assert order == sorted(order) and (S._root in order or S._root in S._sp._text)
+    if want > clopen.TEXT_BUDGET:
+        with pytest.raises(ValueError, match=f"clopen text of {want} characters exceeds"):
+            S.to_text()
+    elif want <= TEXT_LIMIT:
+        assert S.to_text().partition("\n")[2] == old_text(S)
+
+
+def test_to_text_refuses_a_body_over_the_text_budget():
+    # shared subtrees are written once per occurrence: next to two full factors,
+    # five cosets at level 7 make a body of about 1.6e11 characters, which ran
+    # out of memory before the budget
+    factors = [ClopenSet.full(5, 1, 7), ClopenSet.full(5, 1, 7), ClopenSet.from_cosets(5, 7, 7, [1, 2, 3, 4, 6])]
+    S = product_set(factors)
+    length = S._sp.unbuilt_texts(S._root)[1][S._root]
+    assert length == text_length(S) > 10**11
+    with pytest.raises(ValueError) as exc:
+        S.to_text()
+    assert str(exc.value) == (
+        f"clopen text of {length} characters exceeds the text budget TEXT_BUDGET={clopen.TEXT_BUDGET}"
+    )
+    assert S.measure() == Fraction(5, 5**7)  # the set itself is small and usable
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,8 @@
 The rational paths they replaced (Fraction evaluation, a valuation loop and an
 exact power-product comparison per inequality, rectangle exponents per point)
 are kept here as oracles and compared on random maps with p-unit denominators.
+The residue-column kernel of `enumerate_S_tau` is also compared with the
+per-point integer enumerator it replaced (`oracles.integer_enumerate_S_tau`).
 """
 
 import itertools
@@ -12,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicapprox.clopen import BallSpec
@@ -28,7 +30,7 @@ from padicapprox.manifold import (
     verify_dirichlet,
 )
 
-from oracles import fraction_ball_exponent, rectangles_oracle
+from oracles import fraction_ball_exponent, integer_enumerate_S_tau, rectangles_oracle
 
 F = Fraction
 
@@ -192,13 +194,49 @@ def enumeration_inputs(draw):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
-@given(enumeration_inputs())
+nonpositive_taus = st.sampled_from([F(-1, 2), F(0)])
+
+
+@st.composite
+def column_inputs(draw):
+    """d = 1 heights up to 40, so that the weakest modulus is both at most 2H + 1
+    (several tails per position) and above it (at most one tail); tau_j <= 0,
+    whose level is p at h = 1 and 1 above it when tau_j < 0, and h_min = 1."""
+    f = draw(poly_maps())
+    tau_dep = [draw(st.one_of(taus, nonpositive_taus)) for _ in range(f.m)]
+    # a level of at most p leaves many tails per position: keep those heights small
+    positive = all(t > 0 for t in tau_dep)
+    h_max = draw(st.integers(1, (40 if positive else 6) if f.d == 1 else (5 if positive else 3)))
+    h_min = draw(st.one_of(st.just(1), st.integers(1, h_max)))
+    return f, tau_dep, h_max, h_min
+
+
+@settings(max_examples=120, deadline=None)
+@given(column_inputs())
+# x^2 + 1 over Z_3 with tau = -1/2: the level is 3 at h = 1 and 1 above it, so
+# the top modulus is not the one at h_max
+@example((PolyMap(3, 1, 1, (((F(1), (0,)), (F(1), (2,))),)), [F(-1, 2)], 4, 1))
 def test_enumerate_matches_fraction_oracle(inputs):
+    """The column kernel against the per-point integer enumerator and the
+    Fraction oracle: same points in the same order, heights stored right."""
     f, tau_dep, h_max, h_min = inputs
-    assert enumerate_S_tau(f, tau_dep, h_max, h_min=h_min) == enumerate_oracle(
-        f, tau_dep, h_max, h_min
-    )
+    got = enumerate_S_tau(f, tau_dep, h_max, h_min=h_min)
+    assert got == integer_enumerate_S_tau(f, tau_dep, h_max, h_min)
+    assert got == enumerate_oracle(f, tau_dep, h_max, h_min)
+    assert all(pt.height == max(map(abs, pt.a)) for pt in got)
+
+
+def test_column_kernel_matches_integer_oracle_on_benchmark_shapes():
+    # the enum maps of the resonant-solve workload: x^2 over Z_3 and
+    # (x^2, x^3 + 2x) over Z_5, at every hmax they run with hmin = hmax // 2
+    square = PolyMap(3, 1, 1, (((F(1), (2,)),),))
+    pair = PolyMap(5, 1, 2, (((F(1), (2,)),), ((F(1), (3,)), (F(2), (1,)))))
+    shapes = [(square, [F(7, 5)], h) for h in range(20, 56, 2)]
+    shapes += [(pair, [F(6, 5), F(6, 5)], h) for h in range(14, 32)]
+    assert len(shapes) == 36
+    for f, tau_dep, h_max in shapes:
+        got = enumerate_S_tau(f, tau_dep, h_max, h_min=h_max // 2)
+        assert got and got == integer_enumerate_S_tau(f, tau_dep, h_max, h_max // 2)
 
 
 @settings(max_examples=25, deadline=None)
