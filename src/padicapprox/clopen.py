@@ -18,8 +18,9 @@ recursion limit. The reads that walk one path or one frontier (containment,
 coset enumeration, the .clopen parser and writer) are iterative; the parser
 checks nesting against the header depth.
 A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
-p^n child slots is allocated, and a .clopen body longer than TEXT_BUDGET is
-refused before any of it is written.
+p^n child slots is allocated, a .clopen body longer than TEXT_BUDGET is
+refused before any of it is written, and more than COSET_BUDGET coset
+representatives are refused before any is listed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ FULL = 1
 MAX_DEPTH = 300
 MAX_WIDTH = 4096  # largest branching factor p^n; every interior node holds p^n child ids
 TEXT_BUDGET = 1 << 24  # longest .clopen body to_text builds, in characters (16 MiB)
+COSET_BUDGET = 1 << 22  # most coset representatives enumerate_cosets lists
 
 
 def _check_depth(depth: int) -> None:
@@ -411,10 +413,17 @@ class ClopenSet:
 
         Level-synchronous expansion: the frontier holds the nodes of one level
         and, in a parallel list, their representatives; a FULL node at level
-        j < k yields its p^(n(k-j)) cosets arithmetically.
+        j < k yields its p^(n(k-j)) cosets arithmetically. The count is read
+        off the box-count profile first, and more than COSET_BUDGET cosets
+        raise ValueError before any is listed.
         """
         if k < 0 or k > self.depth:
             raise ValueError(f"level {k} outside [0, depth={self.depth}]")
+        count = self._sp.box_count(self._root, k)
+        if count > COSET_BUDGET:
+            raise ValueError(
+                f"{count} cosets at level {k} exceed the coset budget COSET_BUDGET={COSET_BUDGET}"
+            )
         p, n, kids = self.p, self.n, self._sp._children
         top = p**k
         out: list[tuple[int, ...]] = []

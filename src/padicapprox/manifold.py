@@ -443,6 +443,9 @@ class DirichletSolution:
     verified: bool
     method: str
     h0_report: H0Report  # the threshold report H was checked against
+    # why the exhaustive search ran: None when the scan's point verified,
+    # "solver-error: <message>" or "verification-failed"
+    fallback: str | None = None
 
 
 def _strip_non_p_gcd(p: int, b: Sequence[int]) -> list[int]:
@@ -500,6 +503,7 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
         raise HypothesisError("H > H_0", f"H={inst.H}, H_0={report.h0}")
     f = inst.f
     p = f.p
+    fallback = "verification-failed"
     try:
         sys = _linearized_system(inst)
         sol = solve_structured(sys, pivots=list(range(1, f.n + 1)))
@@ -512,10 +516,10 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
             point = RationalPoint(tuple(a))
             if verify_dirichlet(inst, point, k):
                 return DirichletSolution(point, k, True, "congruence-scan", report)
-    except SolverError:
-        pass
+    except SolverError as exc:
+        fallback = f"solver-error: {exc}"
     point, k = _exhaustive_dirichlet(inst)
-    return DirichletSolution(point, k, True, "exhaustive", report)
+    return DirichletSolution(point, k, True, "exhaustive", report, fallback)
 
 
 def _exhaustive_dirichlet(inst: DirichletInstance) -> tuple[RationalPoint, int]:
@@ -632,8 +636,10 @@ def enumerate_S_tau(
     M_j(h) divides top_j = max_h M_j(h), so with r_j = F_j * unit_j^-1 mod top_j
     the condition reads r_j = a_{d+j} mod M_j(h). For each a_0 and prefix
     (c_1, ..., c_{d-1}), r_j is one column over the last coordinate; the
-    dependent coordinates are pinned by their class at the weakest admissible
-    level and checked at the point's true height h.
+    dependent coordinates are pinned by their class modulo the least M_j over
+    the heights a tail can still reach (those >= max(h_base, h_min)), and
+    checked at the point's true height h unless h = h_base and every M_j is
+    nondecreasing, where M_j(h) is that pinning modulus.
     """
     p = f.p
     tau_dep = [Fraction(t) for t in tau_dep]
@@ -650,6 +656,10 @@ def enumerate_S_tau(
         levels = [p ** max(0, ball_exponent(p, [(h, -t)])) for h in heights]
         moduli.append([levels[0]] * heights.start + levels)
     top = [max(mods) for mods in moduli]
+    # the pinning modulus at h: min M_j over heights >= h, which all the others
+    # divide; it is M_j(h) itself unless some tau_j < 0 makes M_j fall with h
+    pins = [list(itertools.accumulate(reversed(mods), min))[::-1] for mods in moduli]
+    monotone = pins == moduli
     span = range(-h_max, h_max + 1)
     found: list[RationalPoint] = []
     for a0 in range(1, h_max + 1):
@@ -662,8 +672,8 @@ def enumerate_S_tau(
                 _residue_column(form, a0, prefix, inv, t, h_max)
                 for form, inv, t in zip(f.forms, inverses, top)
             ]
-            # the weakest modulus M_j(max(hp, |x|)) and (r + h_max) mod it, per position
-            lows = [mods[h_max:hp:-1] + [mods[hp]] * (2 * hp + 1) + mods[hp + 1 :] for mods in moduli]
+            # the pinning modulus at max(hp, |x|) and (r + h_max) mod it, per position
+            lows = [pin[h_max:hp:-1] + [pin[hp]] * (2 * hp + 1) + pin[hp + 1 :] for pin in pins]
             offsets = [
                 list(map(operator.mod, map(operator.add, col, itertools.repeat(h_max)), low))
                 for col, low in zip(columns, lows)
@@ -679,9 +689,10 @@ def enumerate_S_tau(
                     if h < h_min:
                         continue
                     a = (a0, *prefix, x, *tail)
-                    # at h == h_base the pinning level is the true one
+                    # with monotone levels the pinning modulus at h == h_base is
+                    # M_j(h) itself, so the class already decides membership
                     if math.gcd(*a) == 1 and (
-                        h == h_base
+                        (monotone and h == h_base)
                         or all((col[i] - t) % mods[h] == 0 for col, t, mods in zip(columns, tail, moduli))
                     ):
                         found.append(RationalPoint(a))

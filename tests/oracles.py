@@ -6,11 +6,15 @@
 - The top-down one-rectangle trie builder (`ClopenSet._rectangle_node`) that
   the bottom-up coset builder of `clopen` replaced.
 - The per-point integer resonant-point enumerator that the residue-column
-  kernel of `manifold.enumerate_S_tau` replaced.
+  kernel of `manifold.enumerate_S_tau` replaced, and an unpinned enumerator
+  that tests every tail at its true height.
+- The dictionary walk over the box and the product-loop brute force that the
+  kernel-lattice solver of `minkowski` replaced.
 
 Only the public trie primitives (`_space`, `node`), the integer forms of
-`PolyMap` and `ball_exponent` are shared with the code under test, so a fault
-in the new builders or the column kernel cannot leak into the oracles.
+`PolyMap`, `ball_exponent` and the exact threshold and verification helpers of
+`minkowski` are shared with the code under test, so a fault in the new
+builders, the column kernel or the lattice search cannot leak into the oracles.
 """
 
 import itertools
@@ -20,6 +24,14 @@ from fractions import Fraction
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
 from padicapprox.exactcmp import ball_exponent
 from padicapprox.manifold import RationalPoint
+from padicapprox.minkowski import (
+    MinkowskiSolution,
+    SolverError,
+    bucket_exponents,
+    lemma_thresholds,
+    satisfies_lemma_bound,
+    verify_solution,
+)
 
 # ---------------------------------------------------------------------------
 # Fraction power-product kernel
@@ -163,8 +175,9 @@ def _centered_candidates(target, mod, bound):
 
 def integer_enumerate_S_tau(f, tau_dep, h_max, h_min=1):
     """S_tau point by point: every independent block is evaluated on its own,
-    the dependent coordinates are pinned at the weakest admissible level, and
-    each candidate is checked at its height from a per-height level table."""
+    the dependent coordinates are pinned at the least modulus over the heights
+    a tail can reach, and each candidate is checked at its height from a
+    per-height level table."""
     p = f.p
     tau_dep = [Fraction(t) for t in tau_dep]
     if max(1, h_min) > h_max:
@@ -185,9 +198,10 @@ def integer_enumerate_S_tau(f, tau_dep, h_max, h_min=1):
             h_base = max(a0, *map(abs, combo))
             h_low = max(h_base, h_min)
             values = [_eval_monomials(monos, combo) for monos in fixed]
+            pins = [min(mods[h] for h in range(h_low, h_max + 1)) for mods in moduli]
             dep = [
-                _centered_candidates(value * inv % mods[h_low], mods[h_low], h_max)
-                for value, inv, mods in zip(values, inverses, moduli)
+                _centered_candidates(value * inv % pin, pin, h_max)
+                for value, inv, pin in zip(values, inverses, pins)
             ]
             for tail in itertools.product(*dep):
                 h = max(h_base, *map(abs, tail))
@@ -202,3 +216,78 @@ def integer_enumerate_S_tau(f, tau_dep, h_max, h_min=1):
                 ):
                     found.append(RationalPoint(a))
     return found
+
+
+def unpinned_enumerate_S_tau(f, tau_dep, h_max, h_min=1):
+    """S_tau with no pinning: every tail in [-h_max, h_max]^m is tested by the
+    congruence at the point's true height."""
+    p = f.p
+    tau_dep = [Fraction(t) for t in tau_dep]
+    moduli = [
+        {h: p ** max(0, ball_exponent(p, [(h, -t)])) for h in range(1, h_max + 1)} for t in tau_dep
+    ]
+    span = range(-h_max, h_max + 1)
+    found = []
+    for a0 in range(1, h_max + 1):
+        if a0 % p == 0:
+            continue
+        units = [form.unit(a0) for form in f.forms]
+        for combo in itertools.product(span, repeat=f.d):
+            values = [form(a0, combo) for form in f.forms]
+            for tail in itertools.product(span, repeat=f.m):
+                a = (a0, *combo, *tail)
+                h = max(map(abs, a))
+                if h < h_min or math.gcd(*a) != 1:
+                    continue
+                if all(
+                    (value - unit * t) % mods[h] == 0
+                    for value, unit, t, mods in zip(values, units, tail, moduli)
+                ):
+                    found.append(RationalPoint(a))
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Pigeonhole solver: dictionary walk and product-loop brute force
+# ---------------------------------------------------------------------------
+
+
+def bucket_walk_solve(sys):
+    """Row-major walk over 0 <= x_j <= H_j with the bucket keys in a
+    dictionary; the first collision wins, brute force when none appears."""
+    deltas = bucket_exponents(sys)
+    if max(deltas) > sys.precision:
+        raise ValueError(
+            f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
+        )
+    mods = [sys.p**d for d in deltas]
+    boundary = sys.t_power == sys.p ** sum(deltas)
+    n = sys.n
+    coeffs = [[c.residue for c in row] for row in sys.coeffs]
+    buckets = {}
+    last = sys.heights[n]
+    for prefix in itertools.product(*(range(h + 1) for h in sys.heights[:n])):
+        key_vals = [sum(coeffs[i][j] * prefix[j] for j in range(n)) % mods[i] for i in range(n)]
+        for xn in range(last + 1):
+            key = tuple(key_vals)
+            other = buckets.get(key)
+            if other is not None:
+                x = tuple(a - b for a, b in zip(prefix + (xn,), other))
+                ok = verify_solution(sys, x, deltas, require_buckets=True)
+                return MinkowskiSolution(x, deltas, ok, boundary, "bucket")
+            buckets[key] = prefix + (xn,)
+            key_vals = [(key_vals[i] + coeffs[i][n]) % mods[i] for i in range(n)]
+    x = product_brute_force(sys)
+    if x is None:
+        raise SolverError("no solution found in boundary regime")
+    return MinkowskiSolution(x, deltas, verify_solution(sys, x), boundary, "brute-force")
+
+
+def product_brute_force(sys):
+    """The first nonzero x of the product loop over [-H_j, H_j] that satisfies
+    the lemma bound."""
+    thresholds = lemma_thresholds(sys)
+    for x in itertools.product(*(range(-h, h + 1) for h in sys.heights)):
+        if any(x) and satisfies_lemma_bound(sys, x, thresholds):
+            return x
+    return None

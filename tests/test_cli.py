@@ -94,6 +94,20 @@ def test_minkowski_cli(capsys):
     assert len(out["solution"]) == 2
 
 
+def test_minkowski_cli_at_a_box_of_10_to_the_18_points(capsys):
+    # the old dictionary walk would have bucketed up to 10^18 box points
+    code, out = run_cli(
+        capsys,
+        "minkowski", "--p", "3", "--precision", "30",
+        "--form=1/2,7,-3", "--form=5/4,-2/5,1",
+        "--height", "1000000", "1000000", "1000000", "--tau", "3/2", "3/2", "--sigma", "1", "1",
+    )
+    assert code == 0
+    assert out["verified"] is True and out["method"] == "bucket"
+    assert out["bucket_exponents"] == [18, 18]
+    assert any(out["solution"]) and all(abs(v) <= 10**6 for v in out["solution"])
+
+
 def test_minkowski_random_sweep_deterministic(capsys):
     code1, out1 = run_cli(capsys, "minkowski", "--p", "3", "--random", "5", "--seed", "7")
     code2, out2 = run_cli(capsys, "minkowski", "--p", "3", "--random", "5", "--seed", "7")

@@ -257,6 +257,39 @@ def test_exhaustive_dirichlet_fallback_agrees():
     assert sol.verified
 
 
+def test_dirichlet_solve_records_why_it_fell_back(monkeypatch, capsys):
+    from padicapprox import cli, manifold
+
+    rng = random.Random(99)
+    f = square_map()
+    x = (PAdicInt(3, 60, rng.randrange(3**60)),)
+    inst = DirichletInstance(f, x, (F(7, 5),), (F(8, 5),), H=48)
+    sol = dirichlet_solve(inst)
+    assert sol.method == "congruence-scan" and sol.fallback is None
+
+    def failing_scan(sys, pivots):
+        raise manifold.SolverError("no structured solution with x_0 in [1, H_0]")
+
+    with monkeypatch.context() as m:
+        m.setattr(manifold, "solve_structured", failing_scan)
+        sol = dirichlet_solve(inst)
+    assert sol.method == "exhaustive" and sol.verified
+    assert sol.fallback == "solver-error: no structured solution with x_0 in [1, H_0]"
+
+    # a scan point that is not primitive fails the exact re-check
+    with monkeypatch.context() as m:
+        m.setattr(manifold, "_strip_non_p_gcd", lambda p, b: [2 * v for v in b])
+        sol = dirichlet_solve(inst)
+        assert sol.method == "exhaustive" and sol.fallback == "verification-failed"
+        assert verify_dirichlet(inst, sol.point, sol.k)
+        # the CLI prints the method but never the reason
+        argv = ["dirichlet-solve", "--map-json", '{"p":3,"d":1,"m":1,"polys":[[["1",[2]]]]}',
+                "--x", str(x[0].residue), "--precision", "60", "--tau", "7/5", "--v", "8/5", "--H", "48"]
+        assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"method": "exhaustive"' in out and "fallback" not in out and "verification" not in out
+
+
 def test_ubiquity_fraction_restricted_to_a_ball():
     from padicapprox.approx import ubiquity_fraction
     from padicapprox.clopen import BallSpec, ClopenSet

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from padicapprox import minkowski
 from padicapprox.core import PAdicInt, embed_rational
 from padicapprox.minkowski import (
     BelowThresholdError,
@@ -17,6 +20,8 @@ from padicapprox.minkowski import (
     solve_structured,
     verify_solution,
 )
+
+from oracles import bucket_walk_solve, product_brute_force
 
 
 def make_system(p, n, coeff_residues, heights, tau, sigma, precision=20):
@@ -268,3 +273,164 @@ def test_shrinking_heights_reaches_no_solution_consistently():
     )
     assert bucket_exponents(sys_big) is not None
     assert brute_force(sys_big) is not None
+
+
+# ---------------------------------------------------------------------------
+# Kernel-lattice solver against the dictionary walk and the product loop
+# ---------------------------------------------------------------------------
+
+# box edge bounds per n, so that the product loop over [-H, H]^(n+1) stays small
+ORACLE_HEIGHTS = {1: 60, 2: 12, 3: 5}
+
+
+@st.composite
+def coefficient_rows(draw, p, n, precision):
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "small", "p-power", "random", "random"]))
+        if kind == "zero":
+            rows.append([0] * (n + 1))
+        elif kind == "small":
+            rows.append([draw(st.integers(-9, 9)) for _ in range(n + 1)])
+        elif kind == "p-power":
+            rows.append([draw(st.sampled_from([0, 1, p, p * p])) * draw(st.integers(-3, 3)) for _ in range(n + 1)])
+        else:
+            rows.append([draw(st.integers(0, p**precision - 1)) for _ in range(n + 1)])
+    return rows
+
+
+@st.composite
+def generic_systems(draw):
+    """Random forms, unequal heights, tau and sigma: surplus and boundary both occur."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    heights = [draw(st.integers(1, ORACLE_HEIGHTS[n])) for _ in range(n + 1)]
+    # distinct cuts of (0, n + 1) in quarters: every tau_i > 0
+    cuts = sorted(draw(st.lists(st.integers(1, 4 * n + 3), min_size=n - 1, max_size=n - 1, unique=True)))
+    bounds = [Fraction(0)] + [Fraction(c, 4) for c in cuts] + [Fraction(n + 1)]
+    tau = [b - a for a, b in zip(bounds, bounds[1:])]
+    sigma = [Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2]))) for _ in range(n - 1)]
+    sigma.append(n - sum(sigma, Fraction(0)))
+    # a precision below some m_i: brute force then reads residues mod p^precision
+    precision = draw(st.sampled_from([14, 14, 14, 2, 3]))
+    rows = draw(coefficient_rows(p, n, precision))
+    return make_system(p, n, rows, heights, tau, sigma, precision=precision)
+
+
+@st.composite
+def boundary_systems(draw):
+    """prod(H_j + 1) = p^K and every p^{-sigma_i} T^{tau_i} an exact power of p,
+    so the bucket count is exactly the box size and no surplus is left."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    top = ({1: 2, 2: 1, 3: 1} if p > 3 else {1: 5, 2: 2, 3: 1})[n]
+    ks = [draw(st.integers(1, top)) for _ in range(n + 1)]
+    heights = [p**k - 1 for k in ks]
+    K = sum(ks)
+    sigma = [draw(st.integers(-1, 2)) for _ in range(n - 1)]
+    sigma.append(n - sum(sigma))
+    # e_i >= max(0, 1 - sigma_i) with sum e_i = K - n makes tau_i > 0
+    low = [max(0, 1 - s) for s in sigma]
+    spare = K - n - sum(low)
+    if spare < 0:
+        sigma = [1] * n
+        low = [0] * n
+        spare = K - n
+    cuts = sorted(draw(st.lists(st.integers(0, spare), min_size=n - 1, max_size=n - 1)))
+    extra = [b - a for a, b in zip([0] + cuts, cuts + [spare])]
+    e = [a + b for a, b in zip(low, extra)]
+    tau = [Fraction((n + 1) * (ei + si), K) for ei, si in zip(e, sigma)]
+    rows = draw(coefficient_rows(p, n, 14))
+    return make_system(p, n, rows, heights, tau, [Fraction(s) for s in sigma], precision=14)
+
+
+def _outcome(fn, sys):
+    try:
+        sol = fn(sys)
+    except (BelowThresholdError, minkowski.SolverError, ValueError) as exc:
+        return type(exc).__name__
+    return (sol.x, sol.method, sol.boundary, sol.verified, sol.bucket_exponents)
+
+
+def _check_against_oracles(sys, cap):
+    saved = minkowski.ENUM_CAP
+    try:
+        if cap is not None:
+            minkowski.ENUM_CAP = cap
+        assert _outcome(solve, sys) == _outcome(bucket_walk_solve, sys)
+        assert brute_force(sys) == product_brute_force(sys)
+    finally:
+        minkowski.ENUM_CAP = saved
+
+
+# None keeps the default cap, so small boxes are listed whole; caps of 1 to 3
+# send every box through the lex-ordered search
+caps = st.sampled_from([None, None, 1, 2, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(generic_systems(), caps)
+# a zero form: every box vector collides with the origin's key
+@example(make_system(3, 1, [[0, 0]], [3, 3], [Fraction(2)], [Fraction(1)]), None)
+@example(make_system(2, 2, [[0, 0, 0], [2, 4, 0]], [1, 4, 8], [Fraction(3, 2)] * 2, [Fraction(1)] * 2), 1)
+# m = 3 > precision 2: the lemma bound is decided modulo 3^2
+@example(make_system(3, 1, [[7, 5]], [8, 8], [Fraction(2)], [Fraction(1)], precision=2), None)
+def test_lattice_solver_matches_the_dictionary_walk(sys, cap):
+    _check_against_oracles(sys, cap)
+
+
+@settings(max_examples=120, deadline=None)
+@given(boundary_systems(), caps)
+def test_lattice_solver_matches_the_dictionary_walk_without_surplus(sys, cap):
+    try:
+        assert not pigeonhole_surplus(sys)
+    except BelowThresholdError:
+        pass
+    _check_against_oracles(sys, cap)
+
+
+def test_first_collision_is_not_the_lex_least_difference():
+    # (1, -4, 2) and (1, 0, -2) both lie in the bucket lattice and the box, and
+    # (1, -4, 2) is lex-smaller; but the walk meets z = (1, 0, 0), whose key
+    # repeats at (0, 0, 2), before z(1, -4, 2) = (1, 0, 2)
+    sys = make_system(2, 2, [[22, 47, 47], [20, 48, 34]], [3, 5, 3], [Fraction(3, 2)] * 2, [Fraction(1)] * 2,
+                      precision=10)
+    assert verify_solution(sys, (1, -4, 2), require_buckets=True)
+    assert bucket_walk_solve(sys).x == (1, 0, -2)
+    for cap in (None, 1, 2):
+        _check_against_oracles(sys, cap)
+
+
+def test_boundary_systems_reach_the_brute_force_fallback():
+    # some boundary systems have no collision at all: the fallback path runs
+    rng = random.Random(5)
+    methods = set()
+    for _ in range(200):
+        p = rng.choice([2, 3])
+        ks = [rng.randrange(1, 3), rng.randrange(1, 3)]
+        # T^2 = p^K, so p^{-1} T^2 = p^{K-1} is an exact power of p
+        heights = [p**k - 1 for k in ks]
+        sys = make_system(p, 1, [[rng.randrange(p**10), rng.randrange(p**10)]], heights,
+                          [Fraction(2)], [Fraction(1)], precision=10)
+        assert not pigeonhole_surplus(sys)
+        want = _outcome(bucket_walk_solve, sys)
+        assert _outcome(solve, sys) == want
+        methods.add(want[1] if isinstance(want, tuple) else want)
+    assert {"bucket", "brute-force"} <= methods
+
+
+def test_lattice_solver_cost_does_not_grow_with_the_box():
+    # the probe system of perfbench at H = 10^6: a box of 10^18 points
+    rng = random.Random(2021)
+    coeffs = tuple(tuple(PAdicInt(3, 30, rng.randrange(3**30)) for _ in range(3)) for _ in range(2))
+    sys = LinearFormSystem(3, 2, coeffs, (300,) * 3, (Fraction(3, 2),) * 2, (Fraction(1),) * 2)
+    sol = solve(sys)
+    assert sol.x == (19, 268, -125) and sol.method == "bucket" and sol.verified
+    big = LinearFormSystem(3, 2, coeffs, (10**6,) * 3, (Fraction(3, 2),) * 2, (Fraction(1),) * 2)
+    sol = solve(big)
+    assert sol.method == "bucket" and sol.verified and sol.bucket_exponents == (18, 18)
+    # dense lattices go through the lex-ordered search: zero forms collide at
+    # the second point of the walk, and the lemma lattice is all of Z^3
+    zero = make_system(3, 2, [[0, 0, 0], [0, 0, 0]], [10**6] * 3, [Fraction(3, 2)] * 2, [Fraction(1)] * 2, precision=40)
+    assert solve(zero).x == (0, 0, 1)
+    assert brute_force(zero) == (-(10**6),) * 3

@@ -353,6 +353,25 @@ def test_to_text_refuses_a_body_over_the_text_budget():
     assert S.measure() == Fraction(5, 5**7)  # the set itself is small and usable
 
 
+def test_enumerate_cosets_refuses_more_than_the_coset_budget(monkeypatch):
+    assert clopen.COSET_BUDGET >= 1 << 22 and clopen.COSET_BUDGET & (clopen.COSET_BUDGET - 1) == 0
+    # Z_2 at level 23 has 2^23 cosets, twice the budget: refused before listing
+    full = ClopenSet.full(2, 1, 30)
+    with pytest.raises(ValueError) as exc:
+        full.enumerate_cosets(23)
+    assert str(exc.value) == (
+        f"{2**23} cosets at level 23 exceed the coset budget COSET_BUDGET={clopen.COSET_BUDGET}"
+    )
+    # the count is box_count(k), and a set at exactly the budget is listed
+    S = ClopenSet.from_cosets(3, 6, 4, [1, 2, 5, 40])
+    count = S.box_count(6)
+    monkeypatch.setattr(clopen, "COSET_BUDGET", count)
+    assert len(S.enumerate_cosets(6)) == count
+    monkeypatch.setattr(clopen, "COSET_BUDGET", count - 1)
+    with pytest.raises(ValueError, match=f"{count} cosets at level 6 exceed the coset budget COSET_BUDGET={count - 1}"):
+        S.enumerate_cosets(6)
+
+
 @settings(max_examples=150, deadline=None)
 @given(read_sets())
 def test_from_text_builds_the_same_node_ids_as_the_per_character_parser(S):

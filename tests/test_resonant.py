@@ -30,7 +30,12 @@ from padicapprox.manifold import (
     verify_dirichlet,
 )
 
-from oracles import fraction_ball_exponent, integer_enumerate_S_tau, rectangles_oracle
+from oracles import (
+    fraction_ball_exponent,
+    integer_enumerate_S_tau,
+    rectangles_oracle,
+    unpinned_enumerate_S_tau,
+)
 
 F = Fraction
 
@@ -85,7 +90,11 @@ def enumerate_oracle(f, tau_dep, h_max, h_min=1):
             values = f.eval_exact(tuple(Fraction(c, a0) for c in combo))
             dep_cands = []
             for j in range(f.m):
-                level = max(0, ball_exponent(p, [(Fraction(max(h_base, h_min)), -tau_dep[j])]))
+                # the least level over the heights a tail can still reach
+                level = min(
+                    max(0, ball_exponent(p, [(Fraction(h), -tau_dep[j])]))
+                    for h in range(max(h_base, h_min), h_max + 1)
+                )
                 mod = p**level
                 w = values[j] * a0
                 target = w.numerator * pow(w.denominator, -1, mod) % mod if mod > 1 else 0
@@ -217,13 +226,30 @@ def column_inputs(draw):
 # the top modulus is not the one at h_max
 @example((PolyMap(3, 1, 1, (((F(1), (0,)), (F(1), (2,))),)), [F(-1, 2)], 4, 1))
 def test_enumerate_matches_fraction_oracle(inputs):
-    """The column kernel against the per-point integer enumerator and the
-    Fraction oracle: same points in the same order, heights stored right."""
+    """The column kernel against the per-point integer enumerator, the
+    Fraction oracle and, on small inputs, the unpinned oracle: same points in
+    the same order, heights stored right."""
     f, tau_dep, h_max, h_min = inputs
     got = enumerate_S_tau(f, tau_dep, h_max, h_min=h_min)
     assert got == integer_enumerate_S_tau(f, tau_dep, h_max, h_min)
     assert got == enumerate_oracle(f, tau_dep, h_max, h_min)
     assert all(pt.height == max(map(abs, pt.a)) for pt in got)
+    # the unpinned oracle walks every tail: only where that stays small
+    if h_max * (2 * h_max + 1) ** f.n <= 200_000:
+        assert got == unpinned_enumerate_S_tau(f, tau_dep, h_max, h_min)
+
+
+def test_negative_tau_keeps_tails_above_the_pinning_height():
+    # x^2 + 1 over Z_3, tau = -1/2: the level is 3 at h = 1 and 1 above it, so
+    # a tail that lifts the height past 1 must not be pinned at height 1's class
+    f = PolyMap(3, 1, 1, (((F(1), (0,)), (F(1), (2,))),))
+    tails = {}
+    for h_min in (1, 2):
+        pts = enumerate_S_tau(f, [F(-1, 2)], 4, h_min=h_min)
+        assert pts == unpinned_enumerate_S_tau(f, [F(-1, 2)], 4, h_min)
+        tails[h_min] = [pt.a[2] for pt in pts if pt.a[:2] == (1, 0)]
+    assert tails[2] == [-4, -3, -2, 2, 3, 4]
+    assert tails[1] == [-4, -3, -2, 1, 2, 3, 4]
 
 
 def test_column_kernel_matches_integer_oracle_on_benchmark_shapes():
