@@ -22,10 +22,22 @@ from typing import Sequence
 
 from .clopen import ClopenSet, box_code
 from .core import HypothesisError, PAdicInt, _split_power, is_prime, parse_fraction
-from .exactcmp import ball_exponent, floor_log_powprod, int_root_floor
-from .minkowski import LinearFormSystem, SolverError, solve_structured
+from .exactcmp import ball_exponent, int_root_floor
+from .minkowski import (
+    LinearFormSystem,
+    SolverError,
+    _centered_candidates,
+    bucket_exponents,
+    solve_structured,
+)
 
 Monomial = tuple[Fraction, tuple[int, ...]]
+
+
+class _PrecisionError(ValueError, SolverError):
+    """The base point is known to too few p-adic digits for a congruence the
+    search needs: bad input to a caller (ValueError), and a failed search to
+    code that handles SolverError."""
 
 
 @dataclass(frozen=True)
@@ -358,7 +370,7 @@ def dirichlet_h0(inst: DirichletInstance) -> H0Report:
     are logged in the report.
     """
     f = inst.f
-    dqe = dqe_constants(f, inst.x)
+    dqe = dqe_constants(f)
     v_min = min(inst.v)
     tau_max = max(inst.tau)
     lam = dqe.lam
@@ -375,33 +387,34 @@ def dirichlet_h0(inst: DirichletInstance) -> H0Report:
     for name, e in exps.items():
         # the largest H with NOT (H > p^e); for p^e <= 1 every H >= 2 is above, so 1
         thr = max(1, floor_log_int_power(f.p, e))
-        cases[name] = {"value": f"{f.p}^({e})", "float": float(f.p) ** float(e), "h0": thr}
+        cases[name] = {"value": f"{f.p}^({e})", "float": _float_or_none(f.p, e), "h0": thr}
         h0 = max(h0, thr)
     feas = _bucket_feasible_height(inst)
-    cases["delta"] = {"value": f"least feasible H = {feas}", "float": float(feas), "h0": feas - 1}
+    cases["delta"] = {"value": f"least feasible H = {feas}", "float": _float_or_none(feas), "h0": feas - 1}
     h0 = max(h0, feas - 1)
     return H0Report(h0=h0, cases=cases)
 
 
+def _float_or_none(base: int, exponent: Fraction | int = 1) -> float | None:
+    """float(base) ** float(exponent), or None past the float range."""
+    try:
+        return float(base) ** float(exponent)
+    except OverflowError:
+        return None
+
+
 def _bucket_feasible_height(inst: DirichletInstance) -> int:
-    """Least H >= 1 whose linearized system has all bucket exponents >= 0."""
-    f = inst.f
-    sigma = [inst.sigma_shift] * f.d + [Fraction(0)] * f.m
-    tau = list(inst.v) + list(inst.tau)
-    H = 1
-    while True:
-        t_power = (H + 1) ** (f.n + 1)
-        ok = True
-        for s, t in zip(sigma, tau):
-            value = [(f.p, -s), (t_power, t / (f.n + 1))]
-            if floor_log_powprod(f.p, value) + 1 < 0:
-                ok = False
-                break
-        if ok:
-            return H
-        H += 1
-        if H > 10**6:
-            raise SolverError("no feasible height below 10^6")
+    """Least H >= 1 whose linearized system has all bucket exponents >= 0.
+
+    Form i has delta_i >= 0 exactly when p^{-sigma_i} (H+1)^{tau_i} >= p^{-1},
+    that is H + 1 >= p^{(sigma_i - 1) / tau_i}. The dependent forms (sigma = 0)
+    meet it at every H; the independent ones have sigma - 1 = m/d > 0, so H + 1
+    is the least integer at or above p^e for the largest such exponent e.
+    """
+    p = inst.f.p
+    e = max((inst.sigma_shift - 1) / v for v in inst.v)
+    root = floor_log_int_power(p, e)
+    return max(1, root - 1 if root**e.denominator == p**e.numerator else root)
 
 
 def _linearized_system(inst: DirichletInstance) -> LinearFormSystem:
@@ -501,12 +514,11 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
     report = dirichlet_h0(inst)
     if not report.admissible(inst.H):
         raise HypothesisError("H > H_0", f"H={inst.H}, H_0={report.h0}")
-    f = inst.f
-    p = f.p
+    p = inst.f.p
     fallback = "verification-failed"
+    sys = _linearized_system(inst)
     try:
-        sys = _linearized_system(inst)
-        sol = solve_structured(sys, pivots=list(range(1, f.n + 1)))
+        sol = solve_structured(sys)
         b = _strip_non_p_gcd(p, sol.x)
         if b[0] < 0:
             b = [-v for v in b]
@@ -517,6 +529,12 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
             if verify_dirichlet(inst, point, k):
                 return DirichletSolution(point, k, True, "congruence-scan", report)
     except SolverError as exc:
+        fallback = f"solver-error: {exc}"
+    except ValueError as exc:
+        # the scan refuses a base point coarser than a bucket exponent; the
+        # search may still do with it. Any other ValueError propagates.
+        if max(bucket_exponents(sys)) <= sys.precision:
+            raise
         fallback = f"solver-error: {exc}"
     point, k = _exhaustive_dirichlet(inst)
     return DirichletSolution(point, k, True, "exhaustive", report, fallback)
@@ -533,59 +551,32 @@ def _exhaustive_dirichlet(inst: DirichletInstance) -> tuple[RationalPoint, int]:
         Hk = inst.H // p**k
         s_exps, u_exps = inst.levels(k)
         if max(s_exps, default=0) > prec:
-            raise SolverError("needed congruence level exceeds the base point precision")
+            raise _PrecisionError("needed congruence level exceeds the base point precision")
         moduli = [p**u for u in u_exps]
         for a0 in range(1, Hk + 1):
             if a0 % p == 0:
                 continue
-            coords: list[list[int]] = []
-            for i in range(f.d):
-                mod = p ** s_exps[i]
-                cands = _centered_candidates(a0 * inst.x[i].residue % mod, mod, Hk)
-                if not cands:
-                    break
-                coords.append(cands)
-            else:
-                fixed = [form.at(a0) for form in f.forms]
-                inverses = [pow(form.unit(a0), -1, mod) for form, mod in zip(f.forms, moduli)]
-                for combo in itertools.product(*coords):
-                    values = [_eval_monomials(monos, combo) for monos in fixed]
-                    dep = _dependent_candidates(values, inverses, moduli, Hk)
-                    if dep is None:
+            coords = [
+                _centered_candidates(a0 * xi.residue, p**s, Hk) for xi, s in zip(inst.x, s_exps)
+            ]
+            if not all(coords):
+                continue
+            fixed = [form.at(a0) for form in f.forms]
+            inverses = [pow(form.unit(a0), -1, mod) for form, mod in zip(f.forms, moduli)]
+            for combo in itertools.product(*coords):
+                dep = [
+                    _centered_candidates(_eval_monomials(monos, combo) * inv, mod, Hk)
+                    for monos, inv, mod in zip(fixed, inverses, moduli)
+                ]
+                for tail in itertools.product(*dep):
+                    a = (a0, *combo, *tail)
+                    if math.gcd(*a) != 1:
                         continue
-                    for tail in itertools.product(*dep):
-                        a = (a0, *combo, *tail)
-                        if math.gcd(*a) != 1:
-                            continue
-                        point = RationalPoint(a)
-                        if verify_dirichlet(inst, point, k):
-                            return point, k
+                    point = RationalPoint(a)
+                    if verify_dirichlet(inst, point, k):
+                        return point, k
         k += 1
     raise SolverError("no solution found: H below threshold or an implementation bug")
-
-
-def _dependent_candidates(
-    values: Sequence[int], inverses: Sequence[int], moduli: Sequence[int], bound: int
-) -> list[list[int]] | None:
-    """For each dependent coordinate j, the t in [-bound, bound] with
-    F_j = unit_j * t mod moduli[j], where values[j] = F_j and inverses[j] is
-    unit_j^-1 modulo a multiple of moduli[j]; None if some list is empty."""
-    out = []
-    for value, inv, mod in zip(values, inverses, moduli):
-        cands = _centered_candidates(value * inv % mod, mod, bound)
-        if not cands:
-            return None
-        out.append(cands)
-    return out
-
-
-def _centered_candidates(target: int, mod: int, bound: int) -> list[int]:
-    """Integers congruent to target mod `mod` within [-bound, bound], ascending."""
-    if mod == 1:
-        return list(range(-bound, bound + 1))
-    t = target % mod
-    first = t - ((t + bound) // mod) * mod
-    return [v for v in range(first, bound + 1, mod)]
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,6 @@ class LinearFormSystem:
             out *= h + 1
         return out
 
-    def lemma_bound_factors(self, i: int):
-        """p^{sigma_i} T^{-tau_i} as an exact power product."""
-        return [
-            (Fraction(self.p), self.sigma[i]),
-            (Fraction(self.t_power), -self.tau[i] / (self.n + 1)),
-        ]
-
 
 def bucket_exponents(sys: LinearFormSystem) -> tuple[int, ...]:
     """The unique integers with p^{delta_i-1} <= p^{-sigma_i} T^{tau_i} < p^{delta_i}."""
@@ -120,43 +113,38 @@ class MinkowskiSolution:
     method: str
 
 
-def _norm_exponent(sys: LinearFormSystem, x: Sequence[int], i: int) -> int | None:
-    """Valuation of L_i(x) when visible at the working precision, else None (zero class)."""
-    residue = 0
-    for c, xj in zip(sys.coeffs[i], x):
-        residue += c.residue * xj
-    k = sys.precision
-    residue %= sys.p**k
-    if residue == 0:
-        return None
-    return _split_power(residue, sys.p)[0]
-
-
 def lemma_thresholds(sys: LinearFormSystem) -> tuple[int, ...]:
     """m_i = least v with p^{-v} <= p^{sigma_i} T^{-tau_i}; always m_i <= delta_i."""
+    p, t_power = Fraction(sys.p), Fraction(sys.t_power)
     return tuple(
-        -floor_log_powprod(sys.p, sys.lemma_bound_factors(i)) for i in range(sys.n)
+        -floor_log_powprod(sys.p, [(p, s), (t_power, -t / (sys.n + 1))])
+        for s, t in zip(sys.sigma, sys.tau)
     )
+
+
+def _lemma_moduli(sys: LinearFormSystem, thresholds: Sequence[int] | None = None) -> list[int]:
+    """The lemma bound |L_i(x)|_p <= p^{sigma_i} T^{-tau_i} as the congruences
+    L_i(x) = 0 mod p^{min(precision, max(0, m_i))}: a form that vanishes to the
+    working precision meets any m_i, and one that does not has valuation below
+    the precision."""
+    if thresholds is None:
+        thresholds = lemma_thresholds(sys)
+    k = sys.precision
+    return [sys.p ** min(k, max(0, m)) for m in thresholds]
+
+
+def _form_values(sys: LinearFormSystem, x: Sequence[int]) -> list[int]:
+    """sum_j c_ij x_j on the coefficient residues, one integer per form."""
+    return [sum(c.residue * xj for c, xj in zip(row, x)) for row in sys.coeffs]
 
 
 def satisfies_lemma_bound(
     sys: LinearFormSystem, x: Sequence[int], thresholds: tuple[int, ...] | None = None
 ) -> bool:
-    """Exact check of |L_i(x)|_p <= p^{sigma_i} T^{-tau_i} for all i.
-
-    Requires the working precision to decide each comparison; systems built by
-    bucket solving always satisfy that.
-    """
-    if thresholds is None:
-        thresholds = lemma_thresholds(sys)
-    for i in range(sys.n):
-        v = _norm_exponent(sys, x, i)
-        if v is None:
-            # |L_i(x)|_p <= p^{-precision} and precision >= delta_i >= m_i
-            continue
-        if v < thresholds[i]:
-            return False
-    return True
+    """Exact check of |L_i(x)|_p <= p^{sigma_i} T^{-tau_i} for all i, decided
+    at the working precision (see `_lemma_moduli`)."""
+    moduli = _lemma_moduli(sys, thresholds)
+    return all(value % mod == 0 for value, mod in zip(_form_values(sys, x), moduli))
 
 
 def verify_solution(
@@ -169,20 +157,31 @@ def verify_solution(
 
     With require_buckets the stricter method-internal congruences
     L_i(x) == 0 mod p^{delta_i} are asserted too; brute-force fallback
-    solutions are only held to the lemma bound.
+    solutions are only held to the lemma bound. Each form is evaluated once
+    for both checks.
     """
     if all(v == 0 for v in x):
         return False
     if any(abs(v) > h for v, h in zip(x, sys.heights)):
         return False
+    values = _form_values(sys, x)
     if require_buckets:
         if deltas is None:
             deltas = bucket_exponents(sys)
-        for i, delta in enumerate(deltas):
-            residue = sum(c.residue * xj for c, xj in zip(sys.coeffs[i], x))
-            if residue % sys.p**delta != 0:
-                return False
-    return satisfies_lemma_bound(sys, x)
+        if any(value % sys.p**delta for value, delta in zip(values, deltas)):
+            return False
+    return all(value % mod == 0 for value, mod in zip(values, _lemma_moduli(sys)))
+
+
+def _checked_buckets(sys: LinearFormSystem) -> tuple[tuple[int, ...], bool]:
+    """The bucket exponents, refused above the working precision, and whether
+    the pigeonhole surplus is non-strict (the "boundary" flag)."""
+    deltas = bucket_exponents(sys)
+    if max(deltas) > sys.precision:
+        raise ValueError(
+            f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
+        )
+    return deltas, sys.t_power == sys.p ** sum(deltas)
 
 
 def solve(sys: LinearFormSystem) -> MinkowskiSolution:
@@ -192,12 +191,7 @@ def solve(sys: LinearFormSystem) -> MinkowskiSolution:
     boundary regime when the non-strict pigeonhole happens to admit no
     collision.
     """
-    deltas = bucket_exponents(sys)
-    if max(deltas) > sys.precision:
-        raise ValueError(
-            f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
-        )
-    boundary = sys.t_power == _prod_powers(sys.p, deltas)
+    deltas, boundary = _checked_buckets(sys)
     lattice = _congruence_lattice(_residues(sys), [sys.p**d for d in deltas])
     x = _first_collision(lattice, sys.heights)
     if x is not None:
@@ -208,10 +202,6 @@ def solve(sys: LinearFormSystem) -> MinkowskiSolution:
     if x is None:
         raise SolverError("no solution found in boundary regime")
     return MinkowskiSolution(x, deltas, verify_solution(sys, x), boundary, "brute-force")
-
-
-def _prod_powers(p: int, deltas: Sequence[int]) -> int:
-    return p ** sum(deltas)
 
 
 def _residues(sys: LinearFormSystem) -> list[list[int]]:
@@ -226,11 +216,9 @@ def brute_force(sys: LinearFormSystem) -> tuple[int, ...] | None:
     the lex-least nonzero point of that congruence lattice in the box
     |x_j| <= H_j, found by a lex-ordered search.
     """
-    k = sys.precision
-    moduli = [sys.p ** min(k, max(0, m)) for m in lemma_thresholds(sys)]
     heights = sys.heights
     x = _least_point(
-        [0] * len(heights), _congruence_lattice(_residues(sys), moduli),
+        [0] * len(heights), _congruence_lattice(_residues(sys), _lemma_moduli(sys)),
         [-h for h in heights], list(heights), 0, None,
     )
     return tuple(x) if x is not None and any(x) else None
@@ -238,7 +226,7 @@ def brute_force(sys: LinearFormSystem) -> tuple[int, ...] | None:
 
 def pigeonhole_surplus(sys: LinearFormSystem) -> bool:
     """True when prod(H_j+1) strictly exceeds the bucket count p^{sum delta_i}."""
-    return sys.t_power > _prod_powers(sys.p, bucket_exponents(sys))
+    return sys.t_power > sys.p ** sum(bucket_exponents(sys))
 
 
 # ---------------------------------------------------------------------------
@@ -524,77 +512,62 @@ def _box_points(t, rows, lo, hi, cap, half=False):
 # ---------------------------------------------------------------------------
 
 
-def solve_structured(sys: LinearFormSystem, pivots: Sequence[int]) -> MinkowskiSolution:
+def solve_structured(sys: LinearFormSystem) -> MinkowskiSolution:
     """Solve the bucket congruences by back-substitution for triangular systems.
 
-    Form i must be resolvable for variable pivots[i] once x_0 and the previous
-    pivots are fixed: its nonzero coefficients may only touch x_0, earlier
-    pivots, and its own pivot. This is exactly the shape of the linearized
-    systems built by the manifold solver, and scanning x_0 = 1..H_0 costs O(H_0)
-    instead of enumerating the whole box. The solutions found satisfy the same
-    congruences a bucket collision difference would.
+    Form i resolves x_{i+1} once x_0, ..., x_i are fixed: its coefficients on
+    x_{i+2}, ..., x_n must vanish mod p^{delta_i}. This is exactly the shape of
+    the linearized systems built by the manifold solver, and scanning
+    x_0 = 1..H_0 costs O(H_0) instead of enumerating the whole box. The
+    solutions found satisfy the same congruences a bucket collision
+    difference would.
     """
-    deltas = bucket_exponents(sys)
-    if max(deltas) > sys.precision:
-        raise ValueError(
-            f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
-        )
-    n = sys.n
-    if sorted(pivots) != sorted(set(pivots)) or len(pivots) != n or 0 in pivots:
-        raise ValueError("pivots must be n distinct variable indices, excluding 0")
-    allowed: set[int] = {0}
+    deltas, boundary = _checked_buckets(sys)
+    n, p = sys.n, sys.p
     pivot_data = []
-    for i, piv in enumerate(pivots):
-        row = sys.coeffs[i]
-        for j, c in enumerate(row):
-            if j != piv and j not in allowed and c.residue % sys.p**deltas[i] != 0:
+    for i, row in enumerate(sys.coeffs):
+        for j in range(i + 2, n + 1):
+            if row[j].residue % p ** deltas[i] != 0:
                 raise ValueError(f"form {i} touches variable {j} before it is pivoted")
-        c_piv = row[piv]
-        if c_piv.residue == 0:
+        if row[i + 1].residue == 0:
             raise ValueError(f"form {i} has zero-to-precision pivot coefficient")
-        nu, unit = _split_power(c_piv.residue, sys.p)
-        pivot_data.append((piv, nu, unit))
-        allowed.add(piv)
-    boundary = sys.t_power == _prod_powers(sys.p, deltas)
+        pivot_data.append(_split_power(row[i + 1].residue, p))
 
-    def extend(i: int, assign: dict[int, int]) -> dict[int, int] | None:
+    def extend(x: list[int]) -> list[int] | None:
+        i = len(x) - 1
         if i == n:
-            return assign
-        piv, nu, unit = pivot_data[i]
-        delta = deltas[i]
-        mod = sys.p**delta
-        partial = sum(
-            sys.coeffs[i][j].residue * v for j, v in assign.items() if j != piv
-        ) % mod
-        h = sys.heights[piv]
-        if nu >= delta:
+            return x
+        nu, unit = pivot_data[i]
+        mod = p ** deltas[i]
+        partial = sum(c.residue * v for c, v in zip(sys.coeffs[i], x)) % mod
+        if nu >= deltas[i]:
             # pivot contributes nothing mod p^delta: need partial == 0 already
-            if partial % mod != 0:
-                return None
-            candidates = [0]
+            candidates = [0] if partial == 0 else []
+        elif partial % p**nu != 0:
+            return None
         else:
-            if partial % sys.p**nu != 0:
-                return None
-            step = sys.p ** (delta - nu)
-            inv = pow(unit, -1, step)
-            y0 = (-(partial // sys.p**nu) * inv) % step
-            # candidates in [-h, h] congruent to y0 mod step, ascending
-            first = y0 - ((y0 + h) // step) * step
-            candidates = list(range(first, h + 1, step))
+            step = p ** (deltas[i] - nu)
+            y0 = -(partial // p**nu) * pow(unit, -1, step)
+            candidates = _centered_candidates(y0, step, sys.heights[i + 1])
         for y in candidates:
-            if abs(y) > h:
-                continue
-            assign[piv] = y
-            out = extend(i + 1, assign)
+            out = extend(x + [y])
             if out is not None:
                 return out
-            del assign[piv]
         return None
 
     for x0 in range(1, sys.heights[0] + 1):
-        assign = extend(0, {0: x0})
-        if assign is not None:
-            x = tuple(assign.get(j, 0) for j in range(n + 1))
+        x = extend([x0])
+        if x is not None:
+            x = tuple(x)
             ok = verify_solution(sys, x, deltas, require_buckets=True)
             return MinkowskiSolution(x, deltas, ok, boundary, "congruence-scan")
     raise SolverError("no structured solution with x_0 in [1, H_0]")
+
+
+def _centered_candidates(target: int, mod: int, bound: int) -> list[int]:
+    """Integers congruent to target mod `mod` within [-bound, bound], ascending."""
+    if mod == 1:
+        return list(range(-bound, bound + 1))
+    t = target % mod
+    first = t - ((t + bound) // mod) * mod
+    return list(range(first, bound + 1, mod))

@@ -10,11 +10,17 @@
   that tests every tail at its true height.
 - The dictionary walk over the box and the product-loop brute force that the
   kernel-lattice solver of `minkowski` replaced.
+- The lemma bound checked through the valuation of each form, which the
+  congruences mod p^min(precision, max(0, m_i)) of `minkowski` replaced; the
+  stepped search for the least feasible Dirichlet height, which the closed
+  form of `manifold` replaced; and the structured scan with an explicit pivot
+  list.
 
 Only the public trie primitives (`_space`, `node`), the integer forms of
-`PolyMap`, `ball_exponent` and the exact threshold and verification helpers of
-`minkowski` are shared with the code under test, so a fault in the new
-builders, the column kernel or the lattice search cannot leak into the oracles.
+`PolyMap`, `ball_exponent`, `floor_log_powprod` and the exact bucket
+exponents of `minkowski` are shared with the code under test, so a fault in
+the new builders, the column kernel, the lattice search or the lemma
+congruences cannot leak into the oracles.
 """
 
 import itertools
@@ -22,16 +28,10 @@ import math
 from fractions import Fraction
 
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
-from padicapprox.exactcmp import ball_exponent
+from padicapprox.core import _split_power
+from padicapprox.exactcmp import ball_exponent, floor_log_powprod
 from padicapprox.manifold import RationalPoint
-from padicapprox.minkowski import (
-    MinkowskiSolution,
-    SolverError,
-    bucket_exponents,
-    lemma_thresholds,
-    satisfies_lemma_bound,
-    verify_solution,
-)
+from padicapprox.minkowski import MinkowskiSolution, SolverError, bucket_exponents
 
 # ---------------------------------------------------------------------------
 # Fraction power-product kernel
@@ -273,21 +273,166 @@ def bucket_walk_solve(sys):
             other = buckets.get(key)
             if other is not None:
                 x = tuple(a - b for a, b in zip(prefix + (xn,), other))
-                ok = verify_solution(sys, x, deltas, require_buckets=True)
+                ok = valuation_verify_solution(sys, x, deltas, require_buckets=True)
                 return MinkowskiSolution(x, deltas, ok, boundary, "bucket")
             buckets[key] = prefix + (xn,)
             key_vals = [(key_vals[i] + coeffs[i][n]) % mods[i] for i in range(n)]
     x = product_brute_force(sys)
     if x is None:
         raise SolverError("no solution found in boundary regime")
-    return MinkowskiSolution(x, deltas, verify_solution(sys, x), boundary, "brute-force")
+    return MinkowskiSolution(x, deltas, valuation_verify_solution(sys, x), boundary, "brute-force")
 
 
 def product_brute_force(sys):
     """The first nonzero x of the product loop over [-H_j, H_j] that satisfies
     the lemma bound."""
-    thresholds = lemma_thresholds(sys)
+    thresholds = factor_lemma_thresholds(sys)
     for x in itertools.product(*(range(-h, h + 1) for h in sys.heights)):
-        if any(x) and satisfies_lemma_bound(sys, x, thresholds):
+        if any(x) and valuation_satisfies_lemma_bound(sys, x, thresholds):
             return x
     return None
+
+
+# ---------------------------------------------------------------------------
+# Lemma bound by valuations
+# ---------------------------------------------------------------------------
+
+
+def factor_lemma_thresholds(sys):
+    """m_i = -floor(log_p(p^{sigma_i} T^{-tau_i})), from the power product
+    p^{sigma_i} T^{-tau_i} written out per form."""
+    out = []
+    for i in range(sys.n):
+        factors = [
+            (Fraction(sys.p), sys.sigma[i]),
+            (Fraction(sys.t_power), -sys.tau[i] / (sys.n + 1)),
+        ]
+        out.append(-fraction_floor_log_powprod(sys.p, factors))
+    return tuple(out)
+
+
+def _norm_exponent(sys, x, i):
+    """Valuation of L_i(x) when visible at the working precision, else None."""
+    residue = 0
+    for c, xj in zip(sys.coeffs[i], x):
+        residue += c.residue * xj
+    residue %= sys.p**sys.precision
+    if residue == 0:
+        return None
+    return _split_power(residue, sys.p)[0]
+
+
+def valuation_satisfies_lemma_bound(sys, x, thresholds=None):
+    """|L_i(x)|_p <= p^{sigma_i} T^{-tau_i} for all i, read off the valuation
+    of each form; a form that vanishes to the working precision passes."""
+    if thresholds is None:
+        thresholds = factor_lemma_thresholds(sys)
+    for i in range(sys.n):
+        v = _norm_exponent(sys, x, i)
+        if v is not None and v < thresholds[i]:
+            return False
+    return True
+
+
+def valuation_verify_solution(sys, x, deltas=None, require_buckets=False):
+    """Nonzero, within the heights, the bucket congruences on request, and the
+    lemma bound by valuations; each form is evaluated once per check."""
+    if all(v == 0 for v in x):
+        return False
+    if any(abs(v) > h for v, h in zip(x, sys.heights)):
+        return False
+    if require_buckets:
+        if deltas is None:
+            deltas = bucket_exponents(sys)
+        for i, delta in enumerate(deltas):
+            residue = sum(c.residue * xj for c, xj in zip(sys.coeffs[i], x))
+            if residue % sys.p**delta != 0:
+                return False
+    return valuation_satisfies_lemma_bound(sys, x)
+
+
+# ---------------------------------------------------------------------------
+# Stepped feasible height and the pivoted structured scan
+# ---------------------------------------------------------------------------
+
+
+def stepped_feasible_height(inst, limit):
+    """Least H in 1..limit whose linearized Dirichlet system has every bucket
+    exponent >= 0, stepping H up by one; None if there is none."""
+    f = inst.f
+    sigma = [inst.sigma_shift] * f.d + [Fraction(0)] * f.m
+    tau = list(inst.v) + list(inst.tau)
+    for H in range(1, limit + 1):
+        t_power = (H + 1) ** (f.n + 1)
+        if all(
+            floor_log_powprod(f.p, [(f.p, -s), (t_power, t / (f.n + 1))]) + 1 >= 0
+            for s, t in zip(sigma, tau)
+        ):
+            return H
+    return None
+
+
+def pivoted_solve_structured(sys, pivots):
+    """The structured congruence scan with form i resolving variable pivots[i]."""
+    deltas = bucket_exponents(sys)
+    if max(deltas) > sys.precision:
+        raise ValueError(
+            f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
+        )
+    n = sys.n
+    if sorted(pivots) != sorted(set(pivots)) or len(pivots) != n or 0 in pivots:
+        raise ValueError("pivots must be n distinct variable indices, excluding 0")
+    allowed = {0}
+    pivot_data = []
+    for i, piv in enumerate(pivots):
+        row = sys.coeffs[i]
+        for j, c in enumerate(row):
+            if j != piv and j not in allowed and c.residue % sys.p**deltas[i] != 0:
+                raise ValueError(f"form {i} touches variable {j} before it is pivoted")
+        c_piv = row[piv]
+        if c_piv.residue == 0:
+            raise ValueError(f"form {i} has zero-to-precision pivot coefficient")
+        nu, unit = _split_power(c_piv.residue, sys.p)
+        pivot_data.append((piv, nu, unit))
+        allowed.add(piv)
+    boundary = sys.t_power == sys.p ** sum(deltas)
+
+    def extend(i, assign):
+        if i == n:
+            return assign
+        piv, nu, unit = pivot_data[i]
+        delta = deltas[i]
+        mod = sys.p**delta
+        partial = sum(
+            sys.coeffs[i][j].residue * v for j, v in assign.items() if j != piv
+        ) % mod
+        h = sys.heights[piv]
+        if nu >= delta:
+            if partial % mod != 0:
+                return None
+            candidates = [0]
+        else:
+            if partial % sys.p**nu != 0:
+                return None
+            step = sys.p ** (delta - nu)
+            inv = pow(unit, -1, step)
+            y0 = (-(partial // sys.p**nu) * inv) % step
+            first = y0 - ((y0 + h) // step) * step
+            candidates = list(range(first, h + 1, step))
+        for y in candidates:
+            if abs(y) > h:
+                continue
+            assign[piv] = y
+            out = extend(i + 1, assign)
+            if out is not None:
+                return out
+            del assign[piv]
+        return None
+
+    for x0 in range(1, sys.heights[0] + 1):
+        assign = extend(0, {0: x0})
+        if assign is not None:
+            x = tuple(assign.get(j, 0) for j in range(n + 1))
+            ok = valuation_verify_solution(sys, x, deltas, require_buckets=True)
+            return MinkowskiSolution(x, deltas, ok, boundary, "congruence-scan")
+    raise SolverError("no structured solution with x_0 in [1, H_0]")

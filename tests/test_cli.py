@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,6 +129,42 @@ def test_dirichlet_solve_cli(capsys):
     assert out["verified"] is True
     assert out["h0"] == 38
     assert len(out["point"]) == 3
+
+
+def test_dirichlet_solve_far_feasible_height_exits_two_at_once(capsys):
+    # the least feasible height, about 1.5 * 10^8, is computed in closed form
+    cubic = '{"p":1009,"d":1,"m":3,"polys":[[["1",[2]]],[["1",[3]]],[["1",[1]]]]}'
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "dirichlet-solve", "--map-json", cubic, "--x", "5", "--precision", "30",
+        "--tau", "13/10", "13/10", "13/10", "--v", "11/10", "--H", "50",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out["error"]["kind"] == "hypothesis" and out["error"]["failed"] == "H > H_0"
+
+
+def test_dirichlet_solve_threshold_past_the_float_range_exits_two(capsys):
+    # beta = 3^2000: its float is out of range, and H = 50 is far below it
+    code, out = run_cli(
+        capsys, "dirichlet-solve", "--map-json", SQUARE, "--x", "5", "--precision", "30",
+        "--tau", "1999/1000", "--v", "1001/1000", "--H", "50",
+    )
+    assert code == 2 and out["error"]["failed"] == "H > H_0"
+    assert f"H_0={3**2000}" in out["error"]["message"]
+
+
+def test_dirichlet_solve_base_point_below_the_bucket_precision(capsys):
+    argv = ["dirichlet-solve", "--map-json", SQUARE, "--x", "1", "--tau", "7/5", "--v", "8/5", "--H", "111"]
+    # 5 digits are too few for the scan (bucket exponent 7) but enough for the search
+    code, out = run_cli(capsys, *argv, "--precision", "5")
+    assert code == 0
+    assert (out["point"], out["k"], out["method"], out["verified"]) == ([1, 1, 1], 0, "exhaustive", True)
+    # 4 digits are too few for the search as well
+    code, out = run_cli(capsys, *argv, "--precision", "4")
+    assert code == 2
+    assert out["error"] == {
+        "kind": "invalid-input", "message": "needed congruence level exceeds the base point precision"
+    }
 
 
 def test_enumerate_s_tau_cli(capsys):

@@ -5,6 +5,11 @@ floor-logs and the weighted dimension hypotheses each have one implementation.
 The separate loops each caller used to carry are kept here as oracles and
 compared on random approximation functions (power laws with integer exponent,
 scaled powers, tables), primes p in {2, 3, 5, 7} and n in {1, 2}.
+
+The congruences of the pigeonhole lemma are folded the same way: the lemma
+bound is one list of moduli, the least feasible Dirichlet height a closed
+form, and the structured scan resolves x_{i+1} with form i. Their former
+versions live in `oracles.py` and are compared here on random systems.
 """
 
 import math
@@ -47,7 +52,32 @@ from padicapprox.core import (
 )
 from padicapprox.dimension import jb_dimension, manifold_lower_bound, waterfill_alpha, waterfill_v
 from padicapprox.exactcmp import _log_int, cmp_powprod, floor_log_powprod
-from padicapprox.manifold import _strip_non_p_gcd
+from padicapprox.manifold import (
+    DirichletInstance,
+    PolyMap,
+    _bucket_feasible_height,
+    _linearized_system,
+    _strip_non_p_gcd,
+    dirichlet_h0,
+    dirichlet_solve,
+)
+from padicapprox.minkowski import (
+    LinearFormSystem,
+    SolverError,
+    bucket_exponents,
+    lemma_thresholds,
+    satisfies_lemma_bound,
+    solve_structured,
+    verify_solution,
+)
+
+from oracles import (
+    factor_lemma_thresholds,
+    pivoted_solve_structured,
+    stepped_feasible_height,
+    valuation_satisfies_lemma_bound,
+    valuation_verify_solution,
+)
 
 Q_MAX = 10
 
@@ -470,3 +500,216 @@ def test_weighted_hypotheses_match_separate_checks(tau, d):
             assert got == want
         else:
             assert got[0] == "value" or got[2].startswith("hypothesis violated: v_i > 1")
+
+
+# ---------------------------------------------------------------------------
+# Lemma congruences, feasible height and the structured scan
+# ---------------------------------------------------------------------------
+
+
+def _parts(draw, total, k):
+    """k positive integers summing to total >= k."""
+    if k == 1:
+        return [total]
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def _exponent_data(draw, n):
+    """tau > 0 summing to n + 1 and a signed sigma summing to n."""
+    weights = _parts(draw, draw(st.integers(n, 3 * n)), n)
+    tau = [Fraction((n + 1) * w, sum(weights)) for w in weights]
+    sigma = [Fraction(draw(st.integers(-4, 6)), 2) for _ in range(n - 1)]
+    sigma.append(n - sum(sigma, Fraction(0)))
+    return tau, sigma
+
+
+@st.composite
+def lemma_cases(draw):
+    """A system at a small precision (often below some m_i) and a vector whose
+    forms often vanish to that precision: coordinates are multiples of p^e,
+    and some rows are zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    prec = draw(st.integers(1, 6))
+    tau, sigma = _exponent_data(draw, n)
+    residue = st.integers(0, p**prec - 1)
+    rows = [
+        [0] * (n + 1) if draw(st.integers(0, 4)) == 0 else [draw(residue) for _ in range(n + 1)]
+        for _ in range(n)
+    ]
+    heights = [draw(st.integers(1, 40)) for _ in range(n + 1)]
+    e = draw(st.integers(0, prec + 1))
+    x = [draw(st.integers(-6, 6)) * p**e for _ in range(n + 1)]
+    coeffs = tuple(tuple(PAdicInt(p, prec, r) for r in row) for row in rows)
+    return LinearFormSystem(p, n, coeffs, tuple(heights), tuple(tau), tuple(sigma)), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(lemma_cases(), st.integers(0, 8), st.booleans())
+def test_lemma_moduli_match_the_valuation_check(case, delta_cap, require_buckets):
+    sys, x = case
+    assert lemma_thresholds(sys) == factor_lemma_thresholds(sys)
+    assert satisfies_lemma_bound(sys, x) == valuation_satisfies_lemma_bound(sys, x)
+    deltas = [min(delta_cap, i + 1) for i in range(sys.n)]
+    assert verify_solution(sys, x, deltas, require_buckets) == valuation_verify_solution(
+        sys, x, deltas, require_buckets
+    )
+
+
+def test_lemma_moduli_corners():
+    # p = 3, n = 1, T = 81 (heights 8, 8), tau = 2, sigma = 1: m = 3 (3^1 81^-1 = 3^-3)
+    def system(residues, prec):
+        coeffs = (tuple(PAdicInt(3, prec, r) for r in residues),)
+        return LinearFormSystem(3, 1, coeffs, (8, 8), (Fraction(2),), (Fraction(1),))
+
+    assert lemma_thresholds(system([1, 1], 5)) == (3,)
+    cases = [
+        (system([1, 1], 5), (9, 18), True),  # valuation 3 meets m = 3
+        (system([1, 1], 5), (3, 6), False),  # valuation 2 does not
+        (system([1, 1], 2), (3, 6), True),  # vanishes to precision 2 < m
+        (system([1, 1], 2), (1, 0), False),  # visible below precision 2 < m
+        (system([0, 0], 1), (1, 1), True),  # a zero row
+    ]
+    for sys, x, want in cases:
+        assert satisfies_lemma_bound(sys, x) is want
+        assert valuation_satisfies_lemma_bound(sys, x) is want
+
+
+@st.composite
+def dirichlet_exponents(draw):
+    """(p, d, m) with tau_j = 1 + a_j / U and v_i = 1 + b_i / U, where the
+    a_j and b_i are positive and sum to U, so sum(tau) < m + 1 and
+    sum(v) = n + 1 - sum(tau)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 1009]))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    total = draw(st.integers(d + m, 40))
+    parts = _parts(draw, total, d + m)
+    tau = [1 + Fraction(a, total) for a in parts[:m]]
+    v = [1 + Fraction(b, total) for b in parts[m:]]
+    polys = tuple(((Fraction(1), tuple(int(i == j % d) * 2 for i in range(d))),) for j in range(m))
+    x = tuple(PAdicInt(p, 10, 1) for _ in range(d))
+    return DirichletInstance(PolyMap(p, d, m, polys), x, tuple(tau), tuple(v), H=1)
+
+
+FEASIBLE_LIMIT = 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(dirichlet_exponents())
+def test_feasible_height_matches_the_stepped_search(inst):
+    got = _bucket_feasible_height(inst)
+    assert got >= 1
+    want = stepped_feasible_height(inst, FEASIBLE_LIMIT)
+    assert want == (got if got <= FEASIBLE_LIMIT else None)
+
+
+def test_feasible_height_at_an_exact_power_and_far_out():
+    # (x^2, x^3, x) over Z_3 with v = 3/2: H + 1 >= 3^((m/d) / v) = 3^2, so H = 8
+    g = tuple(((Fraction(1), (e,)),) for e in (2, 3, 1))
+    inst = DirichletInstance(PolyMap(3, 1, 3, g), (PAdicInt(3, 10, 1),), (Fraction(7, 6),) * 3, (Fraction(3, 2),), H=1)
+    assert _bucket_feasible_height(inst) == 8 == stepped_feasible_height(inst, 20)
+    # over Z_1009 with v = 11/10: 1009^(30/11) is about 1.5 * 10^8, past any stepped search
+    far = DirichletInstance(
+        PolyMap(1009, 1, 3, g), (PAdicInt(1009, 30, 5),), (Fraction(13, 10),) * 3, (Fraction(11, 10),), H=50
+    )
+    feas = _bucket_feasible_height(far)
+    assert 10**8 < feas < 2 * 10**8
+    assert min(bucket_exponents(_linearized(far, feas))) >= 0
+    with pytest.raises(ValueError, match="below H_sigma threshold"):
+        bucket_exponents(_linearized(far, feas - 1))
+
+
+def _linearized(inst, H):
+    return _linearized_system(DirichletInstance(inst.f, inst.x, inst.tau, inst.v, H=H))
+
+
+def test_h0_report_has_no_float_past_the_float_range():
+    # x^2 over Z_3, v = 1001/1000: beta = gamma = 3^2000, past the float range
+    f = PolyMap(3, 1, 1, (((Fraction(1), (2,)),),))
+    inst = DirichletInstance(f, (PAdicInt(3, 30, 5),), (Fraction(1999, 1000),), (Fraction(1001, 1000),), H=50)
+    report = dirichlet_h0(inst)
+    assert report.cases["beta"]["float"] is None and report.cases["gamma"]["float"] is None
+    assert report.cases["beta"]["h0"] == 3**2000
+    assert report.cases["alpha1"]["float"] == 1.0 and report.cases["delta"]["float"] == 2.0
+
+
+@st.composite
+def triangular_systems(draw):
+    """Form i touches x_0..x_{i+1}, with pivot coefficient p^nu * unit on
+    x_{i+1} (nu up to past the precision), and now and then a nonzero
+    coefficient beyond the pivot."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    prec = draw(st.integers(1, 10))
+    tau, sigma = _exponent_data(draw, n)
+    residue = st.integers(0, p**prec - 1)
+    rows = []
+    for i in range(n):
+        nu = draw(st.integers(0, 4))
+        unit = draw(st.integers(0, 50)) * p + draw(st.integers(1, p - 1))
+        beyond = [draw(st.sampled_from([0, 0, 0, 0, p**prec, 1])) for _ in range(n - i - 1)]
+        rows.append([draw(residue) for _ in range(i + 1)] + [p**nu * unit] + beyond)
+    heights = [draw(st.integers(1, 12)) for _ in range(n + 1)]
+    coeffs = tuple(tuple(PAdicInt(p, prec, r) for r in row) for row in rows)
+    return LinearFormSystem(p, n, coeffs, tuple(heights), tuple(tau), tuple(sigma))
+
+
+def scan_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (ValueError, SolverError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(triangular_systems())
+def test_scan_matches_the_pivoted_scan(sys):
+    assert scan_outcome(solve_structured, sys) == scan_outcome(
+        pivoted_solve_structured, sys, list(range(1, sys.n + 1))
+    )
+
+
+def test_scan_corners():
+    def system(rows, tau, sigma, prec=8):
+        coeffs = tuple(tuple(PAdicInt(3, prec, r) for r in row) for row in rows)
+        return LinearFormSystem(3, 2, coeffs, (9, 9, 9), tau, sigma)
+
+    half = Fraction(1, 2)
+    # T = 10: 3^-2 10^(1/2) < 1/3 gives delta_0 = 0, so form 0 takes its nu >= delta
+    # branch (x_1 = 0), and the pivot 3^4 of form 1 is below delta_1 = 6 and steps x_2 by 9
+    zero_form = system([[4, 7, 0], [0, 0, 81]], (half, 5 * half), (Fraction(2), Fraction(0)))
+    # delta = (2, 4): the pivot 3^3 of form 0 vanishes mod 3^2, so x_1 = 0
+    flat_pivot = system([[9, 27, 0], [1, 1, 1]], (Fraction(1), Fraction(2)), (Fraction(1), Fraction(1)))
+    touching = system([[1, -1, 1], [1, 1, -1]], (Fraction(1), Fraction(2)), (Fraction(1), Fraction(1)))
+    vanishing = system([[1, 3**8, 0], [1, 1, -1]], (Fraction(1), Fraction(2)), (Fraction(1), Fraction(1)))
+    coarse = system([[1, 1, 0], [1, 1, -1]], (Fraction(1), Fraction(2)), (Fraction(1), Fraction(1)), prec=3)
+    assert bucket_exponents(zero_form) == (0, 6)
+    assert bucket_exponents(flat_pivot) == (2, 4)
+    outcomes = {}
+    for name, sys in [("zero_form", zero_form), ("flat_pivot", flat_pivot), ("touching", touching),
+                      ("vanishing", vanishing), ("coarse", coarse)]:
+        outcomes[name] = scan_outcome(solve_structured, sys)
+        assert outcomes[name] == scan_outcome(pivoted_solve_structured, sys, [1, 2])
+    assert outcomes["zero_form"][1].x == (1, 0, -9) and outcomes["zero_form"][1].verified
+    assert outcomes["flat_pivot"][1].x == (1, 0, -1) and outcomes["flat_pivot"][1].verified
+    assert "before it is pivoted" in outcomes["touching"][2]
+    assert "zero-to-precision pivot" in outcomes["vanishing"][2]
+    assert outcomes["coarse"][1:] == (ValueError, "coefficient precision 3 below max bucket exponent 4")
+
+
+def test_dirichlet_solve_falls_back_below_the_bucket_precision():
+    # the scan needs 7 digits of x; the exhaustive search needs 5 at k = 0
+    f = PolyMap(3, 1, 1, (((Fraction(1), (2,)),),))
+
+    def inst(prec):
+        return DirichletInstance(f, (PAdicInt(3, prec, 1),), (Fraction(7, 5),), (Fraction(8, 5),), H=111)
+
+    sol = dirichlet_solve(inst(5))
+    assert (sol.point.a, sol.k, sol.method, sol.verified) == ((1, 1, 1), 0, "exhaustive", True)
+    assert sol.fallback == "solver-error: coefficient precision 5 below max bucket exponent 7"
+    # one digit fewer and the search refuses too: bad input, not a solver failure
+    with pytest.raises(ValueError, match="exceeds the base point precision") as info:
+        dirichlet_solve(inst(4))
+    assert isinstance(info.value, SolverError)

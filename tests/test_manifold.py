@@ -267,7 +267,7 @@ def test_dirichlet_solve_records_why_it_fell_back(monkeypatch, capsys):
     sol = dirichlet_solve(inst)
     assert sol.method == "congruence-scan" and sol.fallback is None
 
-    def failing_scan(sys, pivots):
+    def failing_scan(sys):
         raise manifold.SolverError("no structured solution with x_0 in [1, H_0]")
 
     with monkeypatch.context() as m:

@@ -205,7 +205,7 @@ def test_structured_scan_matches_bucket_semantics():
         (Fraction(3, 2), Fraction(3, 2)),
         (Fraction(1), Fraction(1)),
     )
-    sol = solve_structured(sys, pivots=[1, 2])
+    sol = solve_structured(sys)
     assert sol.method == "congruence-scan"
     assert sol.verified
     deltas = bucket_exponents(sys)
@@ -226,7 +226,7 @@ def test_structured_scan_rejects_untriangular_systems():
         (Fraction(1), Fraction(1)),
     )
     with pytest.raises(ValueError, match="before it is pivoted"):
-        solve_structured(sys, pivots=[1, 2])
+        solve_structured(sys)
 
 
 def test_precision_below_bucket_exponent_rejected():
