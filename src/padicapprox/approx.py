@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clopen import ClopenSet, product_set
-from .core import ExactnessError, Params, euler_phi, totient_sieve
+from .core import ExactnessError, Params, _split_power, euler_phi, totient_sieve
 from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
 # ---------------------------------------------------------------------------
@@ -34,14 +34,19 @@ from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """psi(q) = q^{-tau}."""
+    """psi(q) = q^{-tau}: the ScaledPower with c = 1 and e = tau."""
 
     tau: Fraction
+    c = Fraction(1)  # a class constant, not a field: init, equality and repr see tau only
 
     def __post_init__(self):
         if Fraction(self.tau) <= 0:
             raise ValueError("tau must be positive")
         object.__setattr__(self, "tau", Fraction(self.tau))
+
+    @property
+    def e(self) -> Fraction:
+        return self.tau
 
 
 @dataclass(frozen=True)
@@ -82,20 +87,16 @@ PsiComponent = PowerLaw | ScaledPower | TableFunction
 
 def psi_powprod(comp: PsiComponent, q: int):
     """psi(q) as an exact power product for threshold comparisons."""
-    if isinstance(comp, PowerLaw):
-        return [(Fraction(q), -comp.tau)]
-    if isinstance(comp, ScaledPower):
-        return [(comp.c, Fraction(1)), (Fraction(q), -comp.e)]
-    return [(comp.lookup(q), Fraction(1))]
+    if isinstance(comp, TableFunction):
+        return [(comp.lookup(q), Fraction(1))]
+    return [(comp.c, Fraction(1)), (Fraction(q), -comp.e)]
 
 
 def psi_value(comp: PsiComponent, q: int) -> Fraction:
     """Exact rational value of psi(q); raises ExactnessError when irrational."""
-    if isinstance(comp, PowerLaw):
-        return frac_pow(q, -comp.tau)
-    if isinstance(comp, ScaledPower):
-        return comp.c * frac_pow(q, -comp.e)
-    return comp.lookup(q)
+    if isinstance(comp, TableFunction):
+        return comp.lookup(q)
+    return comp.c * frac_pow(q, -comp.e)
 
 
 def step_exponent(comp: PsiComponent, a0: int, p: int) -> int:
@@ -140,20 +141,14 @@ class ApproxTuple:
 
     def proper_on(self, lo: int, hi: int) -> bool:
         for c in self.components:
-            if isinstance(c, PowerLaw):
-                qs = [lo]  # q^{1-tau} is monotone; properness at lo implies it beyond
-                if lo == 1:
-                    qs = [1, min(2, hi)]
-                if not all(_below_inverse(c, q) for q in qs):
-                    return False
-            elif isinstance(c, ScaledPower):
-                probe = lo if c.e >= 1 else hi
-                if not _below_inverse(c, probe):
-                    return False
-            else:
+            if isinstance(c, TableFunction):
                 for q, _ in c.values:
                     if lo <= q <= hi and not _below_inverse(c, q):
                         return False
+            else:
+                probe = lo if c.e >= 1 else hi  # q psi(q) = c q^{1-e} is monotone in q
+                if not _below_inverse(c, probe):
+                    return False
         return True
 
     def step_exponents(self, a0: int, p: int) -> tuple[int, ...]:
@@ -177,23 +172,27 @@ def layer_numerators(a0: int, reduced: bool) -> list[int]:
 
 
 def _coordinate_residues(p: int, a0: int, t: int, numerators: Sequence[int]) -> set[int]:
-    """Distinct level-t cosets met by the admissible centers a/a0, as residues mod p^t."""
+    """Distinct level-t cosets met by the admissible centers a/a0, as residues mod p^t.
+
+    With a0 = p^v u and p not dividing u, the center a/a0 lies in Z_p exactly
+    when p^v divides a, and its residue is then (a / p^v) u^{-1}; a center
+    outside Z_p contributes nothing.
+    """
     mod = p**t
     if mod == 1:
         return {0}
-    out: set[int] = set()
-    inv_cache: dict[int, int] = {}
-    for a in numerators:
-        c = Fraction(a, a0)
-        den = c.denominator
-        if den % p == 0:
-            continue  # center outside Z_p contributes nothing
-        inv = inv_cache.get(den)
-        if inv is None:
-            inv = pow(den, -1, mod)
-            inv_cache[den] = inv
-        out.add(c.numerator * inv % mod)
-    return out
+    v, u = _split_power(a0, p)
+    pv = p**v
+    inv = pow(u, -1, mod)
+    return {a // pv * inv % mod for a in numerators if a % pv == 0}
+
+
+def _layer_record(p: int, a0: int, exps: Sequence[int], reduced: bool) -> list[tuple[int, set[int]]]:
+    """Per coordinate: (closed-ball exponent t_i, residue set mod p^{t_i}) of the layer at a0."""
+    if reduced and a0 % p == 0:
+        return [(0, set()) for _ in exps]
+    nums = layer_numerators(a0, reduced)
+    return [(t, _coordinate_residues(p, a0, t, nums)) for t in exps]
 
 
 def layer_coordinate_data(
@@ -202,14 +201,7 @@ def layer_coordinate_data(
     """Per coordinate: (closed-ball exponent t_i, residue set mod p^{t_i})."""
     if psi.n != params.n:
         raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
-    if reduced and a0 % params.p == 0:
-        return [(0, set()) for _ in range(params.n)]
-    nums = layer_numerators(a0, reduced)
-    out = []
-    for comp in psi.components:
-        t = step_exponent(comp, a0, params.p)
-        out.append((t, _coordinate_residues(params.p, a0, t, nums)))
-    return out
+    return _layer_record(params.p, a0, psi.step_exponents(a0, params.p), reduced)
 
 
 def layer_measure(params: Params, psi: ApproxTuple, a0: int, reduced: bool) -> Fraction:
@@ -345,8 +337,6 @@ def layer_reference_sum(params: Params, psi: ApproxTuple, lo: int, hi: int) -> F
     """
     total = Fraction(0)
     for a0 in range(lo, hi + 1):
-        if a0 % params.p == 0:
-            continue
         total += reference_measure(params, psi, a0)
     return total
 
@@ -491,11 +481,10 @@ def ubiquity_fraction(
         exps.append(max(0, ball_exponent(params.p, radius)))
     if max(exps) > depth:
         raise ValueError(f"insufficient depth: need {max(exps)}")
-    layers = []
-    for a0 in range(M**k, M ** (k + 1) + 1):
-        nums = layer_numerators(a0, reduced=False)
-        data = [(t, _coordinate_residues(params.p, a0, t, nums)) for t in exps]
-        layers.append(_product_layer(params, data, depth))
+    layers = (
+        _product_layer(params, _layer_record(params.p, a0, exps, False), depth)
+        for a0 in range(M**k, M ** (k + 1) + 1)
+    )
     acc = ClopenSet.union_all(params.p, params.n, depth, layers)
     if ball is not None:
         acc = acc.intersect(ball)
@@ -532,7 +521,7 @@ def layer_sweep_rows(
         yield {
             "a0": a0,
             "layer_measure": layer.measure(),
-            "reference": reference_measure(params, psi, a0) if a0 % params.p else Fraction(0),
+            "reference": reference_measure(params, psi, a0),
             "union_measure": acc.measure(),
             "union": acc,
             "khintchine_partial": kh,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import random
@@ -128,22 +129,7 @@ def cmd_measure_layer(args) -> None:
 def cmd_claims_check(args) -> None:
     params = Params(args.p, args.n)
     psi = psi_tuple_from_args(args, args.n)
-    rep = approx.measure_claims_check(params, psi, args.a0, args.b0)
-    emit(
-        {
-            "a0": rep.a0,
-            "b0": rep.b0,
-            "measure_a": rep.measure_a,
-            "reference_a": rep.reference_a,
-            "equal_a": rep.equal_a,
-            "measure_b": rep.measure_b,
-            "reference_b": rep.reference_b,
-            "equal_b": rep.equal_b,
-            "intersection_measure": rep.intersection_measure,
-            "ratio_denominator": rep.ratio_denominator,
-            "ratio": rep.ratio,
-        }
-    )
+    emit(dataclasses.asdict(approx.measure_claims_check(params, psi, args.a0, args.b0)))
 
 
 def cmd_khintchine(args) -> None:

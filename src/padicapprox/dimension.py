@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import HypothesisError
-from .approx import ApproxTuple, PowerLaw, ScaledPower
+from .approx import ApproxTuple, TableFunction
 
 
 def _fractions(values: Sequence) -> tuple[Fraction, ...]:
@@ -91,10 +91,7 @@ def limit_exponents(psi: ApproxTuple, probe: tuple[int, int] = (64, 4096)) -> Li
     est: list[float] = []
     exact = True
     for comp in psi.components:
-        if isinstance(comp, PowerLaw):
-            exps.append(comp.tau)
-            est.append(float(comp.tau))
-        elif isinstance(comp, ScaledPower):
+        if not isinstance(comp, TableFunction):
             exps.append(comp.e)
             est.append(float(comp.e))
         else:

@@ -390,7 +390,10 @@ def dirichlet_h0(inst: DirichletInstance) -> H0Report:
         cases[name] = {"value": f"{f.p}^({e})", "float": _float_or_none(f.p, e), "h0": thr}
         h0 = max(h0, thr)
     feas = _bucket_feasible_height(inst)
-    cases["delta"] = {"value": f"least feasible H = {feas}", "float": _float_or_none(feas), "h0": feas - 1}
+    named = f"ceil({f.p}^({_feasible_exponent(inst)})) - 1"
+    cases["delta"] = {
+        "value": f"least feasible H = {_decimal(feas, named)}", "float": _float_or_none(feas), "h0": feas - 1
+    }
     h0 = max(h0, feas - 1)
     return H0Report(h0=h0, cases=cases)
 
@@ -403,6 +406,19 @@ def _float_or_none(base: int, exponent: Fraction | int = 1) -> float | None:
         return None
 
 
+def _decimal(value: int, name: str) -> str:
+    """value in decimal, or name when it has more digits than int-to-str conversion allows."""
+    try:
+        return str(value)
+    except ValueError:
+        return name
+
+
+def _feasible_exponent(inst: DirichletInstance) -> Fraction:
+    """The largest (sigma_i - 1) / tau_i over the forms: H + 1 >= p^e is the feasibility bound."""
+    return max((inst.sigma_shift - 1) / v for v in inst.v)
+
+
 def _bucket_feasible_height(inst: DirichletInstance) -> int:
     """Least H >= 1 whose linearized system has all bucket exponents >= 0.
 
@@ -412,7 +428,7 @@ def _bucket_feasible_height(inst: DirichletInstance) -> int:
     is the least integer at or above p^e for the largest such exponent e.
     """
     p = inst.f.p
-    e = max((inst.sigma_shift - 1) / v for v in inst.v)
+    e = _feasible_exponent(inst)
     root = floor_log_int_power(p, e)
     return max(1, root - 1 if root**e.denominator == p**e.numerator else root)
 
@@ -513,7 +529,9 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
     """
     report = dirichlet_h0(inst)
     if not report.admissible(inst.H):
-        raise HypothesisError("H > H_0", f"H={inst.H}, H_0={report.h0}")
+        # the first case at H_0 is a power p^e: delta's exponent m/(d v) is below beta's n/(d (v - 1))
+        setter = next(c["value"] for c in report.cases.values() if c["h0"] == report.h0)
+        raise HypothesisError("H > H_0", f"H={inst.H}, H_0={_decimal(report.h0, f'floor({setter})')}")
     p = inst.f.p
     fallback = "verification-failed"
     sys = _linearized_system(inst)

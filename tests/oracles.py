@@ -15,21 +15,27 @@
   stepped search for the least feasible Dirichlet height, which the closed
   form of `manifold` replaced; and the structured scan with an explicit pivot
   list.
+- The layer residues read off one `Fraction(a, a0)` per numerator, which the
+  split a0 = p^v u of `approx` replaced, and the three-branch `psi_powprod` /
+  `psi_value`, which reading `PowerLaw` as the scaled power with c = 1
+  replaced.
 
 Only the public trie primitives (`_space`, `node`), the integer forms of
-`PolyMap`, `ball_exponent`, `floor_log_powprod` and the exact bucket
-exponents of `minkowski` are shared with the code under test, so a fault in
-the new builders, the column kernel, the lattice search or the lemma
-congruences cannot leak into the oracles.
+`PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`, the exact bucket
+exponents of `minkowski` and the fields of the approximation functions are
+shared with the code under test, so a fault in the new builders, the column
+kernel, the lattice search, the lemma congruences, the residue rule or the
+power-law dispatch cannot leak into the oracles.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from padicapprox.approx import PowerLaw, ScaledPower
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
 from padicapprox.core import _split_power
-from padicapprox.exactcmp import ball_exponent, floor_log_powprod
+from padicapprox.exactcmp import ball_exponent, floor_log_powprod, frac_pow
 from padicapprox.manifold import RationalPoint
 from padicapprox.minkowski import MinkowskiSolution, SolverError, bucket_exponents
 
@@ -436,3 +442,38 @@ def pivoted_solve_structured(sys, pivots):
             ok = valuation_verify_solution(sys, x, deltas, require_buckets=True)
             return MinkowskiSolution(x, deltas, ok, boundary, "congruence-scan")
     raise SolverError("no structured solution with x_0 in [1, H_0]")
+
+
+# ---------------------------------------------------------------------------
+# Fraction layer residues and the three-branch approximation functions
+# ---------------------------------------------------------------------------
+
+
+def fraction_coordinate_residues(p, a0, t, numerators):
+    """Residues mod p^t of the centers a/a0 that lie in Z_p, one Fraction per numerator."""
+    mod = p**t
+    if mod == 1:
+        return {0}
+    out = set()
+    for a in numerators:
+        c = Fraction(a, a0)
+        if c.denominator % p == 0:
+            continue
+        out.add(c.numerator * pow(c.denominator, -1, mod) % mod)
+    return out
+
+
+def branched_psi_powprod(comp, q):
+    if isinstance(comp, PowerLaw):
+        return [(Fraction(q), -comp.tau)]
+    if isinstance(comp, ScaledPower):
+        return [(comp.c, Fraction(1)), (Fraction(q), -comp.e)]
+    return [(comp.lookup(q), Fraction(1))]
+
+
+def branched_psi_value(comp, q):
+    if isinstance(comp, PowerLaw):
+        return frac_pow(q, -comp.tau)
+    if isinstance(comp, ScaledPower):
+        return comp.c * frac_pow(q, -comp.e)
+    return comp.lookup(q)

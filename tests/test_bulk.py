@@ -21,7 +21,7 @@ from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, prod
 from padicapprox.core import Params
 from padicapprox.exactcmp import ball_exponent
 
-from oracles import rectangle_set
+from oracles import fraction_coordinate_residues, rectangle_set
 
 # ---------------------------------------------------------------------------
 # Oracles: the previous one-at-a-time and Fraction-recursive paths
@@ -250,7 +250,7 @@ def test_ubiquity_fraction_matches_rectangle_path():
     acc = ClopenSet.empty(3, 1, depth)
     for a0 in range(M**k, M ** (k + 1) + 1):
         nums = approx.layer_numerators(a0, reduced=False)
-        residues = approx._coordinate_residues(3, a0, t, nums)
+        residues = fraction_coordinate_residues(3, a0, t, nums)
         acc = acc.union(fold_insert(3, 1, depth, [BallSpec((Fraction(r),), (t,)) for r in residues]))
     assert approx.ubiquity_fraction(params, alpha, M, k, depth, c1) == acc.measure()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -151,6 +152,16 @@ def test_dirichlet_solve_threshold_past_the_float_range_exits_two(capsys):
     )
     assert code == 2 and out["error"]["failed"] == "H > H_0"
     assert f"H_0={3**2000}" in out["error"]["message"]
+
+
+def test_dirichlet_solve_threshold_past_the_digit_limit_names_its_case(capsys):
+    # beta = 3^20000 has more digits than int-to-str conversion allows, so H_0 is named, not printed
+    code, out = run_cli(
+        capsys, "dirichlet-solve", "--map-json", SQUARE, "--x", "5", "--precision", "30",
+        "--tau", "19999/10000", "--v", "10001/10000", "--H", "50",
+    )
+    assert code == 2 and out["error"]["kind"] == "hypothesis" and out["error"]["failed"] == "H > H_0"
+    assert out["error"]["message"] == "hypothesis violated: H > H_0 (H=50, H_0=floor(3^(20000)))"
 
 
 def test_dirichlet_solve_base_point_below_the_bucket_precision(capsys):
@@ -336,6 +347,61 @@ def test_byte_identical_output_for_fixed_config():
     out1 = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
     out2 = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
     assert out1 == out2 and out1
+
+
+# The README "CLI tour", in order, with the sha256 of each stdout. Stdout is byte-identical
+# for a fixed command line, so these digests change only with a documented output change;
+# TOUR_FILES are the two files the partial-limsup line writes.
+TOUR_MAP = '{"p":3,"d":1,"m":1,"polys":[[["1",[2]]]]}'
+README_TOUR = [
+    (["measure-layer", "--p", "3", "--n", "1", "--psi", "1/(2q)", "--a0", "4", "--reduced"],
+     "f2b8e3d0689586960800007e547c30dc36bb010641032a6ef32a0dc2fb7735ec"),
+    (["claims-check", "--p", "3", "--n", "2", "--psi", "1/(2q)", "--psi", "q^-2", "--a0", "4", "--b0", "25"],
+     "1310cea65a3b3c9b0f3e22b6afc3a957e0d32ecd53492ec52378ec39dfca9792"),
+    (["khintchine", "--p", "3", "--n", "1", "--psi", "1/(2q)", "--terms", "100"],
+     "bea7030ca626502e64ecff1d5be8ff3efa18180c9c48fba8f89a148d25bfb4d3"),
+    (["duffin-schaeffer", "--p", "3", "--n", "1", "--psi", "1/(2q)", "--terms", "100"],
+     "13acf44260bfd42ae697663522b58f01f8da91957c78765157e31b5e15e7b61c"),
+    (["partial-limsup", "--p", "3", "--n", "1", "--psi", "q^-5/2", "--from", "100", "--to", "200",
+      "--boxes", "3", "4", "5", "6", "7", "8", "9", "10", "--csv", "sweep.csv", "--save-set", "tail.clopen"],
+     "b01248f3164ffcd5ba322708995aec203229f8f1f40ba2caaff6b5979f252c6a"),
+    (["boxdim", "--p", "3", "--set", "tail.clopen", "--levels", "3", "4", "5", "6", "7", "8", "9", "10",
+      "--drop-coarsest", "0"],
+     "61b282d7517fdf8086e10e876cdfd33cbe8e7b69cc76248ebe317a7653582ba0"),
+    (["minkowski", "--p", "3", "--precision", "12", "--form", "7,-1", "--height", "8", "8", "--tau", "2",
+      "--sigma", "1"],
+     "94e1f115c6ba6432e32d0b3cf5f114c5d42af48cb56d70867aa17c2f2d5bc8ee"),
+    (["minkowski", "--p", "3", "--random", "100", "--seed", "7"],
+     "469cc8887d166270d7781791dd0f4265db276e7c5772bbf67cc22851cebb2144"),
+    (["dirichlet-solve", "--map-json", TOUR_MAP, "--x", "12345678901234567890", "--precision", "60",
+      "--tau", "7/5", "--v", "8/5", "--H", "64"],
+     "8728bee962f85a001ecf64e25a850cf5121c82fcb2d8702ddc1e0348e52fbaf5"),
+    (["enumerate-s-tau", "--map-json", TOUR_MAP, "--tau", "7/5", "--hmax", "100"],
+     "a06fd73b2c9630de06deb927198960334bf25f5692db885021cd43bd3fe3c8b8"),
+    (["cover-preimage", "--map-json", TOUR_MAP, "--tau", "12/5", "7/5", "--hmax", "100", "--depth", "12",
+      "--boxes", "2", "3", "4", "5", "6", "7", "8"],
+     "c004e53ced5e66d9bc97c29ff122810a7f8ed0b6cc09f55d672bf0e1e5c1e60b"),
+    (["dim", "jb", "--tau", "3", "2"], "5a19b0fcc04d0233a2fc87b8895e72ae311850ff78d82156396581c909cecb94"),
+    (["dim", "rynne", "--tau", "3", "2"], "6556d4cf4977980bada14f4d5e71ec7e9cf1e2fa1d465f77cdce4faf4c382cb5"),
+    (["dim", "ww", "--a", "3/2", "3/2", "--t", "3/2", "1/2", "--variant", "K2-sum"],
+     "73da28c28d11543c329a01d99fa674b1099d3fdbb0ba45939906bd962c2af8b5"),
+    (["dim", "manifold", "--which", "thm2.8", "--tau", "12/5", "7/5", "--d", "1", "--m", "1"],
+     "a21c19b4767cba77436ac9bbd837aa874e15963bc0155bdab0480acff85ad557"),
+]
+TOUR_FILES = {
+    "sweep.csv": "fb94ce2b3640c7e4befc3cd189fa9543f18f6e4e73e61664abbcb7c59a24841a",
+    "tail.clopen": "66b3e1ee06e8ff7ca245aaafedd86e8d64bfc06a564f3030647fc479ecda8181",
+}
+
+
+def test_readme_tour_bytes_are_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in README_TOUR:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (argv[0], code, hashlib.sha256(out.encode()).hexdigest()) == (argv[0], 0, digest)
+    for name, digest in TOUR_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_dirichlet_solve_computes_h0_once(capsys, monkeypatch):

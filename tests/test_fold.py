@@ -10,6 +10,11 @@ The congruences of the pigeonhole lemma are folded the same way: the lemma
 bound is one list of moduli, the least feasible Dirichlet height a closed
 form, and the structured scan resolves x_{i+1} with form i. Their former
 versions live in `oracles.py` and are compared here on random systems.
+
+Layer residues come from one split a0 = p^v u instead of one Fraction per
+numerator, and `PowerLaw` is read as the scaled power with c = 1. The
+Fraction residue rule and the three-branch `psi_powprod` / `psi_value` live
+in `oracles.py`; the separate loops above evaluate psi through them.
 """
 
 import math
@@ -25,6 +30,7 @@ from padicapprox.approx import (
     PowerLaw,
     ScaledPower,
     TableFunction,
+    _coordinate_residues,
     build_layer,
     claim_c_max_ratio,
     divergence_curve,
@@ -33,6 +39,7 @@ from padicapprox.approx import (
     khintchine_sum,
     layer_coordinate_data,
     layer_measure,
+    layer_numerators,
     layer_sweep_rows,
     measure_claims_check,
     psi_powprod,
@@ -51,7 +58,7 @@ from padicapprox.core import (
     valuation,
 )
 from padicapprox.dimension import jb_dimension, manifold_lower_bound, waterfill_alpha, waterfill_v
-from padicapprox.exactcmp import _log_int, cmp_powprod, floor_log_powprod
+from padicapprox.exactcmp import _log_int, ball_exponent, cmp_powprod, floor_log_powprod
 from padicapprox.manifold import (
     DirichletInstance,
     PolyMap,
@@ -72,7 +79,10 @@ from padicapprox.minkowski import (
 )
 
 from oracles import (
+    branched_psi_powprod,
+    branched_psi_value,
     factor_lemma_thresholds,
+    fraction_coordinate_residues,
     pivoted_solve_structured,
     stepped_feasible_height,
     valuation_satisfies_lemma_bound,
@@ -91,7 +101,7 @@ def old_khintchine_sum(params, psi, n_terms):
     for q in range(1, n_terms + 1):
         term = Fraction(q) ** params.n
         for comp in psi.components:
-            term *= psi_value(comp, q)
+            term *= branched_psi_value(comp, q)
         total += term
     return total
 
@@ -102,7 +112,7 @@ def old_duffin_schaeffer_sum(params, psi, n_terms):
     for q in range(1, n_terms + 1):
         term = Fraction(phi[q]) ** params.n
         for comp in psi.components:
-            term *= psi_value(comp, q)
+            term *= branched_psi_value(comp, q)
         total += term
     k = old_khintchine_sum(params, psi, n_terms)
     return total, (total / k if k else None)
@@ -119,7 +129,7 @@ def old_sweep_series(params, psi, lo, hi):
             try:
                 term = Fraction(1)
                 for comp in psi.components:
-                    term *= psi_value(comp, a0)
+                    term *= branched_psi_value(comp, a0)
                 kh += Fraction(a0) ** params.n * term
                 ds += Fraction(phi[a0]) ** params.n * term
             except ExactnessError:
@@ -150,7 +160,7 @@ def old_measure_claims_check(params, psi, a0, b0):
     mu_ab = intersection_measure(params, psi, a0, b0, reduced=True)
     denom = Fraction(a0) ** params.n * Fraction(b0) ** params.n
     for comp in psi.components:
-        denom *= psi_value(comp, a0) * psi_value(comp, b0)
+        denom *= branched_psi_value(comp, a0) * branched_psi_value(comp, b0)
     ratio = None if a0 == b0 else mu_ab / denom
     return ClaimsReport(a0, b0, mu_a, ref_a, mu_a == ref_a, mu_b, ref_b, mu_b == ref_b, mu_ab, denom, ratio)
 
@@ -160,7 +170,7 @@ def old_claim_c_max_ratio(params, psi, bound):
     arg = (0, 0)
     pairs = [q for q in range(1, bound + 1) if math.gcd(q, params.p) == 1]
     data = {q: layer_coordinate_data(params, psi, q, True) for q in pairs}
-    psis = {q: [psi_value(c, q) for c in psi.components] for q in pairs}
+    psis = {q: [branched_psi_value(c, q) for c in psi.components] for q in pairs}
     for i, a0 in enumerate(pairs):
         da = data[a0]
         for b0 in pairs[i + 1 :]:
@@ -186,8 +196,12 @@ def old_claim_c_max_ratio(params, psi, bound):
     return best, arg
 
 
+def old_below_inverse(c, q):
+    return cmp_powprod(branched_psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) < 0
+
+
 def old_proper_at(psi, q):
-    return all(cmp_powprod(psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) < 0 for c in psi.components)
+    return all(old_below_inverse(c, q) for c in psi.components)
 
 
 def old_proper_on(psi, lo, hi):
@@ -196,15 +210,15 @@ def old_proper_on(psi, lo, hi):
             qs = [lo]
             if lo == 1:
                 qs = [1, min(2, hi)]
-            if any(cmp_powprod(psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) >= 0 for q in qs):
+            if not all(old_below_inverse(c, q) for q in qs):
                 return False
         elif isinstance(c, ScaledPower):
             probe = lo if c.e >= 1 else hi
-            if cmp_powprod(psi_powprod(c, probe), [(Fraction(probe), Fraction(-1))]) >= 0:
+            if not old_below_inverse(c, probe):
                 return False
         else:
             for q, _ in c.values:
-                if lo <= q <= hi and cmp_powprod(psi_powprod(c, q), [(Fraction(q), Fraction(-1))]) >= 0:
+                if lo <= q <= hi and not old_below_inverse(c, q):
                     return False
     return True
 
@@ -415,6 +429,63 @@ def test_claims_check_raises_like_the_separate_loops():
     assert got == outcome(old_measure_claims_check, params, psi, 4, 8)
     assert got[2] == "8^-1/2 is irrational"
     assert outcome(claim_c_max_ratio, params, psi, 8) == outcome(old_claim_c_max_ratio, params, psi, 8)
+
+
+# ---------------------------------------------------------------------------
+# Layer records and the power-law family
+# ---------------------------------------------------------------------------
+
+
+def fraction_layer_record(params, psi, a0, reduced):
+    """The layer record with the Fraction residues; psi is evaluated at a0 first, also where
+    the reduced layer is empty (p | a0), so a table without a value at a0 raises there."""
+    exps = psi.step_exponents(a0, params.p)
+    if reduced and a0 % params.p == 0:
+        return [(0, set()) for _ in exps]
+    nums = layer_numerators(a0, reduced)
+    return [(t, fraction_coordinate_residues(params.p, a0, t, nums)) for t in exps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 2), st.integers(1, 40), st.integers(0, 8), st.booleans())
+def test_integer_residues_match_the_fraction_rule(p, v, u, t, reduced):
+    # a0 = p^v u covers a0 prime to p, divisible by p and divisible by p^2 (u may add more)
+    a0 = p**v * u
+    nums = layer_numerators(a0, reduced)
+    assert _coordinate_residues(p, a0, t, nums) == fraction_coordinate_residues(p, a0, t, nums)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting(), st.integers(0, 2), st.integers(1, 12), st.booleans())
+def test_layer_records_match_the_fraction_rule(s, v, u, reduced):
+    params, psi = s
+    a0 = params.p**v * u
+    got = outcome(layer_coordinate_data, params, psi, a0, reduced)
+    assert got == outcome(fraction_layer_record, params, psi, a0, reduced)
+
+
+power_taus = st.one_of(
+    st.builds(Fraction, st.integers(1, 9), st.integers(10, 20)),  # tau < 1
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(21, 60), st.integers(1, 20)),  # tau > 1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_taus, st.integers(1, 40), st.integers(0, 6), st.sampled_from([2, 3, 5, 7]))
+def test_power_law_is_the_unit_scaled_power(tau, lo, width, p):
+    law = PowerLaw(tau)
+    assert (law.c, law.e) == (1, tau)
+    assert repr(law) == f"PowerLaw(tau={tau!r})" and law == PowerLaw(tau)
+    for q in (lo, lo + width):
+        assert cmp_powprod(psi_powprod(law, q), branched_psi_powprod(law, q)) == 0
+        assert ball_exponent(p, psi_powprod(law, q)) == ball_exponent(p, branched_psi_powprod(law, q))
+        assert outcome(psi_value, law, q) == outcome(branched_psi_value, law, q)
+    # lo = 1 was a special case of proper_on; lo = hi probes a single denominator
+    for a, b in [(1, 1), (1, lo + width), (lo, lo), (lo, lo + width)]:
+        for psi in (ApproxTuple((law,)), ApproxTuple((ScaledPower(Fraction(1, 2), tau), law))):
+            assert psi.proper_on(a, b) == old_proper_on(psi, a, b)
+            assert psi.proper_at(b) == old_proper_at(psi, b)
 
 
 # ---------------------------------------------------------------------------

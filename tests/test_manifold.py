@@ -89,6 +89,18 @@ def test_dirichlet_h0_fixture_value():
     assert rep.admissible(39) and not rep.admissible(38)
 
 
+def test_dirichlet_h0_names_the_feasible_height_past_the_digit_limit():
+    # over Z_p with p = 2^521 - 1 and m = 45: H + 1 >= p^((m/d) / v) = p^30 has 4700 digits
+    p, m = 2**521 - 1, 45
+    f = PolyMap(p, 1, m, tuple(((F(1), (2,)),) for _ in range(m)))
+    inst = DirichletInstance(f, (PAdicInt(p, 5, 1),), (1 + F(1, 2 * m),) * m, (F(3, 2),), H=50)
+    delta = dirichlet_h0(inst).cases["delta"]
+    assert delta["value"] == f"least feasible H = ceil({p}^(30)) - 1"
+    assert delta["float"] is None and delta["h0"] == p**30 - 2
+    with pytest.raises(HypothesisError, match=rf"H_0=floor\({p}\^\(92\)\)\)$"):
+        dirichlet_solve(inst)
+
+
 def test_dirichlet_h0_grows_with_smaller_v():
     f = square_map()
     x = (PAdicInt(3, 60, 7),)
