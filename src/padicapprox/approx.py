@@ -260,13 +260,22 @@ def required_depth(params: Params, psi: ApproxTuple, lo: int, hi: int) -> int:
 def partial_limsup(
     params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int
 ) -> ClopenSet:
-    """Union of the layers for a0 in [lo, hi], exact."""
+    """Union of the layers for a0 in [lo, hi], exact.
+
+    The step exponents of each a0 are evaluated once: their maximum is checked
+    against depth, then the same vector builds the layer."""
     if lo > hi or lo < 1:
         raise ValueError("need 1 <= lo <= hi")
-    need = required_depth(params, psi, lo, hi)
+    a0s = range(lo, hi + 1)
+    exps = [psi.step_exponents(a0, params.p) for a0 in a0s]
+    need = max(map(max, exps))
     if need > depth:
         raise ValueError(f"insufficient depth: range needs level {need}, depth is {depth}")
-    layers = (build_layer(params, psi, a0, reduced, depth) for a0 in range(lo, hi + 1))
+    if psi.n != params.n:
+        raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
+    layers = (
+        _product_layer(params, _layer_record(params.p, a0, e, reduced), depth) for a0, e in zip(a0s, exps)
+    )
     return ClopenSet.union_all(params.p, params.n, depth, layers)
 
 

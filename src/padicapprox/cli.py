@@ -93,7 +93,7 @@ def psi_tuple_from_args(args, n: int) -> approx.ApproxTuple:
 
 def load_map(args) -> manifold.PolyMap:
     try:
-        if getattr(args, "map_json", None):
+        if args.map is None:
             data = json.loads(args.map_json)
         else:
             with open(args.map) as fh:
@@ -378,6 +378,17 @@ def cmd_boxdim(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a non-integer gets argparse's own int message)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 class _UsageError(Exception):
     """An argparse usage error, raised to main instead of exiting."""
 
@@ -459,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_minkowski)
 
     def common_map(sp):
-        sp.add_argument("--map", default=None, help="path to a polynomial-map JSON fixture")
-        sp.add_argument("--map-json", default=None, help="inline JSON for the map")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--map", default=None, help="path to a polynomial-map JSON fixture")
+        source.add_argument("--map-json", default=None, help="inline JSON for the map")
 
     sp = sub.add_parser("dirichlet-solve", help="constructive approximation on a map graph")
     common_map(sp)
@@ -474,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate-s-tau", help="resonant integer points near the graph")
     common_map(sp)
     sp.add_argument("--tau", nargs="+", required=True, help="dependent-block exponents")
-    sp.add_argument("--hmax", type=int, required=True)
+    sp.add_argument("--hmax", type=_positive_int, required=True)
     sp.add_argument("--hmin", type=int, default=1)
     sp.add_argument("--limit", type=int, default=50, help="max points echoed in JSON")
     sp.set_defaults(func=cmd_enumerate_s_tau)
@@ -483,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_map(sp)
     sp.add_argument("--tau", nargs="+", required=True, help="all n exponents")
     sp.add_argument("--delta", default="1")
-    sp.add_argument("--hmax", type=int, required=True)
+    sp.add_argument("--hmax", type=_positive_int, required=True)
     sp.add_argument("--hmin", type=int, default=1)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--boxes", type=int, nargs="*", default=None)

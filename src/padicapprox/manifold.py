@@ -12,13 +12,14 @@ evaluation before it is returned.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .clopen import ClopenSet, box_code
 from .core import HypothesisError, PAdicInt, _split_power, is_prime, parse_fraction
@@ -275,6 +276,21 @@ class RationalPoint:
     def coordinates(self, count: int | None = None) -> tuple[Fraction, ...]:
         vals = self.a[1:] if count is None else self.a[1 : count + 1]
         return tuple(Fraction(v, self.a0) for v in vals)
+
+
+def _known_points(vectors: Iterable[tuple[int, ...]], heights: Iterable[int]) -> list[RationalPoint]:
+    """RationalPoints from tuples of ints with a_0 != 0 and their heights max |a_i|,
+    already known to the caller: the two slots are set directly, so __post_init__
+    neither converts the entries again nor recomputes the height."""
+    vectors = list(vectors)
+    points = list(map(object.__new__, itertools.repeat(RationalPoint, len(vectors))))
+    collections.deque(map(_POINT_A.__set__, points, vectors), maxlen=0)
+    collections.deque(map(_POINT_HEIGHT.__set__, points, heights), maxlen=0)
+    return points
+
+
+_POINT_A = RationalPoint.__dict__["a"]
+_POINT_HEIGHT = RationalPoint.__dict__["height"]
 
 
 @dataclass(frozen=True)
@@ -646,9 +662,9 @@ def enumerate_S_tau(
     the condition reads r_j = a_{d+j} mod M_j(h). For each a_0 and prefix
     (c_1, ..., c_{d-1}), r_j is one column over the last coordinate; the
     dependent coordinates are pinned by their class modulo the least M_j over
-    the heights a tail can still reach (those >= max(h_base, h_min)), and
-    checked at the point's true height h unless h = h_base and every M_j is
-    nondecreasing, where M_j(h) is that pinning modulus.
+    the heights a tail can still reach (those >= max(h_base, h_min)). The tails
+    of the surviving positions of a column are then decided together, by
+    height, primitivity and the congruence at M_j(h), in passes of `map`.
     """
     p = f.p
     tau_dep = [Fraction(t) for t in tau_dep]
@@ -668,8 +684,9 @@ def enumerate_S_tau(
     # the pinning modulus at h: min M_j over heights >= h, which all the others
     # divide; it is M_j(h) itself unless some tau_j < 0 makes M_j fall with h
     pins = [list(itertools.accumulate(reversed(mods), min))[::-1] for mods in moduli]
-    monotone = pins == moduli
     span = range(-h_max, h_max + 1)
+    repeat = itertools.repeat
+    chain = itertools.chain.from_iterable
     found: list[RationalPoint] = []
     for a0 in range(1, h_max + 1):
         if a0 % p == 0:
@@ -684,27 +701,46 @@ def enumerate_S_tau(
             # the pinning modulus at max(hp, |x|) and (r + h_max) mod it, per position
             lows = [pin[h_max:hp:-1] + [pin[hp]] * (2 * hp + 1) + pin[hp + 1 :] for pin in pins]
             offsets = [
-                list(map(operator.mod, map(operator.add, col, itertools.repeat(h_max)), low))
+                list(map(operator.mod, map(operator.add, col, repeat(h_max)), low))
                 for col, low in zip(columns, lows)
             ]
             # a position survives when every least candidate offset - h_max is <= h_max
-            keep = map((2 * h_max).__ge__, map(max, itertools.repeat(0), *offsets))
-            for i in itertools.compress(range(len(span)), keep):
-                x = span[i]
-                h_base = max(hp, abs(x))
-                tails = [range(off[i] - h_max, h_max + 1, low[i]) for off, low in zip(offsets, lows)]
-                for tail in itertools.product(*tails):
-                    h = max(h_base, *map(abs, tail))
-                    if h < h_min:
-                        continue
-                    a = (a0, *prefix, x, *tail)
-                    # with monotone levels the pinning modulus at h == h_base is
-                    # M_j(h) itself, so the class already decides membership
-                    if math.gcd(*a) == 1 and (
-                        (monotone and h == h_base)
-                        or all((col[i] - t) % mods[h] == 0 for col, t, mods in zip(columns, tail, moduli))
-                    ):
-                        found.append(RationalPoint(a))
+            keep = map((2 * h_max).__ge__, map(max, repeat(0), *offsets))
+            # the candidates as parallel lists, one entry per (position, tail) in
+            # lex order: positions ascend, and form j repeats every candidate of the
+            # forms before it once per tail of its position, tails ascending
+            pos = list(itertools.compress(range(len(span)), keep))
+            tails: list[list[int]] = []
+            for off, low in zip(offsets, lows):
+                ranges = list(
+                    map(range, map(h_max.__rsub__, map(off.__getitem__, pos)), repeat(h_max + 1),
+                        map(low.__getitem__, pos))
+                )
+                counts = list(map(len, ranges))
+                pos = list(chain(map(repeat, pos, counts)))
+                tails = [list(chain(map(repeat, col, counts))) for col in tails]
+                tails.append(list(chain(ranges)))
+            xs = list(map(h_max.__rsub__, pos))
+            hs = list(map(max, repeat(hp), map(abs, xs), *(map(abs, col) for col in tails)))
+            # a candidate is kept when h >= h_min, gcd(a) = 1 and every
+            # (r_j - t_j) mod M_j(h) is 0, that is when the largest of h_min - h,
+            # gcd - 1 and those remainders is at most 0
+            bad = map(
+                max,
+                map(h_min.__sub__, hs),
+                map((-1).__add__, map(math.gcd, repeat(math.gcd(a0, *prefix)), xs, *tails)),
+                *(
+                    map(operator.mod, map(operator.sub, map(column.__getitem__, pos), col),
+                        map(mods.__getitem__, hs))
+                    for column, col, mods in zip(columns, tails, moduli)
+                ),
+            )
+            chosen = list(map(operator.not_, bad))
+            vectors = zip(
+                repeat(a0), *map(repeat, prefix), itertools.compress(xs, chosen),
+                *(itertools.compress(col, chosen) for col in tails),
+            )
+            found += _known_points(vectors, itertools.compress(hs, chosen))
     return found
 
 
@@ -756,10 +792,18 @@ def cover_preimage(
         raise ValueError(f"insufficient depth: need {worst}, have {depth}")
     if points is None:
         points = enumerate_S_tau(f, tau[f.d :], h_max, h_min=h_min)
-    # box codes grouped by exponent vector; centre a_i/a_0 is a_i * a_0^-1 mod p^t_i
+
+    @functools.cache
+    def inverse(a0: int) -> int:
+        """a_0^-1 mod p^depth, once per distinct a_0; it is a_0^-1 mod every p^t_i of a box."""
+        return pow(a0, -1, p**depth)
+
+    # box codes grouped by exponent vector; centre a_i/a_0 is a_i * a_0^-1 mod p^t_i,
+    # and box_code reduces each residue mod its p^t_i
     groups: dict[tuple[int, ...], list[int]] = {}
     for pt in points:
         t = exponents(pt.height)
-        residues = [pt.a[i] * pow(pt.a[0], -1, p**ti) for i, ti in enumerate(t, 1)]
+        inv = inverse(pt.a[0])
+        residues = [c * inv for c in pt.a[1 : f.d + 1]]
         groups.setdefault(t, []).append(box_code(p, residues, t))
     return ClopenSet.from_codes(p, f.d, depth, groups)

@@ -395,14 +395,16 @@ def test_depth_limit_boundary():
 
 
 def test_partial_limsup_csv_reuses_sweep_union(tmp_path, capsys, monkeypatch):
+    # every layer of either path is built from one (t_i, residues) record, whose
+    # second argument is a0: one record per a0 means one layer per a0
     calls = []
-    real = approx.build_layer
+    real = approx._layer_record
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(approx, "build_layer", counting)
+    monkeypatch.setattr(approx, "_layer_record", counting)
     argv = ["partial-limsup", "--p", "3", "--n", "2", "--psi", "q^-2", "--from", "2", "--to", "9",
             "--boxes", "1", "2", "3"]
     outputs = []

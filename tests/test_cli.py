@@ -527,3 +527,52 @@ def test_flag_value_of_two_dashes_exits_two(capsys, argv, kind):
     code = main(argv)
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize("argv", [
+    ["dirichlet-solve", "--x", "5", "--tau", "7/5", "--v", "8/5", "--H", "64"],
+    ["enumerate-s-tau", "--tau", "7/5", "--hmax", "4"],
+    ["cover-preimage", "--tau", "12/5", "7/5", "--hmax", "4", "--depth", "4"],
+], ids=lambda argv: argv[0])
+def test_missing_map_is_a_usage_error(capsys, argv):
+    # with neither --map nor --map-json, open(None) used to raise TypeError (exit 1)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out["error"] == {
+        "kind": "usage", "message": "one of the arguments --map --map-json is required"
+    }
+
+
+@pytest.mark.parametrize("hmax", ["-3", "0"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate-s-tau", "--map-json", SQUARE, "--tau", "7/5"],
+    ["cover-preimage", "--map-json", SQUARE, "--tau", "12/5", "7/5", "--depth", "4"],
+], ids=lambda argv: argv[0])
+def test_hmax_below_one_is_a_usage_error(capsys, argv, hmax):
+    # enumerate-s-tau used to exit 0 with count 0, cover-preimage to blame a power product
+    code, out = run_cli(capsys, *argv, "--hmax", hmax)
+    assert code == 2 and out["error"] == {
+        "kind": "usage", "message": f"argument --hmax: must be an integer >= 1, got {hmax}"
+    }
+    code, out = run_cli(capsys, *argv, "--hmax", "x")
+    assert code == 2 and out["error"]["message"] == "argument --hmax: invalid int value: 'x'"
+
+
+def test_partial_limsup_decides_each_threshold_twice_not_three_times(capsys, monkeypatch):
+    # 101 one-coordinate layers: one required_depth pass in the command and one
+    # step-exponent list in partial_limsup, which builds every layer from it
+    from padicapprox import approx
+
+    calls = []
+
+    real = approx.ball_exponent
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(approx, "ball_exponent", counting)
+    code, out = run_cli(
+        capsys, "partial-limsup", "--p", "3", "--n", "1", "--psi", "q^-5/2",
+        "--from", "100", "--to", "200", "--boxes", "3", "4",
+    )
+    assert code == 0 and len(calls) == 202

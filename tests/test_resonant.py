@@ -239,6 +239,27 @@ def test_enumerate_matches_fraction_oracle(inputs):
         assert got == unpinned_enumerate_S_tau(f, tau_dep, h_max, h_min)
 
 
+PAIR = PolyMap(5, 1, 2, (((F(1), (2,)),), ((F(1), (3,)), (F(2), (1,)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(column_inputs())
+# (x^2, x^3 + 2x) over Z_5 with tau = (1/2, 1/2): the pinning modulus is 5 <= 2 h_max
+# at every height, so a surviving position has up to 5 tails per form, 25 in all
+@example((PAIR, [F(1, 2), F(1, 2)], 12, 1))
+def test_bulk_built_points_are_constructed_points(inputs):
+    """The kernel sets the slots of its points directly: they hold plain ints and
+    the true height, and equal and hash like the points the constructor builds."""
+    f, tau_dep, h_max, h_min = inputs
+    got = enumerate_S_tau(f, tau_dep, h_max, h_min=h_min)
+    assert got == integer_enumerate_S_tau(f, tau_dep, h_max, h_min)
+    for pt in got:
+        assert type(pt.a) is tuple and all(type(c) is int for c in pt.a)
+        assert type(pt.height) is int and pt.height == max(map(abs, pt.a))
+        built = RationalPoint(pt.a)
+        assert pt == built and hash(pt) == hash(built) and repr(pt) == repr(built)
+
+
 def test_negative_tau_keeps_tails_above_the_pinning_height():
     # x^2 + 1 over Z_3, tau = -1/2: the level is 3 at h = 1 and 1 above it, so
     # a tail that lifts the height past 1 must not be pinned at height 1's class
