@@ -221,18 +221,26 @@ def _data_measure(p: int, data: Sequence[tuple[int, set[int]]]) -> Fraction:
 
 def reference_measure(params: Params, psi: ApproxTuple, a0: int) -> Fraction:
     """phi(a0)^n * prod_i p^{-t_i(a0)}: the disjoint-union value for reduced layers."""
+    return _reference(params, a0, (step_exponent(c, a0, params.p) for c in psi.components))
+
+
+def _reference(params: Params, a0: int, exps: Iterable[int]) -> Fraction:
+    """reference_measure from the step exponents of a0, which are not read when p | a0."""
     if a0 % params.p == 0:
         return Fraction(0)
-    phi = euler_phi(a0)
-    mu = Fraction(phi) ** params.n
-    for t in psi.step_exponents(a0, params.p):
+    mu = Fraction(euler_phi(a0)) ** params.n
+    for t in exps:
         mu /= params.p**t
     return mu
 
 
 def build_layer(params: Params, psi: ApproxTuple, a0: int, reduced: bool, depth: int) -> ClopenSet:
     """The layer as an exact ClopenSet in Z_p^n."""
-    data = layer_coordinate_data(params, psi, a0, reduced)
+    return _checked_layer(params, a0, layer_coordinate_data(params, psi, a0, reduced), depth)
+
+
+def _checked_layer(params: Params, a0: int, data: Sequence[tuple[int, set[int]]], depth: int) -> ClopenSet:
+    """_product_layer of the layer record of a0, refused when a coordinate needs a level past depth."""
     for t, _ in data:
         if t > depth:
             raise ValueError(f"insufficient depth: layer a0={a0} needs level {t}, depth is {depth}")
@@ -258,18 +266,21 @@ def required_depth(params: Params, psi: ApproxTuple, lo: int, hi: int) -> int:
 
 
 def partial_limsup(
-    params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int
+    params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int | None = None
 ) -> ClopenSet:
     """Union of the layers for a0 in [lo, hi], exact.
 
-    The step exponents of each a0 are evaluated once: their maximum is checked
-    against depth, then the same vector builds the layer."""
+    The step exponents of each a0 are evaluated once: their maximum is the
+    depth when none is given and is checked against the depth otherwise, then
+    the same vector builds the layer."""
     if lo > hi or lo < 1:
         raise ValueError("need 1 <= lo <= hi")
     a0s = range(lo, hi + 1)
     exps = [psi.step_exponents(a0, params.p) for a0 in a0s]
     need = max(map(max, exps))
-    if need > depth:
+    if depth is None:
+        depth = need
+    elif need > depth:
         raise ValueError(f"insufficient depth: range needs level {need}, depth is {depth}")
     if psi.n != params.n:
         raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
@@ -507,18 +518,33 @@ def ubiquity_fraction(
 
 
 def layer_sweep_rows(
-    params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int
+    params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int | None = None
 ) -> Iterator[Mapping[str, object]]:
     """One row per a0: layer measure, the phi-formula reference, the running
     union measure, and both partial series (series skipped if irrational).
 
     Each row also carries the running union itself under "union", so the last
-    row's set is partial_limsup over the same range."""
+    row's set is partial_limsup over the same range. The step exponents of each
+    a0 are evaluated once and give its layer and its reference; without a
+    depth, all of them are evaluated in this call, before any row, and their
+    maximum is the depth."""
+    if psi.n != params.n:
+        raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
+    exps = (psi.step_exponents(a0, params.p) for a0 in range(lo, hi + 1))
+    if depth is None:
+        exps = list(exps)
+        depth = max(map(max, exps), default=0)
+    return _sweep_rows(params, psi, lo, hi, exps, reduced, depth)
+
+
+def _sweep_rows(
+    params: Params, psi: ApproxTuple, lo: int, hi: int, exps: Iterable[Sequence[int]], reduced: bool, depth: int
+) -> Iterator[Mapping[str, object]]:
     acc = ClopenSet.empty(params.p, params.n, depth)
     series = _series_terms(params, psi, lo, hi)
     kh = ds = Fraction(0)
-    for a0 in range(lo, hi + 1):
-        layer = build_layer(params, psi, a0, reduced, depth)
+    for a0, e in zip(range(lo, hi + 1), exps):
+        layer = _checked_layer(params, a0, _layer_record(params.p, a0, e, reduced), depth)
         acc = acc.union(layer)
         if series is not None:
             try:
@@ -530,7 +556,7 @@ def layer_sweep_rows(
         yield {
             "a0": a0,
             "layer_measure": layer.measure(),
-            "reference": reference_measure(params, psi, a0),
+            "reference": _reference(params, a0, e),
             "union_measure": acc.measure(),
             "union": acc,
             "khintchine_partial": kh,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import approx, dimension, manifold, minkowski
 from .clopen import ClopenSet
-from .core import HypothesisError, PAdicInt, Params, embed_rational, parse_fraction
+from .core import HypothesisError, PAdicInt, Params, embed_rational, is_prime, parse_fraction
 
 SCHEMA_VERSION = "1"
 
@@ -148,22 +148,23 @@ def cmd_duffin_schaeffer(args) -> None:
 def cmd_partial_limsup(args) -> None:
     params = Params(args.p, args.n)
     psi = psi_tuple_from_args(args, args.n)
-    depth = args.depth or approx.required_depth(params, psi, args.start, args.end)
     S = None
     if args.csv:
+        # without --depth every step exponent is read here, so a bad range fails before the file exists
+        rows = approx.layer_sweep_rows(params, psi, args.start, args.end, args.reduced, args.depth)
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["a0", "layer_measure", "reference", "union_measure",
                  "khintchine_partial", "duffin_schaeffer_partial"]
             )
-            for row in approx.layer_sweep_rows(params, psi, args.start, args.end, args.reduced, depth):
+            for row in rows:
                 writer.writerow([fmt(row[k]) for k in
                                  ("a0", "layer_measure", "reference", "union_measure",
                                   "khintchine_partial", "duffin_schaeffer_partial")])
                 S = row["union"]
     if S is None:
-        S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, depth)
+        S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, args.depth)
     if args.save_set:
         text = S.to_text()  # may exceed the text budget: fail before the file is created
         with open(args.save_set, "w") as fh:
@@ -171,7 +172,7 @@ def cmd_partial_limsup(args) -> None:
     out = {
         "range": [args.start, args.end],
         "reduced": args.reduced,
-        "depth": depth,
+        "depth": S.depth,
         "measure": S.measure(),
     }
     if args.boxes:
@@ -209,6 +210,8 @@ def cmd_minkowski(args) -> None:
 
 
 def _random_minkowski_sweep(args) -> None:
+    if not is_prime(args.p):  # the sweep draws its own primes, but --p must still be one
+        raise ValueError(f"p must be prime, got {args.p}")
     rng = random.Random(args.seed)
     solved = verified = surplus_ok = 0
     for _ in range(args.random):
@@ -353,7 +356,7 @@ def cmd_dim(args) -> None:
 
 
 def cmd_boxdim(args) -> None:
-    if args.set:
+    if args.counts is None:
         with open(args.set) as fh:
             S = ClopenSet.from_text(fh.read())
         levels = args.levels or list(range(0, S.depth + 1))
@@ -438,12 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("khintchine", help="partial volume series")
     common_psi(sp)
-    sp.add_argument("--terms", type=int, required=True)
+    sp.add_argument("--terms", type=_positive_int, required=True)
     sp.set_defaults(func=cmd_khintchine)
 
     sp = sub.add_parser("duffin-schaeffer", help="totient-weighted partial series and ratio")
     common_psi(sp)
-    sp.add_argument("--terms", type=int, required=True)
+    sp.add_argument("--terms", type=_positive_int, required=True)
     sp.set_defaults(func=cmd_duffin_schaeffer)
 
     sp = sub.add_parser("partial-limsup", help="union of layers over a denominator range")
@@ -524,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("boxdim", help="least-squares box-dimension estimate")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--counts", default=None, help="'k:N,k:N,...'")
-    sp.add_argument("--set", default=None, help="serialized clopen set file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--counts", default=None, help="'k:N,k:N,...'")
+    source.add_argument("--set", default=None, help="serialized clopen set file")
     sp.add_argument("--levels", type=int, nargs="*", default=None)
     sp.add_argument("--drop-coarsest", type=int, default=2)
     sp.set_defaults(func=cmd_boxdim)

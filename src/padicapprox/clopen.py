@@ -8,9 +8,10 @@ memoized on node ids, and canonical form is structural equality of ids.
 
 Sets are built in bulk: boxes of one exponent vector are bucketed by digit
 codes bottom-up, and many-operand unions are one n-ary apply memoized on
-frozensets of ids. Every node carries its integer box counts at each level
-below it; measures (exact Fractions with denominator dividing p^{n*K}) and box
-counts are read from those. All caches live for the whole process.
+frozensets of ids. A node's box counts at each level below it are kept, once
+asked, in a list indexed by id, one shared tuple per distinct profile; measures
+(exact Fractions with denominator dividing p^{n*K}) and box counts are read from
+those. Serialization keeps nothing; all other tables live for the whole process.
 
 Set algebra and profiles recurse once per level (two interpreter frames
 each), so depth is capped at MAX_DEPTH, well inside the interpreter's default
@@ -64,8 +65,10 @@ class _Space:
         self._inter: dict[tuple[int, int], int] = {}
         self._compl: dict[int, int] = {}
         self._union_many: dict[frozenset[int], int] = {}
-        self._profile: dict[int, tuple[int, ...]] = {}
-        self._text: dict[int, str] = {EMPTY: "E", FULL: "F"}
+        # box-count profiles indexed by node id like _children (None until asked
+        # for); equal profiles are one tuple, shared through _profile_of
+        self._profiles: list[tuple[int, ...] | None] = [(0,), (1,)]
+        self._profile_of: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def node(self, children: tuple[int, ...]) -> int:
         nid = self._intern.get(children)
@@ -75,6 +78,7 @@ class _Space:
                 return first
             nid = len(self._children)
             self._children.append(children)
+            self._profiles.append(None)
             self._intern[children] = nid
         return nid
 
@@ -166,11 +170,7 @@ class _Space:
 
     def profile(self, a: int) -> tuple[int, ...]:
         """Box counts of node a at levels 0..height(a); deeper levels scale the last by width."""
-        if a == EMPTY:
-            return (0,)
-        if a == FULL:
-            return (1,)
-        out = self._profile.get(a)
+        out = self._profiles[a]
         if out is None:
             subs = [self.profile(c) for c in self._children[a] if c != EMPTY]
             height = max(len(prof) for prof in subs)
@@ -183,7 +183,7 @@ class _Space:
                     v *= self.width
                     counts[k] += v
             out = (1, *counts)
-            self._profile[a] = out
+            out = self._profiles[a] = self._profile_of.setdefault(out, out)
         return out
 
     def measure(self, a: int) -> Fraction:
@@ -196,27 +196,24 @@ class _Space:
             return prof[k]
         return prof[-1] * self.width ** (k - len(prof) + 1)
 
-    def unbuilt_texts(self, a: int) -> tuple[list[int], dict[int, int]]:
-        """The nodes reachable from a whose text is not memoized yet, in ascending
-        id order, and the text length of each of them and of their children.
+    def text_lengths(self, a: int) -> tuple[list[int], dict[int, int]]:
+        """The nodes reachable from a in ascending id order, and the text length of each.
 
         Nodes are interned after their children, so a child's id is below its
         parent's: lengths fill in ascending id order, once per node, without
-        building any text. A node whose text is memoized counts its length.
+        building any text.
         """
-        texts, kids = self._text, self._children
-        lengths: dict[int, int] = {}
-        level, todo = {a}, set()
+        kids = self._children
+        reached, level = {a}, {a}
         while level:
-            built = level & texts.keys()
-            lengths.update(zip(built, map(len, map(texts.__getitem__, built))))
-            level -= built
-            todo |= level
-            level = set().union(*map(kids.__getitem__, level)) - todo
-        order = sorted(todo)
+            level = set().union(*map(kids.__getitem__, level)) - reached
+            reached |= level
+        order = sorted(reached)
+        lengths = {EMPTY: 1, FULL: 1}
         get = lengths.__getitem__
         for b in order:
-            lengths[b] = 1 + sum(map(get, kids[b]))
+            if b > FULL:
+                lengths[b] = 1 + sum(map(get, kids[b]))
         return order, lengths
 
     def text(self, a: int) -> str:
@@ -225,16 +222,19 @@ class _Space:
         The text writes a shared subtree once per occurrence, so its length can
         grow exponentially with depth while the node table stays small: it is
         counted first, and a text over TEXT_BUDGET is refused before any of it
-        is built. Texts are memoized per node and built in ascending id order.
+        is built. The texts of the reachable nodes are then built in ascending
+        id order in the same local dict, which is dropped on return.
         """
-        order, lengths = self.unbuilt_texts(a)
-        if lengths[a] > TEXT_BUDGET:
+        order, texts = self.text_lengths(a)
+        if texts[a] > TEXT_BUDGET:
             raise ValueError(
-                f"clopen text of {lengths[a]} characters exceeds the text budget TEXT_BUDGET={TEXT_BUDGET}"
+                f"clopen text of {texts[a]} characters exceeds the text budget TEXT_BUDGET={TEXT_BUDGET}"
             )
-        texts, kids = self._text, self._children
+        texts[EMPTY], texts[FULL] = "E", "F"
+        kids, get = self._children, texts.__getitem__
         for b in order:
-            texts[b] = "M" + "".join(map(texts.__getitem__, kids[b]))
+            if b > FULL:
+                texts[b] = "".join(["M", *map(get, kids[b])])  # one copy of the children's texts
         return texts[a]
 
 

@@ -225,6 +225,8 @@ def embed_rational(a: int | Fraction, b: int = 1, *, p: int, precision: int) -> 
     frac = Fraction(a) / Fraction(b) if b != 1 else Fraction(a)
     if b == 0:
         raise ZeroDivisionError("b must be nonzero")
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
     mod = p**precision
     den = frac.denominator
     if den % p == 0:

@@ -283,12 +283,12 @@ def boxdim_estimate(
     """Least-squares slope of log N_k against k log p.
 
     No exactness claim; the two coarsest levels are dropped by default
-    (boundary effects). Needs at least 3 usable points.
+    (boundary effects). Needs at least 3 distinct levels with nonzero counts.
     """
     pts = sorted((int(k), int(N)) for k, N in counts)
     pts = pts[drop_coarsest:]
     pts = [(k, N) for k, N in pts if N > 0]
-    if len(pts) < 3:
+    if len({k for k, _ in pts}) < 3:
         raise ValueError("need at least 3 levels with nonzero counts")
     xs = [k * math.log(p) for k, _ in pts]
     ys = [math.log(N) for _, N in pts]

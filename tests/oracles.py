@@ -4,7 +4,9 @@
   `powprod_log_estimate`, `floor_log_powprod`, `ball_exponent`) that the
   integer (s, N, D) kernel of `exactcmp` replaced.
 - The top-down one-rectangle trie builder (`ClopenSet._rectangle_node`) that
-  the bottom-up coset builder of `clopen` replaced.
+  the bottom-up coset builder of `clopen` replaced, and the box counts of a
+  node by plain recursion over its children, which the per-node profiles of
+  `clopen` replaced.
 - The per-point integer resonant-point enumerator that the residue-column
   kernel of `manifold.enumerate_S_tau` replaced, and an unpinned enumerator
   that tests every tail at its true height.
@@ -20,14 +22,16 @@
   `psi_value`, which reading `PowerLaw` as the scaled power with c = 1
   replaced.
 
-Only the public trie primitives (`_space`, `node`), the integer forms of
-`PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`, the exact bucket
-exponents of `minkowski` and the fields of the approximation functions are
-shared with the code under test, so a fault in the new builders, the column
-kernel, the lattice search, the lemma congruences, the residue rule or the
-power-law dispatch cannot leak into the oracles.
+Only the public trie primitives (`_space`, `node`, the child table), the
+integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
+the exact bucket exponents of `minkowski` and the fields of the approximation
+functions are shared with the code under test, so a fault in the new
+builders, the profiles, the column kernel, the lattice search, the lemma
+congruences, the residue rule or the power-law dispatch cannot leak into the
+oracles.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -142,6 +146,27 @@ def rectangle_node(p, n, depth, rect):
             children[s] = node
         node = sp.node(tuple(children))
     return node
+
+
+def recursive_profile(S, a):
+    """Box counts of node a of S's space at levels 0..height(a), by recursion over the children."""
+    kids, width = S._sp._children, S._sp.width
+
+    @functools.cache
+    def height(b):
+        return 0 if b in (EMPTY, FULL) else 1 + max(map(height, kids[b]))
+
+    @functools.cache
+    def count(b, k):
+        if b == EMPTY:
+            return 0
+        if k == 0:
+            return 1
+        if b == FULL:
+            return width**k
+        return sum(count(c, k - 1) for c in kids[b])
+
+    return tuple(count(a, k) for k in range(height(a) + 1))
 
 
 def rectangle_set(p, n, depth, rect):

@@ -21,7 +21,7 @@ from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, prod
 from padicapprox.core import Params
 from padicapprox.exactcmp import ball_exponent
 
-from oracles import fraction_coordinate_residues, rectangle_set
+from oracles import fraction_coordinate_residues, recursive_profile, rectangle_set
 
 # ---------------------------------------------------------------------------
 # Oracles: the previous one-at-a-time and Fraction-recursive paths
@@ -271,6 +271,23 @@ def test_profile_measure_and_box_counts_match_recursion(data, extra):
         assert S.box_count(k) == recursive_box_count(S, k)
     C = S.complement()
     assert C.measure() == fraction_measure(C) == 1 - S.measure()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rect_data(), st.integers(0, 2))
+def test_every_profile_matches_recursion_and_equal_profiles_are_one_tuple(data, extra):
+    p, n, K, rects = data
+    S = ClopenSet.from_rectangles(p, n, K + extra, rects)
+    sp, shared = S._sp, {}
+    for T in (S, S.complement(), S.union(ClopenSet.from_rectangles(p, n, K + extra, rects[:1]).complement())):
+        reached, level = {T._root}, {T._root}
+        while level:
+            level = {c for b in level for c in sp._children[b]} - reached
+            reached |= level
+        for b in reached:
+            prof = sp.profile(b)
+            assert prof == recursive_profile(T, b)
+            assert shared.setdefault(prof, prof) is prof
 
 
 def test_profile_on_layers_with_shared_subtrees():

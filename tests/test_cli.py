@@ -557,9 +557,9 @@ def test_hmax_below_one_is_a_usage_error(capsys, argv, hmax):
     assert code == 2 and out["error"]["message"] == "argument --hmax: invalid int value: 'x'"
 
 
-def test_partial_limsup_decides_each_threshold_twice_not_three_times(capsys, monkeypatch):
-    # 101 one-coordinate layers: one required_depth pass in the command and one
-    # step-exponent list in partial_limsup, which builds every layer from it
+def test_partial_limsup_decides_each_threshold_once(tmp_path, capsys, monkeypatch):
+    # 101 one-coordinate layers: one step-exponent list gives the depth, every
+    # layer and, with --csv, the reference column
     from padicapprox import approx
 
     calls = []
@@ -571,8 +571,44 @@ def test_partial_limsup_decides_each_threshold_twice_not_three_times(capsys, mon
         return real(*args)
 
     monkeypatch.setattr(approx, "ball_exponent", counting)
-    code, out = run_cli(
-        capsys, "partial-limsup", "--p", "3", "--n", "1", "--psi", "q^-5/2",
-        "--from", "100", "--to", "200", "--boxes", "3", "4",
-    )
-    assert code == 0 and len(calls) == 202
+    argv = ["partial-limsup", "--p", "3", "--n", "1", "--psi", "q^-5/2",
+            "--from", "100", "--to", "200", "--boxes", "3", "4"]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 101 and plain["depth"] == 13
+    calls.clear()
+    code, swept = run_cli(capsys, *argv, "--csv", str(tmp_path / "sweep.csv"))
+    assert code == 0 and len(calls) == 101 and swept == plain
+
+
+def test_partial_limsup_depth_zero_is_checked(capsys):
+    # `--depth 0` used to be read as no depth at all, and exited 0 with "depth": 3
+    code, out = run_cli(capsys, "partial-limsup", "--p", "3", "--psi", "q^-2", "--from", "1", "--to", "3",
+                        "--depth", "0")
+    assert code == 2 and out["error"] == {
+        "kind": "invalid-input", "message": "insufficient depth: range needs level 3, depth is 0"
+    }
+
+
+@pytest.mark.parametrize("argv, error", [
+    # neither source used to raise AttributeError on args.counts
+    (["boxdim", "--p", "3"], {"kind": "usage", "message": "one of the arguments --counts --set is required"}),
+    # one distinct level used to reach the slope fit and raise ZeroDivisionError
+    (["boxdim", "--p", "3", "--counts", "3:2,3:4,3:7", "--drop-coarsest", "0"],
+     {"kind": "invalid-input", "message": "need at least 3 levels with nonzero counts"}),
+    # the random sweep draws its own primes and used to ignore --p
+    (["minkowski", "--p", "4", "--random", "3"], {"kind": "invalid-input", "message": "p must be prime, got 4"}),
+    (["minkowski", "--p", "0", "--random", "1"], {"kind": "invalid-input", "message": "p must be prime, got 0"}),
+    # p**-3 is a float, and pow(den, -1, p**-3) raised TypeError
+    (["minkowski", "--p", "3", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1",
+      "--precision", "-3"], {"kind": "invalid-input", "message": "precision must be >= 1"}),
+    # no terms used to print a partial sum of 0
+    (["khintchine", "--p", "3", "--psi", "q^-2", "--terms", "-1"],
+     {"kind": "usage", "message": "argument --terms: must be an integer >= 1, got -1"}),
+    (["duffin-schaeffer", "--p", "3", "--psi", "q^-2", "--terms", "-1"],
+     {"kind": "usage", "message": "argument --terms: must be an integer >= 1, got -1"}),
+    (["khintchine", "--p", "3", "--psi", "q^-2", "--terms", "0"],
+     {"kind": "usage", "message": "argument --terms: must be an integer >= 1, got 0"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_command_lines_exit_two(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out["error"] == error

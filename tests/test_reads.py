@@ -9,6 +9,8 @@ at most 8.
 """
 
 import random
+import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -327,14 +329,28 @@ def test_enumerate_cosets_expands_full_nodes_at_every_level():
 @given(read_sets())
 def test_to_text_matches_the_recursive_walk_and_count(S):
     want = text_length(S)
-    order, lengths = S._sp.unbuilt_texts(S._root)
+    order, lengths = S._sp.text_lengths(S._root)
     assert lengths[S._root] == want
-    assert order == sorted(order) and (S._root in order or S._root in S._sp._text)
+    assert order == sorted(order) and S._root in order
     if want > clopen.TEXT_BUDGET:
         with pytest.raises(ValueError, match=f"clopen text of {want} characters exceeds"):
             S.to_text()
     elif want <= TEXT_LIMIT:
         assert S.to_text().partition("\n")[2] == old_text(S)
+
+
+def test_to_text_keeps_nothing_beyond_the_text():
+    # a text memo on the space kept 14 MB of node texts beyond this 4.44 M-character body
+    S = ClopenSet.from_cosets(3, 14, 14, range(0, 3**14, 7))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = S.to_text()
+        kept = tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(text)
+    finally:
+        tracemalloc.stop()
+    assert len(text.partition("\n")[2]) == text_length(S) > 4 * 10**6
+    assert kept <= 64 * 1024
 
 
 def test_to_text_refuses_a_body_over_the_text_budget():
@@ -343,7 +359,7 @@ def test_to_text_refuses_a_body_over_the_text_budget():
     # out of memory before the budget
     factors = [ClopenSet.full(5, 1, 7), ClopenSet.full(5, 1, 7), ClopenSet.from_cosets(5, 7, 7, [1, 2, 3, 4, 6])]
     S = product_set(factors)
-    length = S._sp.unbuilt_texts(S._root)[1][S._root]
+    length = S._sp.text_lengths(S._root)[1][S._root]
     assert length == text_length(S) > 10**11
     with pytest.raises(ValueError) as exc:
         S.to_text()
