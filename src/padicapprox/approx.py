@@ -14,6 +14,10 @@ which has exactly phi(a0) numerators per coordinate and makes the layers
 disjoint unions for every proper psi (distinct numerators differ by less than
 a0 < p^{t_i}, so they land in distinct cosets). Non-reduced layers range over
 |a_i| <= a0.
+
+partial_limsup, layer_sweep_rows, required_depth and build_layer decide a
+denominator range in one pass: 1 <= lo <= hi, one step-exponent vector per
+a0, and a depth that covers them all, before any layer is built.
 """
 
 from __future__ import annotations
@@ -199,9 +203,13 @@ def layer_coordinate_data(
     params: Params, psi: ApproxTuple, a0: int, reduced: bool
 ) -> list[tuple[int, set[int]]]:
     """Per coordinate: (closed-ball exponent t_i, residue set mod p^{t_i})."""
+    _check_n(params, psi)
+    return _layer_record(params.p, a0, psi.step_exponents(a0, params.p), reduced)
+
+
+def _check_n(params: Params, psi: ApproxTuple) -> None:
     if psi.n != params.n:
         raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
-    return _layer_record(params.p, a0, psi.step_exponents(a0, params.p), reduced)
 
 
 def layer_measure(params: Params, psi: ApproxTuple, a0: int, reduced: bool) -> Fraction:
@@ -235,58 +243,52 @@ def _reference(params: Params, a0: int, exps: Iterable[int]) -> Fraction:
 
 
 def build_layer(params: Params, psi: ApproxTuple, a0: int, reduced: bool, depth: int) -> ClopenSet:
-    """The layer as an exact ClopenSet in Z_p^n."""
-    return _checked_layer(params, a0, layer_coordinate_data(params, psi, a0, reduced), depth)
+    """The layer as an exact ClopenSet in Z_p^n: the range pass over [a0, a0]."""
+    (exps,), depth = _range_exponents(params, psi, a0, a0, depth)
+    return _layer(params, a0, exps, reduced, depth)
 
 
-def _checked_layer(params: Params, a0: int, data: Sequence[tuple[int, set[int]]], depth: int) -> ClopenSet:
-    """_product_layer of the layer record of a0, refused when a coordinate needs a level past depth."""
-    for t, _ in data:
-        if t > depth:
-            raise ValueError(f"insufficient depth: layer a0={a0} needs level {t}, depth is {depth}")
-    return _product_layer(params, data, depth)
+def _layer(params: Params, a0: int, exps: Sequence[int], reduced: bool, depth: int) -> ClopenSet:
+    """Product over coordinates of the unions of level-t_i cosets of the layer record of a0.
+
+    from_cosets refuses a level t_i past depth. A coordinate without residues
+    (the reduced case p | a0, where every coordinate is (0, {})) is the empty
+    factor, so the product is empty."""
+    record = _layer_record(params.p, a0, exps, reduced)
+    factors = [ClopenSet.from_cosets(params.p, depth, t, residues) for t, residues in record]
+    return factors[0] if params.n == 1 else product_set(factors)
 
 
-def _product_layer(params: Params, data: Sequence[tuple[int, set[int]]], depth: int) -> ClopenSet:
-    """Product over coordinates of the unions of level-t_i cosets given by (t_i, residues)."""
-    if any(not residues for _, residues in data):
-        return ClopenSet.empty(params.p, params.n, depth)
-    factors = [ClopenSet.from_cosets(params.p, depth, t, residues) for t, residues in data]
-    if params.n == 1:
-        return factors[0]
-    return product_set(factors)
+def _range_exponents(
+    params: Params, psi: ApproxTuple, lo: int, hi: int, depth: int | None
+) -> tuple[list[tuple[int, ...]], int]:
+    """The step exponents of every a0 in [lo, hi], each evaluated once, and the depth.
+
+    Their maximum is the depth when none is given and is checked against the
+    depth otherwise, so a bad range or a short depth fails before any layer."""
+    if lo > hi or lo < 1:
+        raise ValueError("need 1 <= lo <= hi")
+    _check_n(params, psi)
+    exps = [psi.step_exponents(a0, params.p) for a0 in range(lo, hi + 1)]
+    need = max(map(max, exps))
+    if depth is None:
+        return exps, need
+    if need > depth:
+        raise ValueError(f"insufficient depth: range needs level {need}, depth is {depth}")
+    return exps, depth
 
 
 def required_depth(params: Params, psi: ApproxTuple, lo: int, hi: int) -> int:
     """Max closed-ball exponent over the range; the depth a sweep must provision."""
-    worst = 0
-    for a0 in range(lo, hi + 1):
-        worst = max(worst, max(psi.step_exponents(a0, params.p)))
-    return worst
+    return _range_exponents(params, psi, lo, hi, None)[1]
 
 
 def partial_limsup(
     params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int | None = None
 ) -> ClopenSet:
-    """Union of the layers for a0 in [lo, hi], exact.
-
-    The step exponents of each a0 are evaluated once: their maximum is the
-    depth when none is given and is checked against the depth otherwise, then
-    the same vector builds the layer."""
-    if lo > hi or lo < 1:
-        raise ValueError("need 1 <= lo <= hi")
-    a0s = range(lo, hi + 1)
-    exps = [psi.step_exponents(a0, params.p) for a0 in a0s]
-    need = max(map(max, exps))
-    if depth is None:
-        depth = need
-    elif need > depth:
-        raise ValueError(f"insufficient depth: range needs level {need}, depth is {depth}")
-    if psi.n != params.n:
-        raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
-    layers = (
-        _product_layer(params, _layer_record(params.p, a0, e, reduced), depth) for a0, e in zip(a0s, exps)
-    )
+    """Union of the layers for a0 in [lo, hi], exact, from one range pass."""
+    exps, depth = _range_exponents(params, psi, lo, hi, depth)
+    layers = (_layer(params, a0, e, reduced, depth) for a0, e in zip(range(lo, hi + 1), exps))
     return ClopenSet.union_all(params.p, params.n, depth, layers)
 
 
@@ -300,10 +302,14 @@ def divergence_curve(
 ) -> list[tuple[int, Fraction]]:
     """Measure of partial_limsup[1, N] for N = 1..n_max: the union column of layer_sweep_rows.
 
-    Stops early once the measure exceeds stop_above, if given.
+    Stops early once the measure exceeds stop_above, if given. The step
+    exponents are evaluated lazily, one a0 per row, so an early stop reads
+    none past it; a level past depth is refused by from_cosets.
     """
+    _check_n(params, psi)
+    exps = (psi.step_exponents(a0, params.p) for a0 in range(1, n_max + 1))
     out: list[tuple[int, Fraction]] = []
-    for row in layer_sweep_rows(params, psi, 1, n_max, reduced, depth):
+    for row in _sweep_rows(params, psi, 1, n_max, exps, reduced, depth):
         mu = row["union_measure"]
         out.append((row["a0"], mu))
         if stop_above is not None and mu > stop_above:
@@ -501,10 +507,7 @@ def ubiquity_fraction(
         exps.append(max(0, ball_exponent(params.p, radius)))
     if max(exps) > depth:
         raise ValueError(f"insufficient depth: need {max(exps)}")
-    layers = (
-        _product_layer(params, _layer_record(params.p, a0, exps, False), depth)
-        for a0 in range(M**k, M ** (k + 1) + 1)
-    )
+    layers = (_layer(params, a0, exps, False, depth) for a0 in range(M**k, M ** (k + 1) + 1))
     acc = ClopenSet.union_all(params.p, params.n, depth, layers)
     if ball is not None:
         acc = acc.intersect(ball)
@@ -524,16 +527,11 @@ def layer_sweep_rows(
     union measure, and both partial series (series skipped if irrational).
 
     Each row also carries the running union itself under "union", so the last
-    row's set is partial_limsup over the same range. The step exponents of each
-    a0 are evaluated once and give its layer and its reference; without a
-    depth, all of them are evaluated in this call, before any row, and their
-    maximum is the depth."""
-    if psi.n != params.n:
-        raise ValueError(f"psi has {psi.n} components, params.n = {params.n}")
-    exps = (psi.step_exponents(a0, params.p) for a0 in range(lo, hi + 1))
-    if depth is None:
-        exps = list(exps)
-        depth = max(map(max, exps), default=0)
+    row's set is partial_limsup over the same range. The range pass of
+    partial_limsup runs in this call, before any row: a bad range or a short
+    depth raises here, and the step exponents of each a0 give its layer and
+    its reference."""
+    exps, depth = _range_exponents(params, psi, lo, hi, depth)
     return _sweep_rows(params, psi, lo, hi, exps, reduced, depth)
 
 
@@ -544,7 +542,7 @@ def _sweep_rows(
     series = _series_terms(params, psi, lo, hi)
     kh = ds = Fraction(0)
     for a0, e in zip(range(lo, hi + 1), exps):
-        layer = _checked_layer(params, a0, _layer_record(params.p, a0, e, reduced), depth)
+        layer = _layer(params, a0, e, reduced, depth)
         acc = acc.union(layer)
         if series is not None:
             try:

@@ -148,40 +148,36 @@ def cmd_duffin_schaeffer(args) -> None:
 def cmd_partial_limsup(args) -> None:
     params = Params(args.p, args.n)
     psi = psi_tuple_from_args(args, args.n)
-    S = None
     if args.csv:
-        # without --depth every step exponent is read here, so a bad range fails before the file exists
+        # the range pass runs in this call: a bad range or a short depth fails before the file exists
         rows = approx.layer_sweep_rows(params, psi, args.start, args.end, args.reduced, args.depth)
+        columns = ("a0", "layer_measure", "reference", "union_measure",
+                   "khintchine_partial", "duffin_schaeffer_partial")
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["a0", "layer_measure", "reference", "union_measure",
-                 "khintchine_partial", "duffin_schaeffer_partial"]
-            )
+            writer.writerow(columns)
             for row in rows:
-                writer.writerow([fmt(row[k]) for k in
-                                 ("a0", "layer_measure", "reference", "union_measure",
-                                  "khintchine_partial", "duffin_schaeffer_partial")])
-                S = row["union"]
-    if S is None:
+                writer.writerow([fmt(row[k]) for k in columns])
+        S = row["union"]  # the range is not empty, so the last row holds partial_limsup
+    else:
         S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, args.depth)
+    _emit_set(args, S, {"range": [args.start, args.end], "reduced": args.reduced, "depth": S.depth})
+
+
+def _emit_set(args, S: ClopenSet, out: dict) -> None:
+    """Emit out with the measure of S and its --boxes counts, after writing --save-set."""
+    out["measure"] = S.measure()
+    if args.boxes:
+        out["box_counts"] = {str(k): S.box_count(k) for k in args.boxes}
     if args.save_set:
         text = S.to_text()  # may exceed the text budget: fail before the file is created
         with open(args.save_set, "w") as fh:
             fh.write(text)
-    out = {
-        "range": [args.start, args.end],
-        "reduced": args.reduced,
-        "depth": S.depth,
-        "measure": S.measure(),
-    }
-    if args.boxes:
-        out["box_counts"] = {str(k): S.box_count(k) for k in args.boxes}
     emit(out)
 
 
 def cmd_minkowski(args) -> None:
-    if args.random:
+    if args.random is not None:
         _random_minkowski_sweep(args)
         return
     p = args.p
@@ -300,14 +296,7 @@ def cmd_cover_preimage(args) -> None:
         depth=args.depth,
         h_min=args.hmin,
     )
-    out = {"measure": cover.measure(), "depth": args.depth, "hmax": args.hmax, "hmin": args.hmin}
-    if args.boxes:
-        out["box_counts"] = {str(k): cover.box_count(k) for k in args.boxes}
-    if args.save_set:
-        text = cover.to_text()  # may exceed the text budget: fail before the file is created
-        with open(args.save_set, "w") as fh:
-            fh.write(text)
-    emit(out)
+    _emit_set(args, cover, {"depth": args.depth, "hmax": args.hmax, "hmin": args.hmin})
 
 
 def cmd_dim(args) -> None:
@@ -359,6 +348,8 @@ def cmd_boxdim(args) -> None:
     if args.counts is None:
         with open(args.set) as fh:
             S = ClopenSet.from_text(fh.read())
+        if S.p != args.p:
+            raise ValueError(f"--p {args.p} differs from the prime {S.p} of the set")
         levels = args.levels or list(range(0, S.depth + 1))
         counts = [(k, S.box_count(k)) for k in levels]
     else:
@@ -468,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", type=int, nargs="*", default=[])
     sp.add_argument("--tau", nargs="*", default=[])
     sp.add_argument("--sigma", nargs="*", default=[])
-    sp.add_argument("--random", type=int, default=0, help="run a seeded random-system sweep instead")
+    sp.add_argument("--random", type=_positive_int, default=None, help="run a seeded random-system sweep instead")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_minkowski)
 

@@ -222,6 +222,8 @@ def arithmetic(x: PAdicInt, y: PAdicInt, op: str) -> PAdicInt:
 
 def embed_rational(a: int | Fraction, b: int = 1, *, p: int, precision: int) -> PAdicInt:
     """Embed a/b into Z_p mod p^precision; requires b (and the reduced denominator) coprime to p."""
+    if not is_prime(p):
+        raise ValueError(f"prime must be prime, got {p}")
     frac = Fraction(a) / Fraction(b) if b != 1 else Fraction(a)
     if b == 0:
         raise ZeroDivisionError("b must be nonzero")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import HypothesisError
+from .core import HypothesisError, is_prime
 from .approx import ApproxTuple, TableFunction
 
 
@@ -81,11 +81,11 @@ class LimitExponents:
     estimates: tuple[float, ...]
 
 
-def limit_exponents(psi: ApproxTuple, probe: tuple[int, int] = (64, 4096)) -> LimitExponents:
+def limit_exponents(psi: ApproxTuple) -> LimitExponents:
     """v_i = lim -log psi_i(q) / log q, exact for power-law components.
 
-    Tables get a finite-difference estimate over the probe range and are
-    flagged non-exact.
+    Tables get a finite-difference estimate between their first and last
+    entries and are flagged non-exact.
     """
     exps: list[Fraction | None] = []
     est: list[float] = []
@@ -283,8 +283,11 @@ def boxdim_estimate(
     """Least-squares slope of log N_k against k log p.
 
     No exactness claim; the two coarsest levels are dropped by default
-    (boundary effects). Needs at least 3 distinct levels with nonzero counts.
+    (boundary effects). Needs a prime p and at least 3 distinct levels with
+    nonzero counts.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     pts = sorted((int(k), int(N)) for k, N in counts)
     pts = pts[drop_coarsest:]
     pts = [(k, N) for k, N in pts if N > 0]

@@ -122,15 +122,13 @@ def lemma_thresholds(sys: LinearFormSystem) -> tuple[int, ...]:
     )
 
 
-def _lemma_moduli(sys: LinearFormSystem, thresholds: Sequence[int] | None = None) -> list[int]:
+def _lemma_moduli(sys: LinearFormSystem) -> list[int]:
     """The lemma bound |L_i(x)|_p <= p^{sigma_i} T^{-tau_i} as the congruences
     L_i(x) = 0 mod p^{min(precision, max(0, m_i))}: a form that vanishes to the
     working precision meets any m_i, and one that does not has valuation below
     the precision."""
-    if thresholds is None:
-        thresholds = lemma_thresholds(sys)
     k = sys.precision
-    return [sys.p ** min(k, max(0, m)) for m in thresholds]
+    return [sys.p ** min(k, max(0, m)) for m in lemma_thresholds(sys)]
 
 
 def _form_values(sys: LinearFormSystem, x: Sequence[int]) -> list[int]:
@@ -138,13 +136,10 @@ def _form_values(sys: LinearFormSystem, x: Sequence[int]) -> list[int]:
     return [sum(c.residue * xj for c, xj in zip(row, x)) for row in sys.coeffs]
 
 
-def satisfies_lemma_bound(
-    sys: LinearFormSystem, x: Sequence[int], thresholds: tuple[int, ...] | None = None
-) -> bool:
+def satisfies_lemma_bound(sys: LinearFormSystem, x: Sequence[int]) -> bool:
     """Exact check of |L_i(x)|_p <= p^{sigma_i} T^{-tau_i} for all i, decided
     at the working precision (see `_lemma_moduli`)."""
-    moduli = _lemma_moduli(sys, thresholds)
-    return all(value % mod == 0 for value, mod in zip(_form_values(sys, x), moduli))
+    return all(value % mod == 0 for value, mod in zip(_form_values(sys, x), _lemma_moduli(sys)))
 
 
 def verify_solution(

@@ -161,6 +161,45 @@ def test_required_depth():
     assert required_depth(params, psi, 100, 200) == 13
 
 
+def test_range_callers_refuse_at_call_time():
+    # the sweep used to check a given depth one layer at a time, after the rows
+    # before it, and to yield no rows for an empty range
+    params = Params(3, 1)
+    psi = ApproxTuple.uniform(PowerLaw(Fraction(2)), 1)
+    for lo, hi, depth, message in [
+        (1, 10, 3, "insufficient depth: range needs level 5, depth is 3"),
+        (5, 3, None, "need 1 <= lo <= hi"),
+        (0, 3, 6, "need 1 <= lo <= hi"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            layer_sweep_rows(params, psi, lo, hi, False, depth)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partial_limsup(params, psi, lo, hi, False, depth)
+    with pytest.raises(ValueError, match="^need 1 <= lo <= hi$"):
+        required_depth(params, psi, 5, 3)
+    with pytest.raises(ValueError, match="^insufficient depth: range needs level 4, depth is 3$"):
+        build_layer(params, psi, 6, True, 3)
+
+
+def test_divergence_curve_reads_no_exponent_past_its_stop(monkeypatch):
+    # the curve of acceptance criterion 3 stops early: one step exponent per
+    # row returned, none for the denominators it never reaches
+    import padicapprox.approx as approx
+
+    calls = []
+    real = approx.ball_exponent
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(approx, "ball_exponent", counting)
+    params = Params(3, 1)
+    curve = divergence_curve(params, ApproxTuple((HALF_Q,)), 10_000, depth=10, stop_above=Fraction(9, 10))
+    assert curve[-1][1] > Fraction(9, 10)
+    assert len(calls) <= len(curve) < 10_000
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------

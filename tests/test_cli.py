@@ -608,7 +608,55 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
      {"kind": "usage", "message": "argument --terms: must be an integer >= 1, got -1"}),
     (["khintchine", "--p", "3", "--psi", "q^-2", "--terms", "0"],
      {"kind": "usage", "message": "argument --terms: must be an integer >= 1, got 0"}),
+    # a negative count used to exit 0 with "systems": 0, and 0 fell through to the form path
+    (["minkowski", "--p", "3", "--random", "-2"],
+     {"kind": "usage", "message": "argument --random: must be an integer >= 1, got -2"}),
+    (["minkowski", "--p", "3", "--random", "0"],
+     {"kind": "usage", "message": "argument --random: must be an integer >= 1, got 0"}),
+    # log 1 = 0 used to end in ZeroDivisionError, and p = 4 fitted a slope
+    (["boxdim", "--p", "1", "--counts", "1:2,2:4,3:7,4:9,5:11"],
+     {"kind": "invalid-input", "message": "p must be prime, got 1"}),
+    (["boxdim", "--p", "4", "--counts", "1:2,2:4,3:7,4:9,5:11"],
+     {"kind": "invalid-input", "message": "p must be prime, got 4"}),
+    # the form was reduced mod p^precision first: ZeroDivisionError at p = 0, a divisibility message at p = 1
+    (["minkowski", "--p", "0", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
+     {"kind": "invalid-input", "message": "prime must be prime, got 0"}),
+    (["minkowski", "--p", "1", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
+     {"kind": "invalid-input", "message": "prime must be prime, got 1"}),
+    (["minkowski", "--p", "4", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
+     {"kind": "invalid-input", "message": "prime must be prime, got 4"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
     assert code == 2 and out["error"] == error
+
+
+def test_boxdim_set_refuses_another_prime(tmp_path, capsys):
+    # the counts of a set over Z_3 used to be fitted against log 5 (slope 0.682606)
+    path = tmp_path / "full.clopen"
+    assert main(["partial-limsup", "--p", "3", "--psi", "3/q", "--from", "1", "--to", "1", "--depth", "4",
+                 "--save-set", str(path)]) == 0
+    capsys.readouterr()
+    code, out = run_cli(capsys, "boxdim", "--p", "3", "--set", str(path), "--drop-coarsest", "0")
+    assert code == 0 and out["slope"] == "1.000000"
+    code, out = run_cli(capsys, "boxdim", "--p", "5", "--set", str(path))
+    assert code == 2 and out["error"] == {
+        "kind": "invalid-input", "message": "--p 5 differs from the prime 3 of the set"
+    }
+
+
+@pytest.mark.parametrize("bounds, message", [
+    # --csv used to write five rows, then fail with "layer a0=6 needs level 4"
+    (["--from", "1", "--to", "10", "--depth", "3"], "insufficient depth: range needs level 5, depth is 3"),
+    # --csv used to leave a header-only file
+    (["--from", "5", "--to", "3"], "need 1 <= lo <= hi"),
+    # --csv used to say "a0 must be a positive integer"
+    (["--from", "0", "--to", "3"], "need 1 <= lo <= hi"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_partial_limsup_bad_range_fails_before_the_csv_exists(tmp_path, capsys, bounds, message):
+    argv = ["partial-limsup", "--p", "3", "--psi", "q^-2", *bounds]
+    error = {"kind": "invalid-input", "message": message}
+    assert run_cli(capsys, *argv) == (2, {"error": error, "schema_version": "1"})
+    path = tmp_path / "s.csv"
+    assert run_cli(capsys, *argv, "--csv", str(path)) == (2, {"error": error, "schema_version": "1"})
+    assert not path.exists()
