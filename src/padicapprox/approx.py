@@ -329,10 +329,14 @@ def _series_terms(
 
     Each psi_i(q) is evaluated once; the first irrational value raises
     ExactnessError. Terms, not running sums, so a caller that needs one series
-    does not pay for adding up the other.
+    does not pay for adding up the other. The totient sieve grows with q: to 2q
+    while that is at most hi / 2, then to hi. A caller that stops early sieves
+    about as far as it read, and one that reads every term less than twice to hi.
     """
-    phi = totient_sieve(hi)
+    phi: list[int] = []
     for q in range(lo, hi + 1):
+        if q >= len(phi):
+            phi = totient_sieve(hi if 4 * q > hi else 2 * q)
         term = Fraction(1)
         for comp in psi.components:
             term *= psi_value(comp, q)

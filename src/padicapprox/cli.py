@@ -353,6 +353,8 @@ def cmd_boxdim(args) -> None:
         levels = args.levels or list(range(0, S.depth + 1))
         counts = [(k, S.box_count(k)) for k in levels]
     else:
+        if args.levels is not None:
+            raise ValueError("--levels needs --set")
         counts = []
         for part in args.counts.split(","):
             k, N = part.split(":")

@@ -157,10 +157,6 @@ class PAdicInt:
         object.__setattr__(self, "residue", self.residue % self.prime**self.precision)
 
     @property
-    def modulus(self) -> int:
-        return self.prime**self.precision
-
-    @property
     def is_zero_to_precision(self) -> bool:
         return self.residue == 0
 

@@ -283,11 +283,13 @@ def boxdim_estimate(
     """Least-squares slope of log N_k against k log p.
 
     No exactness claim; the two coarsest levels are dropped by default
-    (boundary effects). Needs a prime p and at least 3 distinct levels with
-    nonzero counts.
+    (boundary effects). Needs a prime p, drop_coarsest >= 0 and at least 3
+    distinct levels with nonzero counts.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if drop_coarsest < 0:
+        raise ValueError(f"need drop_coarsest >= 0, got {drop_coarsest}")
     pts = sorted((int(k), int(N)) for k, N in counts)
     pts = pts[drop_coarsest:]
     pts = [(k, N) for k, N in pts if N > 0]

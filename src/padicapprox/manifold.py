@@ -6,8 +6,8 @@ first-order Taylor remainder is a polynomial with p-integral coefficients all
 of degree >= 2 in the displacement, so the quadratic-error constant C = 1 is
 certified coefficientwise, the validity radius is all of Z_p^d, and the
 derivative bound lambda is 0 by the ultrametric inequality. Every solver
-output is re-verified against the target inequality system by exact rational
-evaluation before it is returned.
+output is re-verified against the target inequality system before it is
+returned, as integer congruences on the homogenized forms of the components.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .minkowski import (
 )
 
 Monomial = tuple[Fraction, tuple[int, ...]]
+S_TAU_BUDGET = 30_000_000  # largest (2 h_max + 1)^d * h_max that enumerate_S_tau takes on
 
 
 class _PrecisionError(ValueError, SolverError):
@@ -66,6 +67,17 @@ class IntegerForm:
 
     def __call__(self, a0: int, c: Sequence[int]) -> int:
         return _eval_monomials(self.at(a0), c)
+
+    def taylor(self, c: Sequence[int], mod: int) -> tuple[int, list[int]]:
+        """f(c) and the gradient of f at c, mod `mod` (a power of p): F(1, c) =
+        scale * f(c) with scale a p-unit, so both are scale^-1 times F(1, .)
+        and its partial derivatives at c."""
+        inv = pow(self.scale, -1, mod)
+        grad = []
+        for i in range(len(c)):
+            partial = [(coeff * e[i], e[:i] + (e[i] - 1,) + e[i + 1 :]) for coeff, _, e in self.terms if e[i]]
+            grad.append(_eval_monomials(partial, c) * inv % mod)
+        return self(1, c) * inv % mod, grad
 
 
 def _eval_monomials(monos: Sequence[tuple[int, tuple[int, ...]]], c: Sequence[int]) -> int:
@@ -141,30 +153,6 @@ class PolyMap:
             out.append(total)
         return tuple(out)
 
-    def partial(self, j: int, i: int) -> tuple[Monomial, ...]:
-        """d f_j / d x_i as a monomial list."""
-        out = []
-        for coeff, exps in self.polys[j]:
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            out.append((coeff * exps[i], tuple(new)))
-        return tuple(out)
-
-    def eval_padic(self, mono: Sequence[Monomial], x: Sequence[PAdicInt]) -> PAdicInt:
-        """Evaluate a monomial list at a vector of p-adic integers."""
-        prec = min(v.precision for v in x)
-        mod = self.p**prec
-        total = 0
-        for coeff, exps in mono:
-            term = (coeff.numerator * pow(coeff.denominator, -1, mod)) % mod
-            for v, e in zip(x, exps):
-                if e:
-                    term = term * pow(v.residue, e, mod) % mod
-            total += term
-        return PAdicInt(self.p, prec, total)
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -233,14 +221,12 @@ def dqe_constants(f: PolyMap, x: Sequence[PAdicInt] | None = None) -> DQEConstan
     if x is not None:
         if len(x) != f.d:
             raise ValueError("x must have d coordinates")
-        rows = []
-        for j in range(f.m):
-            row = []
-            for i in range(f.d):
-                val = f.eval_padic(f.partial(j, i), x)
-                row.append(Fraction(0) if val.is_zero_to_precision else val.norm())
-            rows.append(tuple(row))
-        norms = tuple(rows)
+        mod = f.p ** min(v.precision for v in x)
+        residues = [v.residue for v in x]
+        norms = tuple(
+            tuple(Fraction(1, f.p ** _split_power(g, f.p)[0]) if g else Fraction(0) for g in grad)
+            for grad in (form.taylor(residues, mod)[1] for form in f.forms)
+        )
         # p^lambda = max(1, max norms); norms <= 1 always, so lambda = 0
     return DQEConstants(C=Fraction(1), epsilon=Fraction(1), lam=lam, derivative_norms=norms)
 
@@ -450,35 +436,26 @@ def _bucket_feasible_height(inst: DirichletInstance) -> int:
 
 
 def _linearized_system(inst: DirichletInstance) -> LinearFormSystem:
-    """Forms of the proof: x_i b_0 - b_i for the independent block and the
-    first-order Taylor forms for the dependent block (lambda = 0)."""
+    """Forms of the proof, as integer rows mod p^K at the base point's precision K:
+    x_i b_0 - b_i for the independent block, and for the dependent block the
+    first-order Taylor forms (lambda = 0) from `IntegerForm.taylor` at x."""
     f = inst.f
-    p = f.p
     prec = inst.precision
-    zero = PAdicInt(p, prec, 0)
-    minus_one = PAdicInt(p, prec, -1)
+    x = [xi.residue for xi in inst.x]
     rows = []
     for i in range(f.d):
-        row = [zero] * (f.n + 1)
-        row[0] = inst.x[i].truncate(prec)
-        row[i + 1] = minus_one
-        rows.append(tuple(row))
-    fx = [f.eval_padic(f.polys[j], inst.x) for j in range(f.m)]
-    for j in range(f.m):
-        row = [zero] * (f.n + 1)
-        const = fx[j].truncate(prec)
-        for i in range(f.d):
-            dji = f.eval_padic(f.partial(j, i), inst.x).truncate(prec)
-            row[i + 1] = dji
-            const = const - dji * inst.x[i].truncate(prec)
-        row[0] = const
-        row[f.d + j + 1] = minus_one
-        rows.append(tuple(row))
+        row = [0] * (f.n + 1)
+        row[0], row[i + 1] = x[i], -1
+        rows.append(row)
+    for j, form in enumerate(f.forms):
+        value, grad = form.taylor(x, f.p**prec)
+        row = [value - sum(map(operator.mul, grad, x)), *grad] + [0] * f.m
+        row[f.d + j + 1] = -1
+        rows.append(row)
+    coeffs = tuple(tuple(PAdicInt(f.p, prec, r) for r in row) for row in rows)
     sigma = [inst.sigma_shift] * f.d + [Fraction(0)] * f.m
     tau = list(inst.v) + list(inst.tau)
-    return LinearFormSystem(
-        p, f.n, tuple(rows), (inst.H,) * (f.n + 1), tuple(tau), tuple(sigma)
-    )
+    return LinearFormSystem(f.p, f.n, coeffs, (inst.H,) * (f.n + 1), tuple(tau), tuple(sigma))
 
 
 @dataclass(frozen=True)
@@ -649,7 +626,6 @@ def enumerate_S_tau(
     tau_dep: Sequence[Fraction],
     h_max: int,
     h_min: int = 1,
-    budget: int = 30_000_000,
 ) -> list[RationalPoint]:
     """All primitive (a_0, ..., a_n), gcd(a_0, p)=1, height in [h_min, h_max],
     with |f_j(a_1/a_0, ..., a_d/a_0) - a_{d+j}/a_0|_p < h^{-tau_{d+j}} for all j,
@@ -670,7 +646,7 @@ def enumerate_S_tau(
     tau_dep = [Fraction(t) for t in tau_dep]
     if len(tau_dep) != f.m:
         raise ValueError("need one dependent exponent per component")
-    if (2 * h_max + 1) ** f.d * h_max > budget:
+    if (2 * h_max + 1) ** f.d * h_max > S_TAU_BUDGET:
         raise ValueError("enumeration budget exceeded")
     if max(1, h_min) > h_max:
         return []

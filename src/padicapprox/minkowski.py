@@ -146,25 +146,21 @@ def verify_solution(
     sys: LinearFormSystem,
     x: Sequence[int],
     deltas: Sequence[int] | None = None,
-    require_buckets: bool = False,
 ) -> bool:
     """Height bounds, nonzero, and the lemma bound, all exact.
 
-    With require_buckets the stricter method-internal congruences
+    Given deltas, the stricter method-internal congruences
     L_i(x) == 0 mod p^{delta_i} are asserted too; brute-force fallback
-    solutions are only held to the lemma bound. Each form is evaluated once
-    for both checks.
+    solutions are passed none and held only to the lemma bound. Each form is
+    evaluated once for both checks.
     """
     if all(v == 0 for v in x):
         return False
     if any(abs(v) > h for v, h in zip(x, sys.heights)):
         return False
     values = _form_values(sys, x)
-    if require_buckets:
-        if deltas is None:
-            deltas = bucket_exponents(sys)
-        if any(value % sys.p**delta for value, delta in zip(values, deltas)):
-            return False
+    if deltas is not None and any(value % sys.p**delta for value, delta in zip(values, deltas)):
+        return False
     return all(value % mod == 0 for value, mod in zip(values, _lemma_moduli(sys)))
 
 
@@ -190,7 +186,7 @@ def solve(sys: LinearFormSystem) -> MinkowskiSolution:
     lattice = _congruence_lattice(_residues(sys), [sys.p**d for d in deltas])
     x = _first_collision(lattice, sys.heights)
     if x is not None:
-        ok = verify_solution(sys, x, deltas, require_buckets=True)
+        ok = verify_solution(sys, x, deltas)
         return MinkowskiSolution(x, deltas, ok, boundary, "bucket")
     # no collision: only possible when the surplus is non-strict
     x = brute_force(sys)
@@ -554,7 +550,7 @@ def solve_structured(sys: LinearFormSystem) -> MinkowskiSolution:
         x = extend([x0])
         if x is not None:
             x = tuple(x)
-            ok = verify_solution(sys, x, deltas, require_buckets=True)
+            ok = verify_solution(sys, x, deltas)
             return MinkowskiSolution(x, deltas, ok, boundary, "congruence-scan")
     raise SolverError("no structured solution with x_0 in [1, H_0]")
 

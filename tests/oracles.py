@@ -21,6 +21,10 @@
   split a0 = p^v u of `approx` replaced, and the three-branch `psi_powprod` /
   `psi_value`, which reading `PowerLaw` as the scaled power with c = 1
   replaced.
+- The Taylor data of a `PolyMap` from its `Fraction` monomials: the partial
+  derivatives, their evaluation at p-adic integers, and the linearized
+  Dirichlet rows built by `PAdicInt` truncate, - and *, which
+  `IntegerForm.taylor` replaced.
 
 Only the public trie primitives (`_space`, `node`, the child table), the
 integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
@@ -38,7 +42,7 @@ from fractions import Fraction
 
 from padicapprox.approx import PowerLaw, ScaledPower
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
-from padicapprox.core import _split_power
+from padicapprox.core import PAdicInt, _split_power
 from padicapprox.exactcmp import ball_exponent, floor_log_powprod, frac_pow
 from padicapprox.manifold import RationalPoint
 from padicapprox.minkowski import MinkowskiSolution, SolverError, bucket_exponents
@@ -502,3 +506,72 @@ def branched_psi_value(comp, q):
     if isinstance(comp, ScaledPower):
         return comp.c * frac_pow(q, -comp.e)
     return comp.lookup(q)
+
+
+# ---------------------------------------------------------------------------
+# Taylor data through the Fraction monomials
+# ---------------------------------------------------------------------------
+
+
+def fraction_partial(f, j, i):
+    """d f_j / d x_i as a tuple of (Fraction, exponents) monomials."""
+    out = []
+    for coeff, exps in f.polys[j]:
+        if exps[i] == 0:
+            continue
+        new = list(exps)
+        new[i] -= 1
+        out.append((coeff * exps[i], tuple(new)))
+    return tuple(out)
+
+
+def fraction_eval_padic(f, mono, x):
+    """A Fraction monomial list at a vector of p-adic integers, as a PAdicInt
+    at their least precision."""
+    prec = min(v.precision for v in x)
+    mod = f.p**prec
+    total = 0
+    for coeff, exps in mono:
+        term = (coeff.numerator * pow(coeff.denominator, -1, mod)) % mod
+        for v, e in zip(x, exps):
+            if e:
+                term = term * pow(v.residue, e, mod) % mod
+        total += term
+    return PAdicInt(f.p, prec, total)
+
+
+def padic_derivative_norms(f, x):
+    """|d f_j / d x_i (x)|_p for every j and i, 0 when zero to precision."""
+    return tuple(
+        tuple(
+            Fraction(0) if val.is_zero_to_precision else val.norm()
+            for val in (fraction_eval_padic(f, fraction_partial(f, j, i), x) for i in range(f.d))
+        )
+        for j in range(f.m)
+    )
+
+
+def padic_linearized_rows(inst):
+    """The coefficient rows of the linearized Dirichlet system, each entry
+    built through PAdicInt truncate, - and *."""
+    f = inst.f
+    prec = inst.precision
+    zero = PAdicInt(f.p, prec, 0)
+    minus_one = PAdicInt(f.p, prec, -1)
+    rows = []
+    for i in range(f.d):
+        row = [zero] * (f.n + 1)
+        row[0] = inst.x[i].truncate(prec)
+        row[i + 1] = minus_one
+        rows.append(tuple(row))
+    for j in range(f.m):
+        row = [zero] * (f.n + 1)
+        const = fraction_eval_padic(f, f.polys[j], inst.x).truncate(prec)
+        for i in range(f.d):
+            dji = fraction_eval_padic(f, fraction_partial(f, j, i), inst.x).truncate(prec)
+            row[i + 1] = dji
+            const = const - dji * inst.x[i].truncate(prec)
+        row[0] = const
+        row[f.d + j + 1] = minus_one
+        rows.append(tuple(row))
+    return tuple(rows)

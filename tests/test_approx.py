@@ -200,6 +200,31 @@ def test_divergence_curve_reads_no_exponent_past_its_stop(monkeypatch):
     assert len(calls) <= len(curve) < 10_000
 
 
+def test_divergence_curve_sieves_only_as_far_as_its_rows(monkeypatch):
+    # the totient sieve used to run to n_max before the first row
+    import padicapprox.approx as approx
+
+    limits = []
+    real = approx.totient_sieve
+
+    def recording(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(approx, "totient_sieve", recording)
+    params = Params(3, 1)
+    curve = divergence_curve(params, ApproxTuple((HALF_Q,)), 10**6, depth=10, stop_above=Fraction(9, 10))
+    assert len(curve) == 14 and curve[-1][1] > Fraction(9, 10)
+    assert max(limits) <= 2 * len(curve) and sum(limits) <= 4 * len(curve)
+    # a full series sieves less than twice to its end, and its sums are unchanged
+    limits.clear()
+    psi = ApproxTuple((HALF_Q,))
+    assert duffin_schaeffer_sum(params, psi, 1000)[0] == sum(
+        (Fraction(euler_phi(q), 2 * q) for q in range(1, 1001)), Fraction(0)
+    )
+    assert max(limits) == 1000 and sum(limits) < 2 * 1000
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------

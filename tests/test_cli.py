@@ -625,6 +625,15 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
      {"kind": "invalid-input", "message": "prime must be prime, got 1"}),
     (["minkowski", "--p", "4", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
      {"kind": "invalid-input", "message": "prime must be prime, got 4"}),
+    # a negative drop used to slice off all but the finest levels and fit [3, 4, 5]
+    (["boxdim", "--p", "3", "--counts", "0:1,1:3,2:9,3:27,4:81,5:200", "--drop-coarsest", "-3"],
+     {"kind": "invalid-input", "message": "need drop_coarsest >= 0, got -3"}),
+    # --levels used to be ignored next to --counts, which fitted [2, 3, 4, 5]
+    (["boxdim", "--p", "3", "--counts", "0:1,1:3,2:9,3:27,4:81,5:200", "--levels", "1", "2"],
+     {"kind": "invalid-input", "message": "--levels needs --set"}),
+    # 501^2 * 250 candidates exceed the enumeration budget of 3 * 10^7
+    (["enumerate-s-tau", "--map-json", '{"p": 3, "d": 2, "m": 1, "polys": [[["1", [2, 0]]]]}', "--tau", "7/5",
+      "--hmax", "250"], {"kind": "invalid-input", "message": "enumeration budget exceeded"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, argv, error):
     code, out = run_cli(capsys, *argv)

@@ -232,3 +232,6 @@ def test_boxdim_estimate_drops_coarsest_levels():
     assert fit.levels == (3, 4, 5, 6, 7, 8)
     assert abs(fit.slope - 1.0) < 1e-12
     assert fit.r_squared > 0.999
+    # a negative drop used to keep only the finest levels
+    with pytest.raises(ValueError, match="need drop_coarsest >= 0, got -3"):
+        boxdim_estimate(counts, 2, drop_coarsest=-3)

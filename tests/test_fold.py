@@ -15,6 +15,11 @@ Layer residues come from one split a0 = p^v u instead of one Fraction per
 numerator, and `PowerLaw` is read as the scaled power with c = 1. The
 Fraction residue rule and the three-branch `psi_powprod` / `psi_value` live
 in `oracles.py`; the separate loops above evaluate psi through them.
+
+The Taylor data of the Dirichlet step comes from the integer forms of a
+`PolyMap` (`IntegerForm.taylor`). The path through the `Fraction` monomials,
+their partial derivatives and `PAdicInt` row arithmetic lives in `oracles.py`
+and is compared here on random maps.
 """
 
 import math
@@ -67,6 +72,7 @@ from padicapprox.manifold import (
     _strip_non_p_gcd,
     dirichlet_h0,
     dirichlet_solve,
+    dqe_constants,
 )
 from padicapprox.minkowski import (
     LinearFormSystem,
@@ -83,6 +89,8 @@ from oracles import (
     branched_psi_value,
     factor_lemma_thresholds,
     fraction_coordinate_residues,
+    padic_derivative_norms,
+    padic_linearized_rows,
     pivoted_solve_structured,
     stepped_feasible_height,
     valuation_satisfies_lemma_bound,
@@ -623,7 +631,7 @@ def test_lemma_moduli_match_the_valuation_check(case, delta_cap, require_buckets
     assert lemma_thresholds(sys) == factor_lemma_thresholds(sys)
     assert satisfies_lemma_bound(sys, x) == valuation_satisfies_lemma_bound(sys, x)
     deltas = [min(delta_cap, i + 1) for i in range(sys.n)]
-    assert verify_solution(sys, x, deltas, require_buckets) == valuation_verify_solution(
+    assert verify_solution(sys, x, deltas if require_buckets else None) == valuation_verify_solution(
         sys, x, deltas, require_buckets
     )
 
@@ -694,6 +702,42 @@ def test_feasible_height_at_an_exact_power_and_far_out():
 
 def _linearized(inst, H):
     return _linearized_system(DirichletInstance(inst.f, inst.x, inst.tau, inst.v, H=H))
+
+
+@st.composite
+def taylor_cases(draw):
+    """A Dirichlet instance on a map over Z_p, p in {2, 3, 5, 7}, d and m in
+    {1, 2}: each component is zero, a constant or up to four monomials of
+    degree <= 3 with p-integral rational coefficients, and the base point's
+    coordinates carry unequal precisions 1..60, so that the least one rules."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    coeff = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40).filter(lambda q: q % p))
+    exps = st.tuples(*[st.integers(0, 3)] * d).filter(lambda e: sum(e) <= 3)
+    polys = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "constant", "monomials"]))
+        if kind == "zero":
+            polys.append(())
+        elif kind == "constant":
+            polys.append(((draw(coeff), (0,) * d),))
+        else:
+            polys.append(tuple((draw(coeff), draw(exps)) for _ in range(draw(st.integers(1, 4)))))
+    x = []
+    for _ in range(d):
+        prec = draw(st.integers(1, 60))
+        x.append(PAdicInt(p, prec, draw(st.integers(0, p**prec - 1))))
+    tau = (1 + Fraction(1, 4 * m),) * m
+    v = ((d + Fraction(3, 4)) / d,) * d
+    return DirichletInstance(PolyMap(p, d, m, tuple(polys)), tuple(x), tau, v, H=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(taylor_cases())
+def test_integer_taylor_data_matches_the_fraction_path(inst):
+    assert _linearized_system(inst).coeffs == padic_linearized_rows(inst)
+    assert dqe_constants(inst.f, inst.x).derivative_norms == padic_derivative_norms(inst.f, inst.x)
 
 
 def test_h0_report_has_no_float_past_the_float_range():

@@ -26,7 +26,8 @@ def square_map(p=3):
 def test_polymap_validation_and_eval():
     f = square_map()
     assert f.eval_exact((F(1, 2),)) == (F(1, 4),)
-    assert f.partial(0, 0) == ((F(2), (1,)),)
+    # f(7) = 49 and f'(7) = 14, from the integer form
+    assert f.forms[0].taylor([7], 3**12) == (49, [14])
     with pytest.raises(ValueError, match="not a p-adic integer"):
         PolyMap(3, 1, 1, (((F(1, 3), (2,)),),))
 
