@@ -8,16 +8,18 @@ memoized on node ids, and canonical form is structural equality of ids.
 
 Sets are built in bulk: boxes of one exponent vector are bucketed by digit
 codes bottom-up, and many-operand unions are one n-ary apply memoized on
-frozensets of ids. A node's box counts at each level below it are kept, once
-asked, in a list indexed by id, one shared tuple per distinct profile; measures
-(exact Fractions with denominator dividing p^{n*K}) and box counts are read from
-those. Serialization keeps nothing; all other tables live for the whole process.
+frozensets of ids. Products of one-dimensional sets are memoized on the space
+by factor-id tuples, like the other set operations. A node's box counts at each
+level below it come from one walk that counts the paths reaching each node,
+memoized only for the roots asked about; measures (exact Fractions with
+denominator dividing p^{n*K}) and box counts are read from those.
+Serialization keeps nothing; all other tables live for the whole process.
 
-Set algebra and profiles recurse once per level (two interpreter frames
+Set algebra and products recurse once per level (two interpreter frames
 each), so depth is capped at MAX_DEPTH, well inside the interpreter's default
-recursion limit. The reads that walk one path or one frontier (containment,
-coset enumeration, the .clopen parser and writer) are iterative; the parser
-checks nesting against the header depth.
+recursion limit. The box-count walk and the reads that walk one path or one
+frontier (containment, coset enumeration, the .clopen parser and writer) are
+iterative; the parser checks nesting against the header depth.
 A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
 p^n child slots is allocated, a .clopen body longer than TEXT_BUDGET is
 refused before any of it is written, and more than COSET_BUDGET coset
@@ -65,10 +67,11 @@ class _Space:
         self._inter: dict[tuple[int, int], int] = {}
         self._compl: dict[int, int] = {}
         self._union_many: dict[frozenset[int], int] = {}
-        # box-count profiles indexed by node id like _children (None until asked
-        # for); equal profiles are one tuple, shared through _profile_of
-        self._profiles: list[tuple[int, ...] | None] = [(0,), (1,)]
-        self._profile_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # product_set on factor-id tuples, last factor first, of the (p, 1) space _product_of
+        self._product: dict[tuple[int, ...], int] = {}
+        self._product_of: _Space | None = None
+        # box-count profiles of the roots asked about, not of every node
+        self._profiles: dict[int, tuple[int, ...]] = {EMPTY: (0,), FULL: (1,)}
 
     def node(self, children: tuple[int, ...]) -> int:
         nid = self._intern.get(children)
@@ -78,7 +81,6 @@ class _Space:
                 return first
             nid = len(self._children)
             self._children.append(children)
-            self._profiles.append(None)
             self._intern[children] = nid
         return nid
 
@@ -169,21 +171,26 @@ class _Space:
         return out
 
     def profile(self, a: int) -> tuple[int, ...]:
-        """Box counts of node a at levels 0..height(a); deeper levels scale the last by width."""
-        out = self._profiles[a]
+        """Box counts of node a at levels 0..height(a); deeper levels scale the last by width.
+
+        One walk down the levels, mapping each node of a level to the number of paths from a
+        reaching it; FULL children add theirs to a running count scaled by width per level."""
+        out = self._profiles.get(a)
         if out is None:
-            subs = [self.profile(c) for c in self._children[a] if c != EMPTY]
-            height = max(len(prof) for prof in subs)
-            counts = [0] * height
-            for prof in subs:
-                for k, v in enumerate(prof):
-                    counts[k] += v
-                v = prof[-1]
-                for k in range(len(prof), height):
-                    v *= self.width
-                    counts[k] += v
-            out = (1, *counts)
-            out = self._profiles[a] = self._profile_of.setdefault(out, out)
+            kids, width = self._children, self.width
+            counts, full, level = [1], 0, {a: 1}
+            while level:
+                full *= width
+                below: dict[int, int] = {}
+                for b, paths in level.items():
+                    for c in kids[b]:
+                        if c == FULL:
+                            full += paths
+                        elif c != EMPTY:
+                            below[c] = below.get(c, 0) + paths
+                level = below
+                counts.append(full + sum(level.values()))
+            out = self._profiles[a] = tuple(counts)
         return out
 
     def measure(self, a: int) -> Fraction:
@@ -555,8 +562,9 @@ def set_algebra(a: ClopenSet, b: ClopenSet | None, op: str) -> ClopenSet:
 def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
     """Cartesian product of one-dimensional clopen sets as a set in Z_p^n.
 
-    Memoized on factor node-id tuples, so layers with heavy structure sharing
-    stay small.
+    Memoized on the n-dimensional space by factor node-id tuples, so layers share
+    sub-products and a repeated product is one lookup. The ids index the current
+    (p, 1) space, so factors built in a space since replaced are refused.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -564,10 +572,13 @@ def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
     if any(f.p != p for f in factors) or any(f.n != 1 for f in factors):
         raise ValueError("factors must be one-dimensional sets over a common prime")
     n = len(factors)
-    sp1 = _space(p, 1)
-    spn = _space(p, n)
+    sp1, spn = _space(p, 1), _space(p, n)
+    if any(f._sp is not sp1 for f in factors):
+        raise ValueError(f"factors belong to a replaced ({p}, 1) space; build them again")
+    if spn._product_of is not sp1:  # the memo's keys index one (p, 1) space
+        spn._product, spn._product_of = {}, sp1
+    kids, node, memo = sp1._children, spn.node, spn._product
     depth = max(f.depth for f in factors)
-    memo: dict[tuple[int, ...], int] = {}
 
     def build(ids: tuple[int, ...]) -> int:
         # ids run from the last factor to the first, so itertools.product
@@ -578,8 +589,7 @@ def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
             return FULL
         out = memo.get(ids)
         if out is None:
-            out = spn.node(tuple([build(c) for c in product(*[sp1._children[i] for i in ids])]))
-            memo[ids] = out
+            out = memo[ids] = node(tuple([build(c) for c in product(*[kids[i] for i in ids])]))
         return out
 
     return ClopenSet(p, n, depth, build(tuple(f._root for f in reversed(factors))))

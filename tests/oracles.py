@@ -5,8 +5,9 @@
   integer (s, N, D) kernel of `exactcmp` replaced.
 - The top-down one-rectangle trie builder (`ClopenSet._rectangle_node`) that
   the bottom-up coset builder of `clopen` replaced, and the box counts of a
-  node by plain recursion over its children, which the per-node profiles of
-  `clopen` replaced.
+  node by plain recursion over its children, which the one-walk profiles of
+  `clopen` replaced, and the product builder with a memo that lives for one
+  call, which the space-level product memo of `clopen` replaced.
 - The per-point integer resonant-point enumerator that the residue-column
   kernel of `manifold.enumerate_S_tau` replaced, and an unpinned enumerator
   that tests every tail at its true height.
@@ -171,6 +172,26 @@ def recursive_profile(S, a):
         return sum(count(c, k - 1) for c in kids[b])
 
     return tuple(count(a, k) for k in range(height(a) + 1))
+
+
+def per_call_product(factors):
+    """Cartesian product of one-dimensional sets, memoized on factor-id tuples for this call only."""
+    p, n = factors[0].p, len(factors)
+    sp1, spn = _space(p, 1), _space(p, n)
+    memo = {}
+
+    def build(ids):
+        # ids run from the last factor to the first, so itertools.product
+        # varies the first coordinate's digit fastest, as the slot order does
+        if EMPTY in ids:
+            return EMPTY
+        if ids.count(FULL) == n:
+            return FULL
+        if ids not in memo:
+            memo[ids] = spn.node(tuple(build(c) for c in itertools.product(*[sp1._children[i] for i in ids])))
+        return memo[ids]
+
+    return ClopenSet(p, n, max(f.depth for f in factors), build(tuple(f._root for f in reversed(factors))))
 
 
 def rectangle_set(p, n, depth, rect):

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicapprox import approx
+from padicapprox import approx, clopen
 from padicapprox.approx import ApproxTuple, PowerLaw, ScaledPower, build_layer, partial_limsup
 from padicapprox.cli import main
 from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, product_set
 from padicapprox.core import Params
 from padicapprox.exactcmp import ball_exponent
 
-from oracles import fraction_coordinate_residues, recursive_profile, rectangle_set
+from oracles import fraction_coordinate_residues, per_call_product, recursive_profile, rectangle_set
 
 # ---------------------------------------------------------------------------
 # Oracles: the previous one-at-a-time and Fraction-recursive paths
@@ -275,19 +275,22 @@ def test_profile_measure_and_box_counts_match_recursion(data, extra):
 
 @settings(max_examples=100, deadline=None)
 @given(rect_data(), st.integers(0, 2))
-def test_every_profile_matches_recursion_and_equal_profiles_are_one_tuple(data, extra):
+def test_every_profile_matches_recursion_and_only_asked_roots_are_memoized(data, extra):
     p, n, K, rects = data
     S = ClopenSet.from_rectangles(p, n, K + extra, rects)
-    sp, shared = S._sp, {}
-    for T in (S, S.complement(), S.union(ClopenSet.from_rectangles(p, n, K + extra, rects[:1]).complement())):
-        reached, level = {T._root}, {T._root}
-        while level:
-            level = {c for b in level for c in sp._children[b]} - reached
-            reached |= level
-        for b in reached:
-            prof = sp.profile(b)
-            assert prof == recursive_profile(T, b)
-            assert shared.setdefault(prof, prof) is prof
+    sp = S._sp
+    sets = (S, S.complement(), S.union(ClopenSet.from_rectangles(p, n, K + extra, rects[:1]).complement()))
+    roots, before = {T._root for T in sets}, set(sp._profiles)
+    reached, level = set(roots), set(roots)
+    while level:
+        level = {c for b in level for c in sp._children[b]} - reached
+        reached |= level
+    for T in sets:
+        assert sp.profile(T._root) == recursive_profile(T, T._root)
+    # the walks memoize the roots they were asked about and no node below them
+    assert roots <= set(sp._profiles) and set(sp._profiles) - before <= roots
+    for b in reached:
+        assert sp.profile(b) == recursive_profile(S, b)
 
 
 def test_profile_on_layers_with_shared_subtrees():
@@ -316,6 +319,53 @@ def test_product_set_matches_divmod_builder(p, coords):
     for f in factors:
         want *= f.measure()
     assert prod.measure() == want
+
+
+def factor_spec():
+    # EMPTY, FULL or a union of cosets at level t
+    return st.one_of(st.sampled_from(["E", "F"]), st.tuples(st.integers(0, 3), st.sets(st.integers(0, 40))))
+
+
+def build_factor(p, spec):
+    if spec == "E":
+        return ClopenSet.empty(p, 1, 3)
+    if spec == "F":
+        return ClopenSet.full(p, 1, 3)
+    t, residues = spec
+    return ClopenSet.from_cosets(p, 3, t, residues)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_product_memo_matches_per_call_builder(p, data):
+    n = data.draw(st.integers(2, 3))
+    pool = data.draw(st.lists(factor_spec(), min_size=1, max_size=3))
+    specs = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    for _ in range(2):  # the same list built twice: the second call is answered by the memo
+        factors = [build_factor(p, spec) for spec in specs]
+        prod = product_set(factors)
+        assert prod._root == per_call_product(factors)._root
+        assert product_set(factors)._root == prod._root
+
+
+def test_product_set_refuses_factors_of_a_replaced_space():
+    a, b = ClopenSet.from_cosets(3, 4, 2, [1]), ClopenSet.from_cosets(3, 4, 1, [2])
+    ClopenSet.from_cosets(3, 6, 6, range(0, 729, 7))  # enough (3, 1) nodes that fresh ids collide
+    assert product_set([a, b]).measure() == Fraction(1, 27)
+    saved = clopen._SPACES.pop((3, 1))
+    try:
+        c = ClopenSet.from_cosets(3, 4, 3, [5, 7, 8])
+        with pytest.raises(ValueError, match="replaced"):
+            product_set([a, b])
+        # the (3, 2) memo, keyed by ids of the saved space, must not answer for the new one
+        assert product_set([c, c]) == per_call_product([c, c])
+        assert product_set([c, c]).measure() == c.measure() ** 2
+    finally:
+        clopen._SPACES[(3, 1)] = saved
+    # nor may the entries made with the new space answer for the saved one
+    d = ClopenSet(3, 1, 6, c._root)
+    assert product_set([d, d]) == per_call_product([d, d])
+    assert product_set([a, b]).measure() == Fraction(1, 27)
 
 
 @settings(max_examples=60, deadline=None)
