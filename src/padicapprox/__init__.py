@@ -12,7 +12,6 @@ from .core import (
     HypothesisError,
     PAdicInt,
     Params,
-    arithmetic,
     embed_rational,
     euler_phi,
     is_prime,
@@ -21,7 +20,7 @@ from .core import (
     totient_sieve,
     valuation,
 )
-from .clopen import BallSpec, ClopenSet, product_set, set_algebra
+from .clopen import BallSpec, ClopenSet, product_set
 from .approx import (
     ApproxTuple,
     PowerLaw,

@@ -158,9 +158,6 @@ class ApproxTuple:
     def step_exponents(self, a0: int, p: int) -> tuple[int, ...]:
         return tuple(step_exponent(c, a0, p) for c in self.components)
 
-    def permuted(self, order: Sequence[int]) -> "ApproxTuple":
-        return ApproxTuple(tuple(self.components[i] for i in order))
-
 
 # ---------------------------------------------------------------------------
 # Layers

@@ -272,8 +272,6 @@ def cmd_dirichlet_solve(args) -> None:
 
 
 def cmd_enumerate_s_tau(args) -> None:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     f = load_map(args)
     pts = manifold.enumerate_S_tau(f, [parse_fraction(t) for t in args.tau], args.hmax, h_min=args.hmin)
     # a height lies in the dyadic block [2^k, 2^(k+1) - 1] iff its bit length is k + 1
@@ -374,15 +372,19 @@ def cmd_boxdim(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a non-integer gets argparse's own int message)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (a non-integer gets argparse's own int message)."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return convert
 
 
 class _UsageError(Exception):
@@ -434,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("khintchine", help="partial volume series")
     common_psi(sp)
-    sp.add_argument("--terms", type=_positive_int, required=True)
+    sp.add_argument("--terms", type=_int_at_least(1), required=True)
     sp.set_defaults(func=cmd_khintchine)
 
     sp = sub.add_parser("duffin-schaeffer", help="totient-weighted partial series and ratio")
     common_psi(sp)
-    sp.add_argument("--terms", type=_positive_int, required=True)
+    sp.add_argument("--terms", type=_int_at_least(1), required=True)
     sp.set_defaults(func=cmd_duffin_schaeffer)
 
     sp = sub.add_parser("partial-limsup", help="union of layers over a denominator range")
@@ -461,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", type=int, nargs="*", default=[])
     sp.add_argument("--tau", nargs="*", default=[])
     sp.add_argument("--sigma", nargs="*", default=[])
-    sp.add_argument("--random", type=_positive_int, default=None, help="run a seeded random-system sweep instead")
+    sp.add_argument("--random", type=_int_at_least(1), default=None, help="run a seeded random-system sweep instead")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_minkowski)
 
@@ -482,16 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate-s-tau", help="resonant integer points near the graph")
     common_map(sp)
     sp.add_argument("--tau", nargs="+", required=True, help="dependent-block exponents")
-    sp.add_argument("--hmax", type=_positive_int, required=True)
+    sp.add_argument("--hmax", type=_int_at_least(1), required=True)
     sp.add_argument("--hmin", type=int, default=1)
-    sp.add_argument("--limit", type=int, default=50, help="max points echoed in JSON")
+    sp.add_argument("--limit", type=_int_at_least(0), default=50, help="max points echoed in JSON")
     sp.set_defaults(func=cmd_enumerate_s_tau)
 
     sp = sub.add_parser("cover-preimage", help="rectangle cover of the approximable preimage")
     common_map(sp)
     sp.add_argument("--tau", nargs="+", required=True, help="all n exponents")
     sp.add_argument("--delta", default="1")
-    sp.add_argument("--hmax", type=_positive_int, required=True)
+    sp.add_argument("--hmax", type=_int_at_least(1), required=True)
     sp.add_argument("--hmin", type=int, default=1)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--boxes", type=int, nargs="*", default=None)

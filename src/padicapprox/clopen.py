@@ -14,6 +14,9 @@ level below it come from one walk that counts the paths reaching each node,
 memoized only for the roots asked about; measures (exact Fractions with
 denominator dividing p^{n*K}) and box counts are read from those.
 Serialization keeps nothing; all other tables live for the whole process.
+Node ids index one space, so once a (p, n) space is replaced, sets built in
+the old one are refused by every operation that combines or complements sets
+(their own reads still work).
 
 Set algebra and products recurse once per level (two interpreter frames
 each), so depth is capped at MAX_DEPTH, well inside the interpreter's default
@@ -264,6 +267,17 @@ def _space(p: int, n: int) -> _Space:
     return sp
 
 
+def _live(p: int, n: int, sets: Iterable[ClopenSet]) -> _Space:
+    """The current (p, n) space, once every set is checked to live in it."""
+    sp = _space(p, n)
+    for s in sets:
+        if s._sp is not sp:
+            if s.p != p or s.n != n:
+                raise ValueError("mismatched p or n")
+            raise ValueError(f"sets belong to a replaced ({p}, {n}) space; build them again")
+    return sp
+
+
 @dataclass(frozen=True)
 class BallSpec:
     """A closed-ball rectangle: per coordinate, {x : |x - center_i|_p <= p^{-t_i}}.
@@ -310,13 +324,13 @@ class ClopenSet:
 
     __slots__ = ("p", "n", "depth", "_root", "_sp")
 
-    def __init__(self, p: int, n: int, depth: int, _root: int | None = None):
+    def __init__(self, p: int, n: int, depth: int, _root: int):
         _check_depth(depth)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "_sp", _space(p, n))
-        object.__setattr__(self, "_root", EMPTY if _root is None else _root)
+        object.__setattr__(self, "_root", _root)
 
     def __setattr__(self, *args):
         raise AttributeError("ClopenSet is immutable")
@@ -372,13 +386,10 @@ class ClopenSet:
     @classmethod
     def union_all(cls, p: int, n: int, depth: int, sets: Iterable["ClopenSet"]) -> "ClopenSet":
         """Union of many sets in one n-ary apply; the depth is the max of depth and theirs."""
-        roots = []
-        for s in sets:
-            if s.p != p or s.n != n:
-                raise ValueError("mismatched p or n")
-            depth = max(depth, s.depth)
-            roots.append(s._root)
-        return cls(p, n, depth, _space(p, n).union_many(roots))
+        sets = list(sets)
+        sp = _live(p, n, sets)
+        depth = max([depth, *[s.depth for s in sets]])
+        return cls(p, n, depth, sp.union_many([s._root for s in sets]))
 
     # -- algebra -----------------------------------------------------------
 
@@ -386,8 +397,7 @@ class ClopenSet:
         return self.union(ClopenSet.from_rectangles(self.p, self.n, self.depth, [rect]))
 
     def _binary(self, other: "ClopenSet", fn) -> "ClopenSet":
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("mismatched p or n")
+        _live(self.p, self.n, (self, other))
         return ClopenSet(self.p, self.n, max(self.depth, other.depth), fn(self._root, other._root))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
@@ -400,7 +410,8 @@ class ClopenSet:
         return self._binary(other, lambda a, b: self._sp.intersect(a, self._sp.complement(b)))
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(self.p, self.n, self.depth, self._sp.complement(self._root))
+        sp = _live(self.p, self.n, (self,))
+        return ClopenSet(self.p, self.n, self.depth, sp.complement(self._root))
 
     # -- queries -----------------------------------------------------------
 
@@ -486,8 +497,7 @@ class ClopenSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClopenSet)
-            and self.p == other.p
-            and self.n == other.n
+            and self._sp is other._sp
             and self._root == other._root
         )
 
@@ -544,21 +554,6 @@ class ClopenSet:
         raise ValueError("truncated clopen serialization")
 
 
-def set_algebra(a: ClopenSet, b: ClopenSet | None, op: str) -> ClopenSet:
-    """Dispatch form of the set operations; op in {union, intersect, complement, difference}."""
-    if op == "complement":
-        return a.complement()
-    if b is None:
-        raise ValueError(f"op {op!r} needs two operands")
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "difference":
-        return a.difference(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
     """Cartesian product of one-dimensional clopen sets as a set in Z_p^n.
 
@@ -572,9 +567,7 @@ def product_set(factors: Sequence[ClopenSet]) -> ClopenSet:
     if any(f.p != p for f in factors) or any(f.n != 1 for f in factors):
         raise ValueError("factors must be one-dimensional sets over a common prime")
     n = len(factors)
-    sp1, spn = _space(p, 1), _space(p, n)
-    if any(f._sp is not sp1 for f in factors):
-        raise ValueError(f"factors belong to a replaced ({p}, 1) space; build them again")
+    sp1, spn = _live(p, 1, factors), _space(p, n)
     if spn._product_of is not sp1:  # the memo's keys index one (p, 1) space
         spn._product, spn._product_of = {}, sp1
     kids, node, memo = sp1._children, spn.node, spn._product

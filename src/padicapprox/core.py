@@ -116,25 +116,16 @@ def totient_sieve(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Params:
-    """Ambient configuration: prime p, dimension n, and the d/m split for manifolds."""
+    """Ambient configuration: a prime p and the dimension n >= 1 of Z_p^n."""
 
     p: int
     n: int
-    d: int | None = None
-    m: int | None = None
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 1:
             raise ValueError("n >= 1 required")
-        if (self.d is None) != (self.m is None):
-            raise ValueError("d and m must be given together")
-        if self.d is not None:
-            if self.d < 1 or self.m < 1:
-                raise ValueError("d >= 1 and m >= 1 required")
-            if self.d + self.m != self.n:
-                raise ValueError(f"n = d + m required, got n={self.n}, d={self.d}, m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +146,6 @@ class PAdicInt:
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.prime**self.precision)
-
-    @property
-    def is_zero_to_precision(self) -> bool:
-        return self.residue == 0
 
     def valuation(self) -> int:
         """Valuation of the class; defined only when the residue is nonzero."""
@@ -203,17 +190,6 @@ class PAdicInt:
 
     def __repr__(self) -> str:
         return f"PAdicInt({self.residue} mod {self.prime}^{self.precision})"
-
-
-def arithmetic(x: PAdicInt, y: PAdicInt, op: str) -> PAdicInt:
-    """Dispatch form of the ring operations; op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def embed_rational(a: int | Fraction, b: int = 1, *, p: int, precision: int) -> PAdicInt:

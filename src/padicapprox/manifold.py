@@ -249,9 +249,6 @@ class RationalPoint:
     def a0(self) -> int:
         return self.a[0]
 
-    def coprime_to(self, p: int) -> bool:
-        return self.a0 % p != 0
-
     @property
     def primitive(self) -> bool:
         g = 0

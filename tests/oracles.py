@@ -565,7 +565,7 @@ def padic_derivative_norms(f, x):
     """|d f_j / d x_i (x)|_p for every j and i, 0 when zero to precision."""
     return tuple(
         tuple(
-            Fraction(0) if val.is_zero_to_precision else val.norm()
+            Fraction(0) if val.residue == 0 else val.norm()
             for val in (fraction_eval_padic(f, fraction_partial(f, j, i), x) for i in range(f.d))
         )
         for j in range(f.m)

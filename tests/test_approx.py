@@ -110,7 +110,7 @@ def test_layer_trie_agrees_with_product_shortcut():
 def test_layer_symmetry_under_component_permutation():
     params = Params(3, 2)
     psi = ApproxTuple((HALF_Q, PowerLaw(Fraction(2))))
-    flipped = psi.permuted([1, 0])
+    flipped = ApproxTuple(psi.components[::-1])
     for a0 in (2, 5, 7):
         A = build_layer(params, psi, a0, True, 10)
         B = build_layer(params, flipped, a0, True, 10)

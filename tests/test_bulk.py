@@ -368,6 +368,31 @@ def test_product_set_refuses_factors_of_a_replaced_space():
     assert product_set([a, b]).measure() == Fraction(1, 27)
 
 
+def test_set_ops_refuse_sets_of_a_replaced_space():
+    saved = clopen._SPACES.pop((3, 1))
+    try:
+        a = ClopenSet.from_cosets(3, 4, 2, [1])  # in a fresh space, so its ids are small
+        clopen._SPACES.pop((3, 1))
+        c = ClopenSet.from_cosets(3, 4, 2, [5])
+        b = ClopenSet.from_cosets(3, 4, 3, [5, 7, 8])  # disjoint from a, measure 1/9
+        assert c._root == a._root and a != c  # equal ids of two spaces are two sets
+        ops = [
+            lambda: a.union(b),
+            lambda: b.union(a),
+            lambda: b.intersect(a),
+            lambda: a.difference(b),
+            a.complement,
+            lambda: ClopenSet.union_all(3, 1, 4, [b, a]),
+        ]
+        for op in ops:
+            with pytest.raises(ValueError, match=r"replaced \(3, 1\) space"):
+                op()
+        assert a.measure() == b.measure() == Fraction(1, 9)  # a set's own reads still work
+        assert b.union(ClopenSet.from_cosets(3, 4, 2, [1])).measure() == Fraction(2, 9)
+    finally:
+        clopen._SPACES[(3, 1)] = saved
+
+
 @settings(max_examples=60, deadline=None)
 @given(rect_data())
 def test_to_text_matches_recursive_walk(data):

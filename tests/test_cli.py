@@ -486,13 +486,13 @@ def test_valid_call_after_usage_errors_matches_fresh_parser(capsys):
     assert cli._parser() is parser and fresh[0] == 0
 
 
-def test_negative_limit_is_invalid_input(capsys):
+def test_negative_limit_is_a_usage_error(capsys):
     # a negative --limit used to slice points[:-2] and echo all but the last two
     code, out = run_cli(
         capsys, "enumerate-s-tau", "--map-json", SQUARE, "--tau", "7/5", "--hmax", "4", "--limit", "-2"
     )
     assert code == 2
-    assert out["error"]["kind"] == "invalid-input" and "--limit" in out["error"]["message"]
+    assert out["error"]["kind"] == "usage" and "--limit" in out["error"]["message"]
     code, out = run_cli(
         capsys, "enumerate-s-tau", "--map-json", SQUARE, "--tau", "7/5", "--hmax", "4", "--limit", "0"
     )

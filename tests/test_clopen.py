@@ -230,16 +230,10 @@ def test_contains_residue():
     assert not S.contains_residue((4,), 1)
 
 
-def test_set_algebra_dispatch():
-    from padicapprox.clopen import set_algebra
-
+def test_set_algebra_methods():
     A = ClopenSet.empty(3, 1, 3).insert_rectangle(BallSpec((Fraction(0),), (1,)))
     B = ClopenSet.empty(3, 1, 3).insert_rectangle(BallSpec((Fraction(1),), (1,)))
-    assert set_algebra(A, B, "union").measure() == Fraction(2, 3)
-    assert set_algebra(A, B, "intersect").is_empty()
-    assert set_algebra(A, B, "difference") == A
-    assert set_algebra(A, None, "complement").measure() == Fraction(2, 3)
-    with pytest.raises(ValueError, match="unknown op"):
-        set_algebra(A, B, "xor")
-    with pytest.raises(ValueError, match="needs two operands"):
-        set_algebra(A, None, "union")
+    assert A.union(B).measure() == Fraction(2, 3)
+    assert A.intersect(B).is_empty()
+    assert A.difference(B) == A
+    assert A.complement().measure() == Fraction(2, 3)

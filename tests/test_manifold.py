@@ -123,7 +123,7 @@ def test_dirichlet_solve_random_points_verified():
             sol = dirichlet_solve(inst)
             assert sol.verified
             assert verify_dirichlet(inst, sol.point, sol.k)
-            assert sol.point.coprime_to(3) and sol.point.primitive
+            assert sol.point.a0 % 3 != 0 and sol.point.primitive
             assert 3**sol.k * sol.point.height <= H
 
 
@@ -162,7 +162,7 @@ def test_enumerate_s_tau_contains_exact_curve_points():
     assert (1, 2, 4) in coords
     assert (1, 4, 16) in coords
     for pt in pts:
-        assert pt.primitive and pt.coprime_to(3)
+        assert pt.primitive and pt.a0 % 3 != 0
         assert 1 <= pt.height <= 20
 
 
@@ -237,7 +237,7 @@ def test_cover_preimage_depth_guard():
 
 def test_rational_point_flags():
     pt = RationalPoint((4, 2, 1))
-    assert pt.height == 4 and pt.primitive and pt.coprime_to(3)
+    assert pt.height == 4 and pt.primitive and pt.a0 % 3 != 0
     assert pt.coordinates() == (F(1, 2), F(1, 4))
     assert not RationalPoint((6, 2, 4)).primitive
 

@@ -133,10 +133,10 @@ def verify_oracle(inst, point, k):
     prec = inst.precision
     for i in range(f.d):
         diff = inst.x[i].truncate(prec) - embed_rational(a[i + 1], a[0], p=p, precision=prec)
-        vexp = prec if diff.is_zero_to_precision else diff.valuation()
+        vexp = prec if diff.residue == 0 else diff.valuation()
         bound = [(Fraction(p), inst.sigma_shift + k), (Fraction(inst.H), -inst.v[i])]
         if cmp_powprod([(Fraction(p), Fraction(-vexp))], bound) >= 0:
-            if diff.is_zero_to_precision:
+            if diff.residue == 0:
                 raise SolverError("comparison below precision")
             return False
     values = f.eval_exact(point.coordinates(f.d))
