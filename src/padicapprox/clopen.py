@@ -3,8 +3,10 @@
 A node at level j stands for a coset c + (p^j Z_p)^n and is either full, empty,
 or carries p^n children, one per next-digit vector. Nodes are interned per
 (p, n) space, so identical subtrees share one id: a rectangle with very unequal
-radii costs O(depth) nodes instead of exponentially many, set algebra is
-memoized on node ids, and canonical form is structural equality of ids.
+radii costs O(depth) nodes instead of exponentially many, and canonical form is
+structural equality of ids. Union, intersection and difference are one apply
+memoized on (op, id, id); a complement is FULL minus the set, and no other
+difference builds one.
 
 Sets are built in bulk: boxes of one exponent vector are bucketed by digit
 codes bottom-up, and many-operand unions are one n-ary apply memoized on
@@ -66,9 +68,7 @@ class _Space:
         # its children; uniform tuples are never interned (node() collapses them)
         self._children: list[tuple[int, ...]] = [(EMPTY,) * self.width, (FULL,) * self.width]
         self._intern: dict[tuple[int, ...], int] = {}
-        self._union: dict[tuple[int, int], int] = {}
-        self._inter: dict[tuple[int, int], int] = {}
-        self._compl: dict[int, int] = {}
+        self._apply: dict[tuple[str, int, int], int] = {}
         self._union_many: dict[frozenset[int], int] = {}
         # product_set on factor-id tuples, last factor first, of the (p, 1) space _product_of
         self._product: dict[tuple[int, ...], int] = {}
@@ -117,19 +117,29 @@ class _Space:
                 level[low] = node(children(kids))
         return level.get(0, EMPTY)
 
-    def union(self, a: int, b: int) -> int:
-        if a == FULL or b == FULL:
-            return FULL
-        if a == EMPTY:
-            return b
-        if b == EMPTY or a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        out = self._union.get(key)
+    def apply(self, op: str, a: int, b: int) -> int:
+        """Union "|", intersection "&" or difference "-" of nodes a and b (Bryant's apply).
+
+        "|" and "&" sort their operands, so a terminal a is the identity of op or
+        absorbs b. "-" recurses as is: FULL - b reads the stored all-FULL row."""
+        if op == "-":
+            if a == EMPTY or b == FULL or a == b:
+                return EMPTY
+            if b == EMPTY:
+                return a
+        else:
+            if a > b:
+                a, b = b, a
+            if a == (EMPTY if op == "|" else FULL):
+                return b
+            if a < 2 or a == b:  # a terminal a that is not the identity absorbs b
+                return a
+        key = (op, a, b)
+        out = self._apply.get(key)
         if out is None:
             ca, cb = self._children[a], self._children[b]
-            out = self.node(tuple([self.union(x, y) for x, y in zip(ca, cb)]))
-            self._union[key] = out
+            out = self.node(tuple([self.apply(op, x, y) for x, y in zip(ca, cb)]))
+            self._apply[key] = out
         return out
 
     def union_many(self, ids: Iterable[int]) -> int:
@@ -139,38 +149,12 @@ class _Space:
             return FULL
         key = key - {EMPTY}
         if len(key) < 3:
-            return self.union(*key) if len(key) == 2 else next(iter(key), EMPTY)
+            return self.apply("|", *key) if len(key) == 2 else next(iter(key), EMPTY)
         out = self._union_many.get(key)
         if out is None:
             rows = [self._children[i] for i in key]
             out = self.node(tuple([self.union_many(col) for col in zip(*rows)]))
             self._union_many[key] = out
-        return out
-
-    def intersect(self, a: int, b: int) -> int:
-        if a == EMPTY or b == EMPTY:
-            return EMPTY
-        if a == FULL:
-            return b
-        if b == FULL or a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        out = self._inter.get(key)
-        if out is None:
-            ca, cb = self._children[a], self._children[b]
-            out = self.node(tuple([self.intersect(x, y) for x, y in zip(ca, cb)]))
-            self._inter[key] = out
-        return out
-
-    def complement(self, a: int) -> int:
-        if a == EMPTY:
-            return FULL
-        if a == FULL:
-            return EMPTY
-        out = self._compl.get(a)
-        if out is None:
-            out = self.node(tuple([self.complement(c) for c in self._children[a]]))
-            self._compl[a] = out
         return out
 
     def profile(self, a: int) -> tuple[int, ...]:
@@ -396,22 +380,22 @@ class ClopenSet:
     def insert_rectangle(self, rect: BallSpec) -> "ClopenSet":
         return self.union(ClopenSet.from_rectangles(self.p, self.n, self.depth, [rect]))
 
-    def _binary(self, other: "ClopenSet", fn) -> "ClopenSet":
-        _live(self.p, self.n, (self, other))
-        return ClopenSet(self.p, self.n, max(self.depth, other.depth), fn(self._root, other._root))
+    def _binary(self, other: "ClopenSet", op: str) -> "ClopenSet":
+        sp = _live(self.p, self.n, (self, other))
+        return ClopenSet(self.p, self.n, max(self.depth, other.depth), sp.apply(op, self._root, other._root))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        return self._binary(other, self._sp.union)
+        return self._binary(other, "|")
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        return self._binary(other, self._sp.intersect)
+        return self._binary(other, "&")
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return self._binary(other, lambda a, b: self._sp.intersect(a, self._sp.complement(b)))
+        return self._binary(other, "-")
 
     def complement(self) -> "ClopenSet":
         sp = _live(self.p, self.n, (self,))
-        return ClopenSet(self.p, self.n, self.depth, sp.complement(self._root))
+        return ClopenSet(self.p, self.n, self.depth, sp.apply("-", FULL, self._root))
 
     # -- queries -----------------------------------------------------------
 

@@ -8,6 +8,9 @@
   node by plain recursion over its children, which the one-walk profiles of
   `clopen` replaced, and the product builder with a memo that lives for one
   call, which the space-level product memo of `clopen` replaced.
+- The separate union, intersection and complement recursions, with difference
+  as intersection with the complement, which the one apply of `clopen`
+  replaced.
 - The per-point integer resonant-point enumerator that the residue-column
   kernel of `manifold.enumerate_S_tau` replaced, and an unpinned enumerator
   that tests every tail at its true height.
@@ -204,6 +207,76 @@ def rectangles_oracle(p, n, depth, rects):
     for rect in rects:
         out = out.union(rectangle_set(p, n, depth, rect))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Separate set-algebra recursions
+# ---------------------------------------------------------------------------
+
+
+def _memoized_binary(A, B, terminal):
+    """A's and B's roots combined child by child, memoized on the sorted id pair
+    for this call only; terminal(a, b) answers a pair or returns None."""
+    sp, memo = A._sp, {}
+
+    def walk(a, b):
+        out = terminal(a, b)
+        if out is None:
+            key = (a, b) if a < b else (b, a)
+            out = memo.get(key)
+            if out is None:
+                ca, cb = sp._children[a], sp._children[b]
+                out = memo[key] = sp.node(tuple([walk(x, y) for x, y in zip(ca, cb)]))
+        return out
+
+    return ClopenSet(A.p, A.n, max(A.depth, B.depth), walk(A._root, B._root))
+
+
+def _union_terminal(a, b):
+    if a == FULL or b == FULL:
+        return FULL
+    if a == EMPTY:
+        return b
+    if b == EMPTY or a == b:
+        return a
+    return None
+
+
+def _intersect_terminal(a, b):
+    if a == EMPTY or b == EMPTY:
+        return EMPTY
+    if a == FULL:
+        return b
+    if b == FULL or a == b:
+        return a
+    return None
+
+
+def recursive_union(A, B):
+    return _memoized_binary(A, B, _union_terminal)
+
+
+def recursive_intersect(A, B):
+    return _memoized_binary(A, B, _intersect_terminal)
+
+
+def recursive_complement(A):
+    sp, memo = A._sp, {}
+
+    def walk(a):
+        if a == EMPTY:
+            return FULL
+        if a == FULL:
+            return EMPTY
+        if a not in memo:
+            memo[a] = sp.node(tuple([walk(c) for c in sp._children[a]]))
+        return memo[a]
+
+    return ClopenSet(A.p, A.n, A.depth, walk(A._root))
+
+
+def recursive_difference(A, B):
+    return recursive_intersect(A, recursive_complement(B))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Differential tests of the bulk trie kernels against the paths they replace.
 
-Each fast path (coset builder, n-ary union, box-count profiles, memoized
-serialization, product builder) is checked against the one-at-a-time
-construction or the plain recursion it replaced, kept here as the oracle, and
-against brute force over residue vectors where the space is small.
+Each fast path (coset builder, n-ary union, the one binary apply, box-count
+profiles, memoized serialization, product builder) is checked against the
+one-at-a-time construction or the plain recursion it replaced, kept here as the
+oracle, and against brute force over residue vectors where the space is small.
 """
 
 import itertools
@@ -21,7 +21,16 @@ from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, prod
 from padicapprox.core import Params
 from padicapprox.exactcmp import ball_exponent
 
-from oracles import fraction_coordinate_residues, per_call_product, recursive_profile, rectangle_set
+from oracles import (
+    fraction_coordinate_residues,
+    per_call_product,
+    recursive_complement,
+    recursive_difference,
+    recursive_intersect,
+    recursive_profile,
+    recursive_union,
+    rectangle_set,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles: the previous one-at-a-time and Fraction-recursive paths
@@ -144,11 +153,7 @@ def coset_data(draw):
     return p, t, residues
 
 
-@st.composite
-def rect_data(draw, min_size=0):
-    p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 2))
-    K = LEVELS[p]
+def rect_lists(p, n, K, min_size=0):
     unit_dens = [d for d in range(1, 8) if d % p]
     center = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(unit_dens))
     rect = st.builds(
@@ -156,7 +161,31 @@ def rect_data(draw, min_size=0):
         st.tuples(*[center] * n),
         st.tuples(*[st.integers(0, K)] * n),
     )
-    return p, n, K, draw(st.lists(rect, min_size=min_size, max_size=8))
+    return st.lists(rect, min_size=min_size, max_size=8)
+
+
+@st.composite
+def rect_data(draw, min_size=0):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    K = LEVELS[p]
+    return p, n, K, draw(rect_lists(p, n, K, min_size))
+
+
+@st.composite
+def algebra_operand(draw, p, n, K, complemented=True):
+    """EMPTY, FULL, a rectangle union, a product of coset unions, or the complement of one."""
+    kind = draw(st.sampled_from(["E", "F", "rects", "product", "complement"][: 5 if complemented else 4]))
+    if kind == "E":
+        return ClopenSet.empty(p, n, K)
+    if kind == "F":
+        return ClopenSet.full(p, n, K)
+    if kind == "rects":
+        return ClopenSet.from_rectangles(p, n, K, draw(rect_lists(p, n, K)))
+    if kind == "complement":
+        return draw(algebra_operand(p, n, K, complemented=False)).complement()
+    residues = st.sets(st.integers(0, p**K - 1), max_size=8)
+    return product_set([ClopenSet.from_cosets(p, K, draw(st.integers(0, K)), draw(residues)) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +282,42 @@ def test_ubiquity_fraction_matches_rectangle_path():
         residues = fraction_coordinate_residues(3, a0, t, nums)
         acc = acc.union(fold_insert(3, 1, depth, [BallSpec((Fraction(r),), (t,)) for r in residues]))
     assert approx.ubiquity_fraction(params, alpha, M, k, depth, c1) == acc.measure()
+
+
+# ---------------------------------------------------------------------------
+# Binary set algebra
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_set_algebra_matches_separate_recursions(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 2))
+    K = LEVELS[p]
+    A = data.draw(algebra_operand(p, n, K))
+    B = A if data.draw(st.booleans()) else data.draw(algebra_operand(p, n, K))
+    for X, Y in ((A, B), (B, A)):
+        assert X.union(Y) == recursive_union(X, Y)
+        assert X.intersect(Y) == recursive_intersect(X, Y)
+        assert X.difference(Y) == recursive_difference(X, Y)
+        assert X.complement() == recursive_complement(X)
+
+
+def test_difference_interns_only_nodes_of_its_result():
+    params, psi = Params(3, 1), ApproxTuple.uniform(PowerLaw(Fraction(5, 2)), 1)
+    A = partial_limsup(params, psi, 60, 100, True, 14)
+    B = partial_limsup(params, psi, 80, 120, True, 14)
+    kids = A._sp._children
+    before = len(kids)
+    D = A.difference(B)
+    reached, level = {D._root}, {D._root}
+    while level:
+        level = set().union(*map(kids.__getitem__, level)) - reached
+        reached |= level
+    assert set(range(before, len(kids))) <= reached  # no complement of B was interned
+    assert D.measure() == A.measure() - A.intersect(B).measure()
+    assert A.complement() == ClopenSet.full(3, 1, 14).difference(A)
 
 
 # ---------------------------------------------------------------------------
