@@ -27,20 +27,22 @@ SCHEMA_VERSION = "1"
 
 
 def fmt(value):
-    """Render exact values for JSON: Fractions as strings, containers recursively."""
+    """Render an exact value for JSON or CSV: a Fraction as a string, anything else as is."""
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [fmt(v) for v in value]
     return value
 
 
+def _json_fraction(value):
+    if isinstance(value, Fraction):
+        return fmt(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(payload: dict) -> None:
+    # json.dumps takes the C encoder; json.dump always encodes in Python
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    json.dump(fmt(payload), sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, default=_json_fraction) + "\n")
 
 
 _PSI_PATTERNS = [

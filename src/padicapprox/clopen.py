@@ -415,9 +415,12 @@ class ClopenSet:
 
         Level-synchronous expansion: the frontier holds the nodes of one level
         and, in a parallel list, their representatives; a FULL node at level
-        j < k yields its p^(n(k-j)) cosets arithmetically. The count is read
-        off the box-count profile first, and more than COSET_BUDGET cosets
-        raise ValueError before any is listed.
+        j < k yields its p^(n(k-j)) cosets arithmetically. For n = 1 a
+        representative is a bare int, rep + v*p^j for the child in slot v, a
+        FULL node yields range(rep, p^k, p^j), and the sorted ints are wrapped
+        in 1-tuples once at the end. The count is read off the box-count
+        profile first, and more than COSET_BUDGET cosets raise ValueError
+        before any is listed.
         """
         if k < 0 or k > self.depth:
             raise ValueError(f"level {k} outside [0, depth={self.depth}]")
@@ -428,26 +431,29 @@ class ClopenSet:
             )
         p, n, kids = self.p, self.n, self._sp._children
         top = p**k
-        out: list[tuple[int, ...]] = []
+        one = n == 1
+        out: list = []
         # parallel lists, not (node, rep) pairs: a level's frontier outlives
         # young-generation GC passes, and pair tuples doubled what they promote
-        nodes, reps = ([], []) if self._root == EMPTY else ([self._root], [(0,) * n])
+        nodes, reps = ([], []) if self._root == EMPTY else ([self._root], [0 if one else (0,) * n])
         for j in range(k):
             scale = p**j
             # slot v holds digit (v // p^i) % p of coordinate i
-            offsets = [tuple([v // p**i % p * scale for i in range(n)]) for v in range(self._sp.width)]
+            offsets = [v * scale if one else tuple([v // p**i % p * scale for i in range(n)])
+                       for v in range(self._sp.width)]
             below, below_reps = [], []
             for node, rep in zip(nodes, reps):
                 if node == FULL:
-                    out.extend(product(*[range(a, top, scale) for a in rep]))
+                    out.extend(range(rep, top, scale) if one else product(*[range(a, top, scale) for a in rep]))
                     continue
                 for v, child in enumerate(kids[node]):
                     if child != EMPTY:
                         below.append(child)
-                        below_reps.append(tuple(map(add, rep, offsets[v])))
+                        below_reps.append(rep + offsets[v] if one else tuple(map(add, rep, offsets[v])))
             nodes, reps = below, below_reps
         out.extend(reps)
-        return sorted(out)
+        out.sort()
+        return [(r,) for r in out] if one else out
 
     def contains_residue(self, point: tuple[int, ...], level: int) -> bool:
         """True iff the coset point + (p^level Z_p)^n is entirely contained in the set.
@@ -455,7 +461,10 @@ class ClopenSet:
         point holds one integer per coordinate (any sign, any size: only its
         residues mod p^level matter). level >= 0; a level beyond the depth asks
         about finer cosets, which is well defined. A point of another arity or a
-        negative level raises ValueError.
+        negative level raises ValueError. The descent stops at the first EMPTY
+        or FULL node. For n = 1 the slot at each level is the next floor digit,
+        taken by one divmod; for n >= 2 it is formed by Horner over the
+        coordinates' digits.
         """
         n = self.n
         if len(point) != n:
@@ -464,6 +473,14 @@ class ClopenSet:
             raise ValueError(f"level {level} must be >= 0")
         kids, p = self._sp._children, self.p
         node = self._root
+        if n == 1:
+            # the slot index is the coordinate's next floor digit
+            r = point[0]
+            while level and node > 1:
+                r, v = divmod(r, p)
+                node = kids[node][v]
+                level -= 1
+            return node == FULL
         rev = point[::-1]
         scale = 1
         while level and node > 1:

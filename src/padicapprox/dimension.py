@@ -283,18 +283,20 @@ def boxdim_estimate(
     """Least-squares slope of log N_k against k log p.
 
     No exactness claim; the two coarsest levels are dropped by default
-    (boundary effects). Needs a prime p, drop_coarsest >= 0 and at least 3
-    distinct levels with nonzero counts.
+    (boundary effects). Needs a prime p, drop_coarsest >= 0, at least 3
+    levels with nonzero counts, and no level given twice.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if drop_coarsest < 0:
         raise ValueError(f"need drop_coarsest >= 0, got {drop_coarsest}")
-    pts = sorted((int(k), int(N)) for k, N in counts)
-    pts = pts[drop_coarsest:]
-    pts = [(k, N) for k, N in pts if N > 0]
+    given = sorted((int(k), int(N)) for k, N in counts)
+    pts = [(k, N) for k, N in given[drop_coarsest:] if N > 0]
     if len({k for k, _ in pts}) < 3:
         raise ValueError("need at least 3 levels with nonzero counts")
+    for (k, _), (k2, _) in zip(given, given[1:]):
+        if k == k2:
+            raise ValueError(f"level {k} given twice")
     xs = [k * math.log(p) for k, _ in pts]
     ys = [math.log(N) for _, N in pts]
     n = len(xs)

@@ -29,6 +29,9 @@
   derivatives, their evaluation at p-adic integers, and the linearized
   Dirichlet rows built by `PAdicInt` truncate, - and *, which
   `IntegerForm.taylor` replaced.
+- The CLI emitter that rendered Fractions by a recursive copy of the payload
+  and wrote it with `json.dump` (the pure-Python encoder), which one
+  `json.dumps` through the C encoder with a Fraction `default` hook replaced.
 
 Only the public trie primitives (`_space`, `node`, the child table), the
 integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
@@ -40,7 +43,9 @@ oracles.
 """
 
 import functools
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -669,3 +674,22 @@ def padic_linearized_rows(inst):
         row[f.d + j + 1] = minus_one
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def old_fmt(value):
+    """Render exact values for JSON: Fractions as strings, containers recursively."""
+    if isinstance(value, Fraction):
+        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {k: old_fmt(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [old_fmt(v) for v in value]
+    return value
+
+
+def old_emit_text(payload):
+    """The stdout text of the old `cli.emit(payload)`."""
+    out = io.StringIO()
+    json.dump(old_fmt({"schema_version": "1", **payload}), out, sort_keys=True)
+    out.write("\n")
+    return out.getvalue()

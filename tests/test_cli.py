@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import old_emit_text, old_fmt
 from padicapprox import cli
 from padicapprox.cli import main, parse_psi
 from padicapprox.approx import PowerLaw, ScaledPower, TableFunction
@@ -420,7 +425,38 @@ def test_dirichlet_solve_computes_h0_once(capsys, monkeypatch):
     code, out = run_cli(capsys, *argv)
     assert code == 0 and len(calls) == 1
     assert out["h0"] == real(calls[0]).h0 == 38
-    assert out["h0_cases"] == json.loads(json.dumps(cli.fmt(real(calls[0]).cases)))
+    assert out["h0_cases"] == json.loads(json.dumps(old_fmt(real(calls[0]).cases)))
+
+
+EXACT = st.one_of(
+    st.builds(Fraction, st.integers(-(10**40), 10**40)),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**200), 2**200), st.floats(), st.text(), EXACT)
+PAYLOADS = st.dictionaries(st.text(max_size=8), st.recursive(
+    SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=20,
+), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAYLOADS)
+def test_emit_writes_the_bytes_of_the_recursive_json_dump(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(payload)
+    assert out.getvalue() == old_emit_text(payload)
+
+
+def test_emit_renders_only_fractions_and_fmt_only_scalars():
+    assert [cli.fmt(v) for v in (Fraction(6, 3), Fraction(-1, 2), 7, None)] == ["2", "-1/2", 7, None]
+    assert cli.fmt([Fraction(1, 2)]) == [Fraction(1, 2)]  # containers are the encoder's job
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(TypeError, match="Object of type set is not JSON"):
+        cli.emit({"x": {1}})
+    assert out.getvalue() == ""
 
 
 def _dyadic_blocks_by_scan(points, hmax):
@@ -634,8 +670,18 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
     # 501^2 * 250 candidates exceed the enumeration budget of 3 * 10^7
     (["enumerate-s-tau", "--map-json", '{"p": 3, "d": 2, "m": 1, "polys": [[["1", [2, 0]]]]}', "--tau", "7/5",
       "--hmax", "250"], {"kind": "invalid-input", "message": "enumeration budget exceeded"}),
+    # the drop sliced entries, not levels, and fitted [1, 2, 3, 4] where distinct levels fit [2, 3, 4]
+    (["boxdim", "--p", "3", "--set", "full.clopen", "--levels", "0", "0", "1", "2", "3", "4",
+      "--drop-coarsest", "2"], {"kind": "invalid-input", "message": "level 0 given twice"}),
+    # two counts for level 1 used to be fitted together (r^2 0.04)
+    (["boxdim", "--p", "3", "--counts", "1:2,1:50,2:4,3:9,4:20", "--drop-coarsest", "0"],
+     {"kind": "invalid-input", "message": "level 1 given twice"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_bad_command_lines_exit_two(capsys, argv, error):
+def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
+    from padicapprox.clopen import ClopenSet
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "full.clopen").write_text(ClopenSet.full(3, 1, 6).to_text())
     code, out = run_cli(capsys, *argv)
     assert code == 2 and out["error"] == error
 

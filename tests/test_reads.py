@@ -4,8 +4,12 @@ The flat `contains_residue` descent, the level-synchronous `enumerate_cosets`,
 the `from_text` parser and one-probe `node()` interning are checked against
 the previous per-coordinate descent, recursive coset collection,
 per-character parser and collapse-first interning, kept here as oracles.
-Sets range over p in {2, 3, 5}, n in {1, 2, 3} (width at most 125) and depth
-at most 8.
+For n = 1 both walks read the set as integer residues: `contains_residue`
+takes one divmod per level and `enumerate_cosets` carries int
+representatives; the same oracles check them, on negative and huge
+coordinates too, and the row-read counts and FULL expansions are pinned for
+n = 1 and n = 2. Sets range over p in {2, 3, 5}, n in {1, 2, 3} (width at most
+125) and depth at most 8.
 """
 
 import random
@@ -221,7 +225,7 @@ def text_length(S):
 @given(read_sets(), st.data())
 def test_contains_residue_matches_per_coordinate_descent(S, data):
     big = S.p ** (S.depth + 3)
-    coord = st.integers(-big, big)
+    coord = st.one_of(st.integers(-big, big), st.integers(-(10**40), 10**40))
     probes = data.draw(st.lists(
         st.tuples(st.tuples(*[coord] * S.n), st.integers(0, S.depth + 2)), min_size=1, max_size=40))
     for point, level in probes:
@@ -289,6 +293,26 @@ def test_contains_residue_stops_at_terminal_nodes():
             sp._children.reads = 0
             assert S.contains_residue(point, S.depth + 40) is want
             assert sp._children.reads == rows
+    # n = 1: one divmod and one row read per mixed node, for any sign and size
+    with fresh_space(3, 1) as sp:
+        ninth = ClopenSet.from_cosets(3, 4, 2, [1])  # 1 + 9 Z_3
+        deep = ClopenSet.from_cosets(3, 6, 6, [5])  # 5 + 3^6 Z_3
+        sp._children = CountingRows(sp._children)
+        for S, point, want, rows in [
+            (ClopenSet.full(3, 1, 4), (2,), True, 0),
+            (ClopenSet.empty(3, 1, 4), (2,), False, 0),
+            (ninth, (1,), True, 2),
+            (ninth, (-8,), True, 2),
+            (ninth, (1 + 9 * 10**30,), True, 2),
+            (ninth, (4,), False, 2),
+            (ninth, (2,), False, 1),
+            (deep, (5,), True, 6),
+            (deep, (5 - 7 * 3**6,), True, 6),
+            (deep, (5 + 3**3,), False, 4),
+        ]:
+            sp._children.reads = 0
+            assert S.contains_residue(point, S.depth + 40) is want
+            assert sp._children.reads == rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +342,18 @@ def test_enumerate_cosets_expands_full_nodes_at_every_level():
     assert ClopenSet.full(3, 2, 3).enumerate_cosets(2) == [(a, b) for a in range(9) for b in range(9)]
     assert ClopenSet.empty(3, 2, 3).enumerate_cosets(2) == []
     assert ClopenSet.full(3, 1, 3).enumerate_cosets(0) == [(0,)]
+    # n = 1: a FULL child at level 1 (2 + 3 Z_3) and a FULL subtree at level 4 (28 + 81 Z_3)
+    T = ClopenSet.from_cosets(3, 5, 1, [2]).union(ClopenSet.from_cosets(3, 5, 4, [28]))
+    for k in range(6):
+        got = T.enumerate_cosets(k)
+        assert got == old_enumerate_cosets(T, k)
+        assert all(type(r) is tuple and len(r) == 1 and type(r[0]) is int for r in got)
+    assert T.enumerate_cosets(0) == [(0,)]
+    assert T.enumerate_cosets(2) == [(1,), (2,), (5,), (8,)]
+    assert T.enumerate_cosets(4) == sorted([(r,) for r in range(2, 81, 3)] + [(28,)])
+    # a FULL root expands at level 0, an EMPTY root lists nothing at any level
+    assert ClopenSet.full(3, 1, 4).enumerate_cosets(3) == [(a,) for a in range(27)]
+    assert ClopenSet.empty(3, 1, 4).enumerate_cosets(0) == ClopenSet.empty(3, 1, 4).enumerate_cosets(3) == []
 
 
 # ---------------------------------------------------------------------------
