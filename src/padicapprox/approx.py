@@ -74,7 +74,12 @@ class TableFunction:
     values: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        vals = tuple(sorted((int(q), Fraction(v)) for q, v in dict(self.values).items()))
+        vals = tuple(sorted((int(q), Fraction(v)) for q, v in self.values))
+        for (q, _), (q2, _) in zip(vals, vals[1:]):
+            if q == q2:
+                raise ValueError(f"table gives q={q} twice")
+        if vals and vals[0][0] < 1:
+            raise ValueError(f"table has q={vals[0][0]}; q must be >= 1")
         if any(v <= 0 for _, v in vals):
             raise ValueError("table values must be positive")
         object.__setattr__(self, "values", vals)

@@ -5,16 +5,16 @@ or carries p^n children, one per next-digit vector. Nodes are interned per
 (p, n) space, so identical subtrees share one id: a rectangle with very unequal
 radii costs O(depth) nodes instead of exponentially many, and canonical form is
 structural equality of ids. Union, intersection and difference are one apply
-memoized on (op, id, id); a complement is FULL minus the set, and no other
-difference builds one.
+with one memo, keyed (op, id, id), or ("|", *sorted ids) for an n-ary union; a
+complement is FULL minus the set, and no other difference builds one.
 
 Sets are built in bulk: boxes of one exponent vector are bucketed by digit
-codes bottom-up, and many-operand unions are one n-ary apply memoized on
-frozensets of ids. Products of one-dimensional sets are memoized on the space
-by factor-id tuples, like the other set operations. A node's box counts at each
-level below it come from one walk that counts the paths reaching each node,
-memoized only for the roots asked about; measures (exact Fractions with
-denominator dividing p^{n*K}) and box counts are read from those.
+codes bottom-up, and many-operand unions are the n-ary apply. Products of
+one-dimensional sets are memoized on the space by factor-id tuples, like the
+other set operations. A node's box counts at each level below it come from one
+walk that counts the paths reaching each node, memoized only for the roots
+asked about; measures (exact Fractions with denominator dividing p^{n*K}) and
+box counts are read from those.
 Serialization keeps nothing; all other tables live for the whole process.
 Node ids index one space, so once a (p, n) space is replaced, sets built in
 the old one are refused by every operation that combines or complements sets
@@ -68,8 +68,8 @@ class _Space:
         # its children; uniform tuples are never interned (node() collapses them)
         self._children: list[tuple[int, ...]] = [(EMPTY,) * self.width, (FULL,) * self.width]
         self._intern: dict[tuple[int, ...], int] = {}
-        self._apply: dict[tuple[str, int, int], int] = {}
-        self._union_many: dict[frozenset[int], int] = {}
+        # the one set-algebra memo: (op, a, b), and ("|", *sorted ids) for n-ary unions
+        self._apply: dict[tuple, int] = {}
         # product_set on factor-id tuples, last factor first, of the (p, 1) space _product_of
         self._product: dict[tuple[int, ...], int] = {}
         self._product_of: _Space | None = None
@@ -143,18 +143,20 @@ class _Space:
         return out
 
     def union_many(self, ids: Iterable[int]) -> int:
-        """n-ary union (Bryant's apply), memoized on the frozenset of operand ids."""
-        key = frozenset(ids)
-        if FULL in key:
+        """n-ary union (Bryant's apply), memoized in _apply on ("|", *sorted ids)."""
+        ids = set(ids)
+        if FULL in ids:
             return FULL
-        key = key - {EMPTY}
-        if len(key) < 3:
-            return self.apply("|", *key) if len(key) == 2 else next(iter(key), EMPTY)
-        out = self._union_many.get(key)
+        ids.discard(EMPTY)
+        # binary unions keep apply: its int compares cost less than a set per call
+        if len(ids) < 3:
+            return self.apply("|", *ids) if len(ids) == 2 else next(iter(ids), EMPTY)
+        key = ("|", *sorted(ids))
+        out = self._apply.get(key)
         if out is None:
-            rows = [self._children[i] for i in key]
+            rows = [self._children[i] for i in ids]
             out = self.node(tuple([self.union_many(col) for col in zip(*rows)]))
-            self._union_many[key] = out
+            self._apply[key] = out
         return out
 
     def profile(self, a: int) -> tuple[int, ...]:

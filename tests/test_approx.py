@@ -61,6 +61,21 @@ def test_step_exponent_clamps_at_zero_when_psi_exceeds_one():
     assert step_exponent(big, 3, 3) == 0
 
 
+def test_table_function_refuses_a_repeated_or_nonpositive_q():
+    # the later of two values for one q used to win silently, and q = -2 failed only at lookup
+    table = TableFunction(((3, Fraction(1, 9)), (2, Fraction(1, 4))))
+    assert table.values == ((2, Fraction(1, 4)), (3, Fraction(1, 9)))
+    for values, message in [
+        (((2, Fraction(1, 4)), (2, Fraction(1, 9))), "table gives q=2 twice"),
+        (((2, Fraction(1, 9)), (3, Fraction(1, 27)), (2, Fraction(1, 9))), "table gives q=2 twice"),
+        (((-2, Fraction(1, 4)),), "table has q=-2; q must be >= 1"),
+        (((0, Fraction(1, 4)), (2, Fraction(1, 4))), "table has q=0; q must be >= 1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            TableFunction(values)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------

@@ -260,6 +260,24 @@ def test_union_all_edge_cases():
         ClopenSet.union_all(3, 2, 2, [S])
 
 
+def test_union_memo_normalizes_its_keys():
+    sets = [ClopenSet.from_cosets(5, 6, t, [r]) for t, r in ((1, 2), (2, 7), (3, 4), (4, 101))]
+    U = ClopenSet.union_all(5, 1, 6, sets)
+    sp = U._sp
+    entries, nodes = len(sp._apply), len(sp._children)
+    shuffled = [sets[2], sets[0], ClopenSet.empty(5, 1, 6), sets[3], sets[1], sets[0], sets[2]]
+    assert ClopenSet.union_all(5, 1, 6, shuffled)._root == U._root
+    assert (len(sp._apply), len(sp._children)) == (entries, nodes)
+    # one memo for all set algebra: the n-ary union sits in _apply beside the binary ops
+    assert not hasattr(sp, "_union_many")
+    assert sp._apply[("|", *sorted(s._root for s in sets))] == U._root
+    for key in sp._apply:
+        assert type(key) is tuple and key[0] in ("|", "&", "-")
+        ids = key[1:]
+        assert len(ids) >= 2 and all(type(i) is int for i in ids)
+        assert key[0] == "-" or list(ids) == sorted(ids)
+
+
 def test_partial_limsup_matches_layer_fold():
     for p, n, psi, lo, hi, reduced in [
         (3, 1, ScaledPower(Fraction(1, 2), Fraction(1)), 1, 40, True),

@@ -676,6 +676,23 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
     # two counts for level 1 used to be fitted together (r^2 0.04)
     (["boxdim", "--p", "3", "--counts", "1:2,1:50,2:4,3:9,4:20", "--drop-coarsest", "0"],
      {"kind": "invalid-input", "message": "level 1 given twice"}),
+    # the later of two values for one q used to win silently (step exponent 3 here, 2 swapped)
+    (["measure-layer", "--p", "3", "--psi", "table:2=1/4,2=1/9", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table gives q=2 twice"}),
+    (["measure-layer", "--p", "3", "--psi", "table:2=1/9,2=1/4", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table gives q=2 twice"}),
+    # q = -2 used to be accepted and fail at lookup with "table has no value at q=2"
+    (["measure-layer", "--p", "3", "--psi", "table:-2=1/4", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table has q=-2; q must be >= 1"}),
+    # an entry without one "=" used to print Python's unpacking message
+    (["measure-layer", "--p", "3", "--psi", "table:", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry '' is not q=value"}),
+    (["measure-layer", "--p", "3", "--psi", "table:2=1/4,", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry '' is not q=value"}),
+    (["measure-layer", "--p", "3", "--psi", "table:2", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry '2' is not q=value"}),
+    (["measure-layer", "--p", "3", "--psi", "table:2=1/4=3", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry '2=1/4=3' is not q=value"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet
