@@ -18,6 +18,10 @@ a0 < p^{t_i}, so they land in distinct cosets). Non-reduced layers range over
 partial_limsup, layer_sweep_rows, required_depth and build_layer decide a
 denominator range in one pass: 1 <= lo <= hi, one step-exponent vector per
 a0, and a depth that covers them all, before any layer is built.
+partial_limsup and ubiquity_fraction build a range union in one helper: an
+n = 1 layer is the level-t cosets of its residues, so the layers with one t
+are one coset build over their merged residues; n >= 2 layers go to one n-ary
+union. layer_sweep_rows builds one layer per row, since each row reports it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clopen import ClopenSet, product_set
@@ -290,7 +295,18 @@ def partial_limsup(
 ) -> ClopenSet:
     """Union of the layers for a0 in [lo, hi], exact, from one range pass."""
     exps, depth = _range_exponents(params, psi, lo, hi, depth)
-    layers = (_layer(params, a0, e, reduced, depth) for a0, e in zip(range(lo, hi + 1), exps))
+    return _range_union(params, range(lo, hi + 1), exps, reduced, depth)
+
+
+def _range_union(params: Params, a0s: range, exps: Iterable[Sequence[int]], reduced: bool, depth: int) -> ClopenSet:
+    """Union of the layers of the a0s at their step exponents: for n = 1 one coset build per distinct t."""
+    if params.n == 1:
+        groups: dict[tuple[int, ...], set[int]] = {}
+        for a0, e in zip(a0s, exps):
+            ((t, residues),) = _layer_record(params.p, a0, e, reduced)
+            groups.setdefault((t,), set()).update(residues)
+        return ClopenSet.from_codes(params.p, 1, depth, groups)
+    layers = (_layer(params, a0, e, reduced, depth) for a0, e in zip(a0s, exps))
     return ClopenSet.union_all(params.p, params.n, depth, layers)
 
 
@@ -507,14 +523,15 @@ def ubiquity_fraction(
     """
     if len(alpha) != params.n:
         raise ValueError("alpha must have n components")
+    if M < 2 or k < 0:
+        raise ValueError(f"need M >= 2 and k >= 0, got M={M}, k={k}")
     exps = []
     for a in alpha:
         radius = [(c1, Fraction(1)), (Fraction(M), -Fraction(a) * (k + 1))]
         exps.append(max(0, ball_exponent(params.p, radius)))
     if max(exps) > depth:
         raise ValueError(f"insufficient depth: need {max(exps)}")
-    layers = (_layer(params, a0, exps, False, depth) for a0 in range(M**k, M ** (k + 1) + 1))
-    acc = ClopenSet.union_all(params.p, params.n, depth, layers)
+    acc = _range_union(params, range(M**k, M ** (k + 1) + 1), repeat(exps), False, depth)
     if ball is not None:
         acc = acc.intersect(ball)
         return acc.measure() / ball.measure()

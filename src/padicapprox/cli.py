@@ -74,10 +74,11 @@ def parse_psi(text: str) -> approx.PsiComponent:
     if text.startswith("table:"):
         entries = []
         for part in text[len("table:") :].split(","):
-            entry = part.split("=")
-            if len(entry) != 2:
-                raise ValueError(f"table entry {part!r} is not q=value")
-            entries.append((int(entry[0]), parse_fraction(entry[1])))
+            try:
+                q, value = part.split("=")
+                entries.append((int(q), parse_fraction(value)))
+            except ValueError:
+                raise ValueError(f"table entry {part!r} is not q=value") from None
         return approx.TableFunction(tuple(entries))
     for pattern, build in _PSI_PATTERNS:
         m = pattern.match(text)

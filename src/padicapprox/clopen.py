@@ -92,21 +92,23 @@ class _Space:
 
         Level j holds one node per code mod width^j. A coordinate with t_i <= j
         is a wildcard at level j: slots that differ from a filled one only in
-        wildcard digits get its child. A bucket whose children are all FULL
-        collapses to FULL in node().
+        wildcard digits get its child. A row already interned is found without a
+        call; node() runs on a miss, collapsing a uniform row or appending a new one.
         """
-        p, width, node = self.p, self.width, self.node
+        p, width, node, interned = self.p, self.width, self.node, self._intern.get
         top, low_t = max(t, default=0), min(t, default=0)
+        blank = [EMPTY] * width
         scale = width**top
         level = dict.fromkeys(sorted({c % scale for c in codes}), FULL)
         for j in range(top - 1, -1, -1):
             scale //= width
             buckets: dict[int, list[int]] = {}
+            bucket = buckets.get
             for code, nid in level.items():
                 slot, low = divmod(code, scale)
-                kids = buckets.get(low)
+                kids = bucket(low)
                 if kids is None:
-                    kids = buckets[low] = [EMPTY] * width
+                    kids = buckets[low] = blank.copy()
                 kids[slot] = nid
             if j < low_t:
                 children = tuple
@@ -114,7 +116,8 @@ class _Space:
                 children = _wildcard_fill(p, width, tuple([p**i for i, ti in enumerate(t) if ti <= j]))
             level = {}
             for low, kids in buckets.items():
-                level[low] = node(children(kids))
+                row = children(kids)
+                level[low] = interned(row) or node(row)  # interned ids are >= 2, never falsy
         return level.get(0, EMPTY)
 
     def apply(self, op: str, a: int, b: int) -> int:

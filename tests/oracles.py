@@ -25,6 +25,9 @@
   split a0 = p^v u of `approx` replaced, and the three-branch `psi_powprod` /
   `psi_value`, which reading `PowerLaw` as the scaled power with c = 1
   replaced.
+- The one-dimensional range union as one coset trie per layer and one n-ary
+  union, which one coset build per step exponent over the merged residues of
+  `approx` replaced.
 - The Taylor data of a `PolyMap` from its `Fraction` monomials: the partial
   derivatives, their evaluation at p-adic integers, and the linearized
   Dirichlet rows built by `PAdicInt` truncate, - and *, which
@@ -589,6 +592,22 @@ def fraction_coordinate_residues(p, a0, t, numerators):
             continue
         out.add(c.numerator * pow(c.denominator, -1, mod) % mod)
     return out
+
+
+def per_layer_union(p, depth, layers, reduced):
+    """Union of the one-dimensional layers at (a0, t): one from_cosets trie per
+    layer, from residues read off one Fraction per numerator, and one union_all."""
+    sets = []
+    for a0, t in layers:
+        nums = [a for a in range(1, a0 + 1) if math.gcd(a, a0) == 1] if reduced else range(-a0, a0 + 1)
+        mod = p**t
+        residues = {
+            c.numerator * pow(c.denominator, -1, mod) % mod
+            for c in (Fraction(a, a0) for a in nums)
+            if c.denominator % p
+        }
+        sets.append(ClopenSet.from_cosets(p, depth, t, residues))
+    return ClopenSet.union_all(p, 1, depth, sets)
 
 
 def branched_psi_powprod(comp, q):

@@ -369,6 +369,18 @@ def test_ubiquity_fraction_covers_half_of_space():
     assert abs(fracs[1] - fracs[0]) < Fraction(1, 10)
 
 
+@pytest.mark.parametrize("M, k", [(3, -1), (1, 2), (0, 2), (-3, 1)])
+def test_ubiquity_fraction_refuses_a_bad_block(monkeypatch, M, k):
+    # k = -1 used to raise TypeError from range over M**k, and M <= 0 a power-product message
+    import padicapprox.approx as approx
+
+    built = []
+    monkeypatch.setattr(approx, "_layer_record", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=f"need M >= 2 and k >= 0, got M={M}, k={k}"):
+        ubiquity_fraction(Params(3, 1), [Fraction(2)], M=M, k=k, depth=14, c1=Fraction(9))
+    assert built == []
+
+
 def test_layer_sweep_rows_fields():
     params = Params(3, 1)
     psi = ApproxTuple.uniform(HALF_Q, 1)

@@ -24,6 +24,7 @@ from padicapprox.exactcmp import ball_exponent
 from oracles import (
     fraction_coordinate_residues,
     per_call_product,
+    per_layer_union,
     recursive_complement,
     recursive_difference,
     recursive_intersect,
@@ -300,6 +301,63 @@ def test_ubiquity_fraction_matches_rectangle_path():
         residues = fraction_coordinate_residues(3, a0, t, nums)
         acc = acc.union(fold_insert(3, 1, depth, [BallSpec((Fraction(r),), (t,)) for r in residues]))
     assert approx.ubiquity_fraction(params, alpha, M, k, depth, c1) == acc.measure()
+
+
+@st.composite
+def psi_1d(draw, p, lo, hi):
+    kind = draw(st.sampled_from(["power", "scaled", "table"]))
+    if kind == "power":
+        return PowerLaw(draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)])))
+    if kind == "scaled":
+        c = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(5)]))
+        return ScaledPower(c, draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])))
+    # values above 1 give step exponent 0; 1 gives 1
+    values = st.sampled_from([Fraction(3), Fraction(1), Fraction(1, 2), Fraction(1, 9), Fraction(1, 40)])
+    return approx.TableFunction(tuple((q, draw(values)) for q in range(lo, hi + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 30), st.integers(0, 12), st.booleans(), st.integers(0, 2),
+       st.data())
+def test_range_union_matches_per_layer_oracle(p, lo, width, reduced, extra, data):
+    # one-a0 ranges at width 0; most wider ranges hold some a0 divisible by p
+    hi = lo + width
+    params = Params(p, 1)
+    psi = ApproxTuple((data.draw(psi_1d(p, lo, hi)),))
+    depth = approx.required_depth(params, psi, lo, hi) + extra
+    layers = [(a0, approx.step_exponent(psi.components[0], a0, p)) for a0 in range(lo, hi + 1)]
+    expected = per_layer_union(p, depth, layers, reduced)
+    got = partial_limsup(params, psi, lo, hi, reduced, depth)
+    assert got == expected and got.measure() == expected.measure() and got.depth == depth
+    *_, last = approx.layer_sweep_rows(params, psi, lo, hi, reduced, depth)
+    assert last["union"] == got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]),
+       st.sampled_from([2, 3]), st.integers(0, 2), st.sampled_from([Fraction(1), Fraction(2), Fraction(9)]),
+       st.integers(0, 2), st.one_of(st.none(), st.integers(0, 24)))
+def test_ubiquity_fraction_matches_per_layer_oracle(p, alpha, M, k, c1, extra, centre):
+    t = max(0, ball_exponent(p, [(c1, Fraction(1)), (Fraction(M), -alpha * (k + 1))]))
+    depth = max(t, 2) + extra
+    ball = None if centre is None else ClopenSet.from_cosets(p, depth, 2, [centre])
+    acc = per_layer_union(p, depth, [(a0, t) for a0 in range(M**k, M ** (k + 1) + 1)], False)
+    expected = acc.measure() if ball is None else acc.intersect(ball).measure() / ball.measure()
+    assert approx.ubiquity_fraction(Params(p, 1), [alpha], M, k, depth, c1, ball) == expected
+
+
+def test_rebuilding_an_interned_set_appends_no_node():
+    rects = [BallSpec((Fraction(1, 2), Fraction(-7)), (1, 4)), BallSpec((Fraction(5), Fraction(2, 5)), (3, 2))]
+    for sp, build in [
+        (clopen._space(3, 1), lambda: ClopenSet.from_cosets(3, 6, 5, [1, 7, 40, 121, 200])),
+        # unequal t: the levels below the smaller t_i take the wildcard fill
+        (clopen._space(3, 2), lambda: ClopenSet.from_rectangles(3, 2, 5, rects)),
+        (clopen._space(5, 2), lambda: ClopenSet.from_codes(5, 2, 4, {(2, 4): [3, 77, 401], (1, 1): [6]})),
+    ]:
+        first = build()
+        nodes = len(sp._children)
+        again = build()
+        assert again._root == first._root and len(sp._children) == nodes
 
 
 # ---------------------------------------------------------------------------

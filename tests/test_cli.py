@@ -693,6 +693,13 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
      {"kind": "invalid-input", "message": "table entry '2' is not q=value"}),
     (["measure-layer", "--p", "3", "--psi", "table:2=1/4=3", "--a0", "2"],
      {"kind": "invalid-input", "message": "table entry '2=1/4=3' is not q=value"}),
+    # a bad q or value used to print Python's conversion message, which did not name the entry
+    (["measure-layer", "--p", "3", "--psi", "table:=1/4", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry '=1/4' is not q=value"}),
+    (["measure-layer", "--p", "3", "--psi", "table:x=1/4", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry 'x=1/4' is not q=value"}),
+    (["measure-layer", "--p", "3", "--psi", "table:2=", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table entry '2=' is not q=value"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet
