@@ -21,7 +21,8 @@ a0, and a depth that covers them all, before any layer is built.
 partial_limsup and ubiquity_fraction build a range union in one helper: an
 n = 1 layer is the level-t cosets of its residues, so the layers with one t
 are one coset build over their merged residues; n >= 2 layers go to one n-ary
-union. layer_sweep_rows builds one layer per row, since each row reports it.
+union. layer_sweep_rows builds one layer per row for its running union, and
+reads the row's layer measure from the layer record, not from the built set.
 """
 
 from __future__ import annotations
@@ -252,16 +253,15 @@ def _reference(params: Params, a0: int, exps: Iterable[int]) -> Fraction:
 def build_layer(params: Params, psi: ApproxTuple, a0: int, reduced: bool, depth: int) -> ClopenSet:
     """The layer as an exact ClopenSet in Z_p^n: the range pass over [a0, a0]."""
     (exps,), depth = _range_exponents(params, psi, a0, a0, depth)
-    return _layer(params, a0, exps, reduced, depth)
+    return _layer(params, _layer_record(params.p, a0, exps, reduced), depth)
 
 
-def _layer(params: Params, a0: int, exps: Sequence[int], reduced: bool, depth: int) -> ClopenSet:
-    """Product over coordinates of the unions of level-t_i cosets of the layer record of a0.
+def _layer(params: Params, record: Sequence[tuple[int, set[int]]], depth: int) -> ClopenSet:
+    """Product over coordinates of the unions of level-t_i cosets of a layer record.
 
     from_cosets refuses a level t_i past depth. A coordinate without residues
     (the reduced case p | a0, where every coordinate is (0, {})) is the empty
     factor, so the product is empty."""
-    record = _layer_record(params.p, a0, exps, reduced)
     factors = [ClopenSet.from_cosets(params.p, depth, t, residues) for t, residues in record]
     return factors[0] if params.n == 1 else product_set(factors)
 
@@ -306,7 +306,7 @@ def _range_union(params: Params, a0s: range, exps: Iterable[Sequence[int]], redu
             ((t, residues),) = _layer_record(params.p, a0, e, reduced)
             groups.setdefault((t,), set()).update(residues)
         return ClopenSet.from_codes(params.p, 1, depth, groups)
-    layers = (_layer(params, a0, e, reduced, depth) for a0, e in zip(a0s, exps))
+    layers = (_layer(params, _layer_record(params.p, a0, e, reduced), depth) for a0, e in zip(a0s, exps))
     return ClopenSet.union_all(params.p, params.n, depth, layers)
 
 
@@ -565,8 +565,8 @@ def _sweep_rows(
     series = _series_terms(params, psi, lo, hi)
     kh = ds = Fraction(0)
     for a0, e in zip(range(lo, hi + 1), exps):
-        layer = _layer(params, a0, e, reduced, depth)
-        acc = acc.union(layer)
+        record = _layer_record(params.p, a0, e, reduced)
+        acc = acc.union(_layer(params, record, depth))
         if series is not None:
             try:
                 k, d = next(series)
@@ -576,7 +576,7 @@ def _sweep_rows(
                 series = kh = ds = None
         yield {
             "a0": a0,
-            "layer_measure": layer.measure(),
+            "layer_measure": _data_measure(params.p, record),
             "reference": _reference(params, a0, e),
             "union_measure": acc.measure(),
             "union": acc,

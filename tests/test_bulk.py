@@ -648,3 +648,21 @@ def test_partial_limsup_csv_reuses_sweep_union(tmp_path, capsys, monkeypatch):
         outputs.append((capsys.readouterr().out, set_path.read_bytes()))
         assert sorted(calls) == list(range(2, 10))
     assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]), st.integers(1, 20), st.integers(0, 8), st.booleans(),
+       st.sampled_from([PowerLaw(Fraction(3, 2)), PowerLaw(Fraction(2)), ScaledPower(Fraction(1, 2), Fraction(1)),
+                        ScaledPower(Fraction(3), Fraction(2))]))
+def test_sweep_layer_measure_is_read_from_the_record(p, n, lo, width, reduced, psi):
+    params, tup = Params(p, n), ApproxTuple.uniform(psi, n)
+    depth = approx.required_depth(params, tup, lo, lo + width)
+    space = clopen._space(p, n)
+    before = set(space._profiles)
+    rows = list(approx.layer_sweep_rows(params, tup, lo, lo + width, reduced, depth))
+    # every profile the sweep memoizes is a running union's, never a layer root's alone
+    assert set(space._profiles) - before <= {row["union"]._root for row in rows}
+    for row in rows:
+        a0 = row["a0"]
+        layer = build_layer(params, tup, a0, reduced, depth)
+        assert row["layer_measure"] == approx.layer_measure(params, tup, a0, reduced) == layer.measure()
