@@ -360,8 +360,11 @@ def cmd_boxdim(args) -> None:
             raise ValueError("--levels needs --set")
         counts = []
         for part in args.counts.split(","):
-            k, N = part.split(":")
-            counts.append((int(k), int(N)))
+            try:
+                k, N = part.split(":")
+                counts.append((int(k), int(N)))
+            except ValueError:
+                raise ValueError(f"counts entry {part!r} is not k:N") from None
     fit = dimension.boxdim_estimate(counts, args.p, drop_coarsest=args.drop_coarsest)
     emit(
         {

@@ -14,7 +14,10 @@ one-dimensional sets are memoized on the space by factor-id tuples, like the
 other set operations. A node's box counts at each level below it come from one
 walk that counts the paths reaching each node, memoized only for the roots
 asked about; measures (exact Fractions with denominator dividing p^{n*K}) and
-box counts are read from those.
+box counts are read from those. Containment probes read one more column, one
+int per node id: the least level below the node at which a FULL node occurs.
+Probes extend it over the ids interned since the last probe, so builds never
+pay for it, and a descent stops at a mixed node with no FULL node in reach.
 Serialization keeps nothing; all other tables live for the whole process.
 Node ids index one space, so once a (p, n) space is replaced, sets built in
 the old one are refused by every operation that combines or complements sets
@@ -36,7 +39,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -75,6 +78,9 @@ class _Space:
         self._product_of: _Space | None = None
         # box-count profiles of the roots asked about, not of every node
         self._profiles: dict[int, tuple[int, ...]] = {EMPTY: (0,), FULL: (1,)}
+        # per node id, the least level below it holding a FULL node (EMPTY: none
+        # within MAX_DEPTH); shallow() extends it when a probe runs, never a build
+        self._shallow: list[int] = [MAX_DEPTH + 1, 0]
 
     def node(self, children: tuple[int, ...]) -> int:
         nid = self._intern.get(children)
@@ -184,6 +190,18 @@ class _Space:
                 counts.append(full + sum(level.values()))
             out = self._profiles[a] = tuple(counts)
         return out
+
+    def shallow(self) -> list[int]:
+        """The _shallow column, extended over the ids interned since the last call.
+
+        A child's id is below its parent's, so one ascending pass over the new rows
+        suffices; it iterates them rather than indexing the child table by id."""
+        sh = self._shallow
+        if len(sh) < len(self._children):
+            get, append = sh.__getitem__, sh.append
+            for row in islice(self._children, len(sh), None):
+                append(1 + min(map(get, row)))
+        return sh
 
     def measure(self, a: int) -> Fraction:
         prof = self.profile(a)
@@ -467,8 +485,10 @@ class ClopenSet:
         residues mod p^level matter). level >= 0; a level beyond the depth asks
         about finer cosets, which is well defined. A point of another arity or a
         negative level raises ValueError. The descent stops at the first EMPTY
-        or FULL node. For n = 1 the slot at each level is the next floor digit,
-        taken by one divmod; for n >= 2 it is formed by Horner over the
+        or FULL node, and at a mixed node with no FULL node within the levels
+        left (read from the space's shallowest-FULL column), answering False.
+        For n = 1 the slot at each level is the next floor digit, r % p, and
+        r //= p drops it; for n >= 2 it is formed by Horner over the
         coordinates' digits.
         """
         n = self.n
@@ -476,19 +496,20 @@ class ClopenSet:
             raise ValueError(f"point dimension {len(point)} != n={n}")
         if level < 0:
             raise ValueError(f"level {level} must be >= 0")
-        kids, p = self._sp._children, self.p
+        sp, p = self._sp, self.p
+        sh, kids = sp.shallow(), sp._children
         node = self._root
         if n == 1:
             # the slot index is the coordinate's next floor digit
             r = point[0]
-            while level and node > 1:
-                r, v = divmod(r, p)
-                node = kids[node][v]
+            while sh[node] <= level and node > 1:
+                node = kids[node][r % p]
+                r //= p
                 level -= 1
             return node == FULL
         rev = point[::-1]
         scale = 1
-        while level and node > 1:
+        while sh[node] <= level and node > 1:
             # slot index sum_i digit_i p^i by Horner, last coordinate first
             v = 0
             for c in rev:

@@ -283,14 +283,20 @@ def boxdim_estimate(
     """Least-squares slope of log N_k against k log p.
 
     No exactness claim; the two coarsest levels are dropped by default
-    (boundary effects). Needs a prime p, drop_coarsest >= 0, at least 3
-    levels with nonzero counts, and no level given twice.
+    (boundary effects). Needs a prime p, drop_coarsest >= 0, no negative
+    level or count, at least 3 levels with nonzero counts, and no level
+    given twice.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if drop_coarsest < 0:
         raise ValueError(f"need drop_coarsest >= 0, got {drop_coarsest}")
     given = sorted((int(k), int(N)) for k, N in counts)
+    for k, N in given:
+        if k < 0:
+            raise ValueError(f"counts have level {k}; k must be >= 0")
+        if N < 0:
+            raise ValueError(f"counts have N={N} at level {k}; N must be >= 0")
     pts = [(k, N) for k, N in given[drop_coarsest:] if N > 0]
     if len({k for k, _ in pts}) < 3:
         raise ValueError("need at least 3 levels with nonzero counts")

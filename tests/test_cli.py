@@ -700,6 +700,17 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
      {"kind": "invalid-input", "message": "table entry 'x=1/4' is not q=value"}),
     (["measure-layer", "--p", "3", "--psi", "table:2=", "--a0", "2"],
      {"kind": "invalid-input", "message": "table entry '2=' is not q=value"}),
+    # level -1 used to be fitted, and negative counts at dropped levels were ignored
+    (["boxdim", "--p", "3", "--counts=-1:3,0:1,2:9,3:27", "--drop-coarsest", "0"],
+     {"kind": "invalid-input", "message": "counts have level -1; k must be >= 0"}),
+    (["boxdim", "--p", "3", "--counts", "1:-3,2:-9,3:27,4:81,5:243"],
+     {"kind": "invalid-input", "message": "counts have N=-3 at level 1; N must be >= 0"}),
+    # an entry without one ":" used to print Python's unpacking message
+    (["boxdim", "--p", "3", "--counts", "1:3,2:9:4,3:27"],
+     {"kind": "invalid-input", "message": "counts entry '2:9:4' is not k:N"}),
+    (["boxdim", "--p", "3", "--counts", ""], {"kind": "invalid-input", "message": "counts entry '' is not k:N"}),
+    (["boxdim", "--p", "3", "--counts", "1:3,x:9,3:27,4:81"],
+     {"kind": "invalid-input", "message": "counts entry 'x:9' is not k:N"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet

@@ -235,3 +235,8 @@ def test_boxdim_estimate_drops_coarsest_levels():
     # a negative drop used to keep only the finest levels
     with pytest.raises(ValueError, match="need drop_coarsest >= 0, got -3"):
         boxdim_estimate(counts, 2, drop_coarsest=-3)
+    # a negative level or count is refused, also at a level the drop would discard
+    with pytest.raises(ValueError, match="counts have level -1; k must be >= 0"):
+        boxdim_estimate([(-1, 1)] + counts, 2)
+    with pytest.raises(ValueError, match="counts have N=-2 at level 1; N must be >= 0"):
+        boxdim_estimate([(1, -2)] + counts[1:], 2)

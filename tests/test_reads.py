@@ -5,17 +5,20 @@ the `from_text` parser and one-probe `node()` interning are checked against
 the previous per-coordinate descent, recursive coset collection,
 per-character parser and collapse-first interning, kept here as oracles.
 For n = 1 both walks read the set as integer residues: `contains_residue`
-takes one divmod per level and `enumerate_cosets` carries int
+takes one floor digit per level and `enumerate_cosets` carries int
 representatives; the same oracles check them, on negative and huge
 coordinates too, and the row-read counts and FULL expansions are pinned for
-n = 1 and n = 2. Sets range over p in {2, 3, 5}, n in {1, 2, 3} (width at most
-125) and depth at most 8.
+n = 1 and n = 2. The descent also stops where no FULL node is within the
+levels left; its shallowest-FULL column is checked against a recursion over
+the node table while probes interleave with builds and space replacements.
+Sets range over p in {2, 3, 5}, n in {1, 2, 3} (width at most 125) and depth
+at most 8.
 """
 
 import random
 import sys
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 
 import pytest
@@ -73,6 +76,18 @@ def old_contains_residue(S, point, level):
             v += d * p**i
         node = old_children(S._sp, node)[v]
     return node == FULL
+
+
+def shallowest_full(sp):
+    """Per node id of space sp, the least level below it holding a FULL node, by recursion."""
+    memo = {EMPTY: clopen.MAX_DEPTH + 1, FULL: 0}
+
+    def reach(a):
+        if a not in memo:
+            memo[a] = 1 + min(map(reach, sp._children[a]))
+        return memo[a]
+
+    return [reach(a) for a in range(len(sp._children))]
 
 
 def old_enumerate_cosets(S, k):
@@ -313,6 +328,61 @@ def test_contains_residue_stops_at_terminal_nodes():
             sp._children.reads = 0
             assert S.contains_residue(point, S.depth + 40) is want
             assert sp._children.reads == rows
+
+
+def test_contains_residue_stops_where_no_full_node_is_in_reach():
+    # a mixed node whose shallowest FULL node lies below the levels left answers
+    # False without reading a row; extending the column reads no row by id
+    with fresh_space(3, 1) as sp:
+        deep = ClopenSet.from_cosets(3, 6, 6, [5])  # 5 + 3^6 Z_3: FULL only at level 6
+        sp._children = CountingRows(sp._children)
+        for level, want, rows in [(3, False, 0), (5, False, 0), (6, True, 6)]:
+            sp._children.reads = 0
+            assert deep.contains_residue((5,), level) is want
+            assert sp._children.reads == rows
+    with fresh_space(3, 2) as sp:
+        deep = ClopenSet.from_rectangles(3, 2, 4, [BallSpec((Fraction(5), Fraction(7)), (4, 3))])
+        sp._children = CountingRows(sp._children)
+        for level, want, rows in [(3, False, 0), (4, True, 4)]:
+            sp._children.reads = 0
+            assert deep.contains_residue((5, 7), level) is want
+            assert sp._children.reads == rows
+
+
+@st.composite
+def space_sets(draw, p, n):
+    """A set of rectangles of depth at most 6 in the current (p, n) space, maybe complemented."""
+    depth = draw(st.integers(0, 6))
+    center = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([d for d in range(1, 8) if d % p]))
+    rect = st.builds(BallSpec, st.tuples(*[center] * n), st.tuples(*[st.integers(0, depth)] * n))
+    S = ClopenSet.from_rectangles(p, n, depth, draw(st.lists(rect, min_size=1, max_size=5)))
+    return S.complement() if draw(st.booleans()) else S
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.data())
+def test_contains_residue_across_builds_and_space_replacements(p, n, data):
+    # builds between probes intern new ids, so each probe extends the column first;
+    # a replaced space keeps its own table and column for the sets built in it
+    steps = data.draw(st.lists(st.sampled_from(["build", "probe", "replace"]), min_size=1, max_size=12))
+    with ExitStack() as stack:
+        sets = []
+        for step in steps:
+            if step == "replace":
+                stack.enter_context(fresh_space(p, n))
+            elif step == "build" or not sets:
+                sets.append(data.draw(space_sets(p, n)))
+            else:
+                S = data.draw(st.sampled_from(sets))
+                coord = st.integers(-(p ** (S.depth + 2)), p ** (S.depth + 2))
+                probes = data.draw(st.lists(
+                    st.tuples(st.tuples(*[coord] * n), st.integers(0, S.depth + 2)), min_size=1, max_size=10))
+                for point, level in probes:
+                    assert S.contains_residue(point, level) == old_contains_residue(S, point, level)
+                assert S._sp._shallow == shallowest_full(S._sp)
+        for S in sets:
+            assert S.contains_residue((1,) * n, S.depth) == old_contains_residue(S, (1,) * n, S.depth)
+            assert S._sp._shallow == shallowest_full(S._sp)
 
 
 # ---------------------------------------------------------------------------
