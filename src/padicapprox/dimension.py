@@ -221,7 +221,7 @@ def manifold_lower_bound(
 ) -> Fraction:
     """Dimension lower bounds for graphs of quadratic-error maps.
 
-    which = 'thm2.7': equal weights, s = (n+1)/tau - m for 1+1/n < tau < 1+1/m.
+    which = 'thm2.7': equal weights, s = (n+1)/tau - m for 1+1/n < tau < 1+1/m, d >= 1, m >= 0.
     which = 'thm2.8': d=1 curves, s = (n+1 - sum_{j>=2} tau_j)/tau_1.
     which = 'thm2.9': general weights, min over the d >= 1 independent directions
     of the weighted formula minus m (m >= 0).
@@ -236,6 +236,8 @@ def manifold_lower_bound(
         (t,) = vals
         if d + m != n:
             raise ValueError("d + m must equal n")
+        if d < 1 or m < 0:
+            raise ValueError("thm2.7 needs d >= 1 and m >= 0")
         if not Fraction(1) + Fraction(1, n) < t:
             raise HypothesisError("tau > 1 + 1/n", f"got {t}")
         if m >= 1 and not t < Fraction(1) + Fraction(1, m):

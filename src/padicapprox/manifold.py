@@ -251,10 +251,7 @@ class RationalPoint:
 
     @property
     def primitive(self) -> bool:
-        g = 0
-        for v in self.a:
-            g = math.gcd(g, v)
-        return g == 1
+        return math.gcd(*self.a) == 1
 
     def coordinates(self, count: int | None = None) -> tuple[Fraction, ...]:
         vals = self.a[1:] if count is None else self.a[1 : count + 1]
@@ -467,14 +464,6 @@ class DirichletSolution:
     fallback: str | None = None
 
 
-def _strip_non_p_gcd(p: int, b: Sequence[int]) -> list[int]:
-    g = 0
-    for v in b:
-        g = math.gcd(g, v)
-    g = _split_power(g, p)[1]
-    return [v // g for v in b] if g > 1 else list(b)
-
-
 def verify_dirichlet(inst: DirichletInstance, point: RationalPoint, k: int) -> bool:
     """Exact re-check of the full inequality system and side conditions.
 
@@ -513,29 +502,25 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
     """Constructive solution of the approximation system at height H.
 
     Runs the pigeonhole solver on the linearized system (as a structured
-    congruence scan), cancels the p-part of b_0, verifies everything exactly,
-    and falls back to exhaustive search if any step fails. Requires H above
-    the computed threshold.
+    congruence scan), divides the scan vector by its gcd g, takes k as the
+    p-adic valuation of g, verifies everything exactly, and falls back to
+    exhaustive search if any step fails. Requires H above the computed
+    threshold.
     """
     report = dirichlet_h0(inst)
     if not report.admissible(inst.H):
         # the first case at H_0 is a power p^e: delta's exponent m/(d v) is below beta's n/(d (v - 1))
         setter = next(c["value"] for c in report.cases.values() if c["h0"] == report.h0)
         raise HypothesisError("H > H_0", f"H={inst.H}, H_0={_decimal(report.h0, f'floor({setter})')}")
-    p = inst.f.p
     fallback = "verification-failed"
     sys = _linearized_system(inst)
     try:
-        sol = solve_structured(sys)
-        b = _strip_non_p_gcd(p, sol.x)
-        if b[0] < 0:
-            b = [-v for v in b]
-        k = _split_power(b[0], p)[0]
-        if all(v % p**k == 0 for v in b):
-            a = [v // p**k for v in b]
-            point = RationalPoint(tuple(a))
-            if verify_dirichlet(inst, point, k):
-                return DirichletSolution(point, k, True, "congruence-scan", report)
+        x = solve_structured(sys).x  # x_0 >= 1
+        g = math.gcd(*x)
+        point = RationalPoint(tuple(v // g for v in x))
+        k = _split_power(g, inst.f.p)[0]
+        if verify_dirichlet(inst, point, k):
+            return DirichletSolution(point, k, True, "congruence-scan", report)
     except SolverError as exc:
         fallback = f"solver-error: {exc}"
     except ValueError as exc:
@@ -577,10 +562,7 @@ def _exhaustive_dirichlet(inst: DirichletInstance) -> tuple[RationalPoint, int]:
                     for monos, inv, mod in zip(fixed, inverses, moduli)
                 ]
                 for tail in itertools.product(*dep):
-                    a = (a0, *combo, *tail)
-                    if math.gcd(*a) != 1:
-                        continue
-                    point = RationalPoint(a)
+                    point = RationalPoint((a0, *combo, *tail))
                     if verify_dirichlet(inst, point, k):
                         return point, k
         k += 1

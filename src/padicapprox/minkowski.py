@@ -81,10 +81,7 @@ class LinearFormSystem:
     @property
     def t_power(self) -> int:
         """T^{n+1} = prod (H_j + 1); T itself is generally irrational."""
-        out = 1
-        for h in self.heights:
-            out *= h + 1
-        return out
+        return math.prod(h + 1 for h in self.heights)
 
 
 def bucket_exponents(sys: LinearFormSystem) -> tuple[int, ...]:
@@ -557,8 +554,6 @@ def solve_structured(sys: LinearFormSystem) -> MinkowskiSolution:
 
 def _centered_candidates(target: int, mod: int, bound: int) -> list[int]:
     """Integers congruent to target mod `mod` within [-bound, bound], ascending."""
-    if mod == 1:
-        return list(range(-bound, bound + 1))
     t = target % mod
     first = t - ((t + bound) // mod) * mod
     return list(range(first, bound + 1, mod))

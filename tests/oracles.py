@@ -28,6 +28,9 @@
 - The one-dimensional range union as one coset trie per layer and one n-ary
   union, which one coset build per step exponent over the merged residues of
   `approx` replaced.
+- The reduction of a Dirichlet scan vector in three passes (strip the gcd's
+  part prime to p, flip the sign, divide by p^k for k = v_p(b_0)), which one
+  gcd of `manifold.dirichlet_solve` replaced.
 - The Taylor data of a `PolyMap` from its `Fraction` monomials: the partial
   derivatives, their evaluation at p-adic integers, and the linearized
   Dirichlet rows built by `PAdicInt` truncate, - and *, which
@@ -489,7 +492,7 @@ def valuation_verify_solution(sys, x, deltas=None, require_buckets=False):
 
 
 # ---------------------------------------------------------------------------
-# Stepped feasible height and the pivoted structured scan
+# Stepped feasible height, the pivoted structured scan and the three-pass reduction
 # ---------------------------------------------------------------------------
 
 
@@ -573,6 +576,25 @@ def pivoted_solve_structured(sys, pivots):
             ok = valuation_verify_solution(sys, x, deltas, require_buckets=True)
             return MinkowskiSolution(x, deltas, ok, boundary, "congruence-scan")
     raise SolverError("no structured solution with x_0 in [1, H_0]")
+
+
+def strip_flip_divide(p, x):
+    """(point, k) from a scan vector x with x_0 != 0 by the three former passes,
+    or None where not every entry is divisible by p^k."""
+    g = 0
+    for v in x:
+        g = math.gcd(g, v)
+    while g % p == 0:
+        g //= p
+    b = [v // g for v in x] if g > 1 else list(x)
+    if b[0] < 0:
+        b = [-v for v in b]
+    k = 0
+    while b[0] % p ** (k + 1) == 0:
+        k += 1
+    if not all(v % p**k == 0 for v in b):
+        return None
+    return RationalPoint(tuple(v // p**k for v in b)), k
 
 
 # ---------------------------------------------------------------------------

@@ -711,6 +711,9 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
     (["boxdim", "--p", "3", "--counts", ""], {"kind": "invalid-input", "message": "counts entry '' is not k:N"}),
     (["boxdim", "--p", "3", "--counts", "1:3,x:9,3:27,4:81"],
      {"kind": "invalid-input", "message": "counts entry 'x:9' is not k:N"}),
+    # m = -1 used to exit 0 with "value": "5/2" and a checked hypothesis report
+    (["dim", "manifold", "--tau", "2", "2", "--d", "3", "--m", "-1", "--which", "thm2.7"],
+     {"kind": "invalid-input", "message": "thm2.7 needs d >= 1 and m >= 0"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet

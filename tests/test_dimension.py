@@ -185,6 +185,8 @@ def test_ww_exponent_literal_variant_is_not_monotone():
 def test_manifold_lower_bound_values():
     # ambient n = 2 split as d = 1, m = 1 with equal weight 8/5
     assert manifold_lower_bound([F(8, 5), F(8, 5)], 1, 1, "thm2.7") == F(7, 8)
+    # m = 0: no upper bound on tau
+    assert manifold_lower_bound([F(2), F(2)], 2, 0, "thm2.7") == F(3, 2)
     assert manifold_lower_bound([F(12, 5), F(7, 5)], 1, 1, "thm2.8") == F(2, 3)
     assert manifold_lower_bound([F(12, 5), F(7, 5)], 1, 1, "thm2.9") == F(2, 3)
 
@@ -198,6 +200,10 @@ def test_manifold_lower_bound_hypotheses_enumerated():
         manifold_lower_bound([F(3, 2), F(8, 5)], 1, 1, "thm2.9")
     with pytest.raises(HypothesisError, match=r"sum\(dependent tau\) < m\+1"):
         manifold_lower_bound([F(6, 5), F(2)], 1, 1, "thm2.9")
+    # d + m = n holds in each; m = -1 used to return 5/2, and d = 0 failed on a tau hypothesis
+    for tau, d, m in [([F(2)] * 2, 3, -1), ([F(2)] * 2, 0, 2), ([F(3, 2)] * 2, 0, 2), ([F(2)] * 3, -1, 4)]:
+        with pytest.raises(ValueError, match="thm2.7 needs d >= 1 and m >= 0"):
+            manifold_lower_bound(tau, d, m, "thm2.7")
 
 
 def test_thm29_reduces_to_jb_when_m_is_zero():

@@ -9,7 +9,9 @@ scaled powers, tables), primes p in {2, 3, 5, 7} and n in {1, 2}.
 The congruences of the pigeonhole lemma are folded the same way: the lemma
 bound is one list of moduli, the least feasible Dirichlet height a closed
 form, and the structured scan resolves x_{i+1} with form i. Their former
-versions live in `oracles.py` and are compared here on random systems.
+versions live in `oracles.py` and are compared here on random systems. A
+Dirichlet scan vector x becomes its point by one gcd (x / gcd(x), with k the
+p-adic valuation of the gcd); the three passes it replaced are an oracle too.
 
 Layer residues come from one split a0 = p^v u instead of one Fraction per
 numerator, and `PowerLaw` is read as the scaled power with c = 1. The
@@ -68,14 +70,16 @@ from padicapprox.manifold import (
     DirichletInstance,
     PolyMap,
     _bucket_feasible_height,
+    _exhaustive_dirichlet,
     _linearized_system,
-    _strip_non_p_gcd,
     dirichlet_h0,
     dirichlet_solve,
     dqe_constants,
+    verify_dirichlet,
 )
 from padicapprox.minkowski import (
     LinearFormSystem,
+    MinkowskiSolution,
     SolverError,
     bucket_exponents,
     lemma_thresholds,
@@ -93,6 +97,7 @@ from oracles import (
     padic_linearized_rows,
     pivoted_solve_structured,
     stepped_feasible_height,
+    strip_flip_divide,
     valuation_satisfies_lemma_bound,
     valuation_verify_solution,
 )
@@ -251,15 +256,6 @@ def old_int_valuation(r, p):
         r //= p
         v += 1
     return v
-
-
-def old_strip_non_p_gcd(p, b):
-    g = 0
-    for v in b:
-        g = math.gcd(g, v)
-    while g % p == 0:
-        g //= p
-    return [v // g for v in b] if g > 1 else list(b)
 
 
 def old_floor_log(value, base):
@@ -523,12 +519,6 @@ def test_rational_and_padic_valuations_match_loops(num, den, p, k):
     residue = num % p**20
     if residue:
         assert PAdicInt(p, 20, num).valuation() == old_int_valuation(residue, p)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(nonzero, min_size=1, max_size=4), primes)
-def test_strip_non_p_gcd_matches_loop(b, p):
-    assert _strip_non_p_gcd(p, b) == old_strip_non_p_gcd(p, b)
 
 
 def test_valuation_of_negative_and_fractional_values():
@@ -828,3 +818,53 @@ def test_dirichlet_solve_falls_back_below_the_bucket_precision():
     with pytest.raises(ValueError, match="exceeds the base point precision") as info:
         dirichlet_solve(inst(4))
     assert isinstance(info.value, SolverError)
+
+
+def _scan_instance(p):
+    """x^2 over Z_p with tau = 7/5, v = 8/5, at a height p^2 H_0."""
+    f = PolyMap(p, 1, 1, (((Fraction(1), (2,)),),))
+    x = (PAdicInt(p, 60, 7 + 11 * p**20),)
+    h0 = dirichlet_h0(DirichletInstance(f, x, (Fraction(7, 5),), (Fraction(8, 5),), H=1)).h0
+    return DirichletInstance(f, x, (Fraction(7, 5),), (Fraction(8, 5),), H=p**2 * h0)
+
+
+SCAN_INSTANCES = {p: _scan_instance(p) for p in (2, 3, 5)}
+
+
+@st.composite
+def scan_vectors(draw):
+    """A prime p in {2, 3, 5} and a vector (x_0 >= 1) for its instance: the true
+    scan vector or a small random one, times a drawn shared factor p^e u, with
+    x_0 alone sometimes carrying extra powers of p."""
+    p = draw(st.sampled_from(sorted(SCAN_INSTANCES)))
+    inst = SCAN_INSTANCES[p]
+    entry = st.integers(-40, 40)
+    if draw(st.integers(0, 2)):
+        base = solve_structured(_linearized_system(inst)).x
+    else:
+        base = (draw(st.integers(1, 40)), *draw(st.tuples(entry, entry)))
+    if not draw(st.integers(0, 2)):
+        base = (base[0] * p ** draw(st.integers(1, 2)), *base[1:])
+    shared = p ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30]))
+    return p, tuple(shared * v for v in base)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scan_vectors())
+def test_dirichlet_point_from_one_gcd_matches_the_three_passes(case):
+    from padicapprox import manifold
+
+    p, x = case
+    inst = SCAN_INSTANCES[p]
+    reduced = strip_flip_divide(p, x)
+    try:
+        if reduced is not None and verify_dirichlet(inst, *reduced):
+            want = (*reduced, "congruence-scan", None)
+        else:
+            want = (*_exhaustive_dirichlet(inst), "exhaustive", "verification-failed")
+    except SolverError as exc:
+        want = (*_exhaustive_dirichlet(inst), "exhaustive", f"solver-error: {exc}")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(manifold, "solve_structured", lambda sys: MinkowskiSolution(x, (), False, False, "stand-in"))
+        sol = dirichlet_solve(inst)
+    assert (sol.point, sol.k, sol.method, sol.fallback) == want

@@ -279,6 +279,7 @@ def test_dirichlet_solve_records_why_it_fell_back(monkeypatch, capsys):
     inst = DirichletInstance(f, x, (F(7, 5),), (F(8, 5),), H=48)
     sol = dirichlet_solve(inst)
     assert sol.method == "congruence-scan" and sol.fallback is None
+    scan_point = sol.point
 
     def failing_scan(sys):
         raise manifold.SolverError("no structured solution with x_0 in [1, H_0]")
@@ -289,13 +290,21 @@ def test_dirichlet_solve_records_why_it_fell_back(monkeypatch, capsys):
     assert sol.method == "exhaustive" and sol.verified
     assert sol.fallback == "solver-error: no structured solution with x_0 in [1, H_0]"
 
-    # a scan point that is not primitive fails the exact re-check
+    # an exact re-check that rejects the scan's point, the first one it sees
+    calls = []
+
+    def reject_first_call(inst, point, k):
+        calls.append(point)
+        return len(calls) > 1 and verify_dirichlet(inst, point, k)
+
     with monkeypatch.context() as m:
-        m.setattr(manifold, "_strip_non_p_gcd", lambda p, b: [2 * v for v in b])
+        m.setattr(manifold, "verify_dirichlet", reject_first_call)
         sol = dirichlet_solve(inst)
+        assert calls[0] == scan_point
         assert sol.method == "exhaustive" and sol.fallback == "verification-failed"
         assert verify_dirichlet(inst, sol.point, sol.k)
         # the CLI prints the method but never the reason
+        calls.clear()
         argv = ["dirichlet-solve", "--map-json", '{"p":3,"d":1,"m":1,"polys":[[["1",[2]]]]}',
                 "--x", str(x[0].residue), "--precision", "60", "--tau", "7/5", "--v", "8/5", "--H", "48"]
         assert cli.main(argv) == 0

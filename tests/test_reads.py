@@ -308,7 +308,7 @@ def test_contains_residue_stops_at_terminal_nodes():
             sp._children.reads = 0
             assert S.contains_residue(point, S.depth + 40) is want
             assert sp._children.reads == rows
-    # n = 1: one divmod and one row read per mixed node, for any sign and size
+    # n = 1: one digit (r % p, then r //= p) and one row read per mixed node, for any sign and size
     with fresh_space(3, 1) as sp:
         ninth = ClopenSet.from_cosets(3, 4, 2, [1])  # 1 + 9 Z_3
         deep = ClopenSet.from_cosets(3, 6, 6, [5])  # 5 + 3^6 Z_3
