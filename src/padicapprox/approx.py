@@ -229,8 +229,6 @@ def _data_measure(p: int, data: Sequence[tuple[int, set[int]]]) -> Fraction:
     """Measure of the product layer given by layer_coordinate_data records."""
     mu = Fraction(1)
     for t, residues in data:
-        if not residues:
-            return Fraction(0)
         mu *= Fraction(len(residues), p**t)
     return mu
 
@@ -430,8 +428,6 @@ def _data_intersection(
             (ta, ra), (tb, rb) = (tb, rb), (ta, ra)
         mod = p**ta
         count = sum(1 for r in rb if r % mod in ra)
-        if count == 0:
-            return Fraction(0)
         mu *= Fraction(count, p**tb)
     return mu
 
@@ -493,8 +489,6 @@ def claim_c_max_ratio(
     for i, a0 in enumerate(pairs):
         for b0 in pairs[i + 1 :]:
             mu = _data_intersection(params.p, data[a0], data[b0])
-            if mu == 0:
-                continue
             ratio = mu / _ratio_denominator(params.n, a0, b0, zip(psis[a0], psis[b0]))
             if ratio > best:
                 best, arg = ratio, (a0, b0)

@@ -1,9 +1,9 @@
 """Command-line entry point: deterministic experiments with JSON/CSV output.
 
 Every exact rational is printed in lowest terms as "num/den" (or a bare
-integer); the only floats in any output are box-dimension slopes, fixed to six
-decimals. Hypothesis violations exit with status 2 and a structured report
-naming the failed inequality.
+integer). Floats appear only as box-dimension slopes, fixed to six decimals,
+and as the "float" reading of each dirichlet-solve h0_cases entry. Hypothesis
+violations exit with status 2 and a structured report naming the failed inequality.
 """
 
 from __future__ import annotations

@@ -383,12 +383,9 @@ class ClopenSet:
 
     @classmethod
     def from_cosets(cls, p: int, depth: int, t: int, residues: Iterable[int]) -> "ClopenSet":
-        """Union of the cosets r + p^t Z_p in Z_p over the integer residues r."""
-        if t < 0:
-            raise ValueError("coset level must be >= 0")
-        if t > depth:
-            raise ValueError(f"insufficient depth: cosets need level {t}, depth is {depth}")
-        return cls(p, 1, depth, _space(p, 1).cosets((t,), residues))
+        """Union of the cosets r + p^t Z_p in Z_p over the integer residues r: the one
+        group of from_codes at n = 1, whose checks refuse t < 0 and t > depth."""
+        return cls.from_codes(p, 1, depth, {(t,): residues})
 
     @classmethod
     def union_all(cls, p: int, n: int, depth: int, sets: Iterable["ClopenSet"]) -> "ClopenSet":

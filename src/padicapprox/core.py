@@ -81,8 +81,7 @@ def norm(x: int | Fraction, p: int) -> Fraction:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return Fraction(0)
-    v = valuation(x, p)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return Fraction(p) ** -valuation(x, p)
 
 
 def euler_phi(q: int) -> int:
@@ -193,12 +192,12 @@ class PAdicInt:
 
 
 def embed_rational(a: int | Fraction, b: int = 1, *, p: int, precision: int) -> PAdicInt:
-    """Embed a/b into Z_p mod p^precision; requires b (and the reduced denominator) coprime to p."""
+    """Embed a/b into Z_p mod p^precision; requires b != 0 and the reduced denominator coprime to p."""
     if not is_prime(p):
         raise ValueError(f"prime must be prime, got {p}")
-    frac = Fraction(a) / Fraction(b) if b != 1 else Fraction(a)
     if b == 0:
         raise ZeroDivisionError("b must be nonzero")
+    frac = Fraction(a) / b
     if precision < 1:
         raise ValueError("precision must be >= 1")
     mod = p**precision

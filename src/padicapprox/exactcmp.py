@@ -110,8 +110,6 @@ def int_root_floor(n: int, k: int) -> int:
         raise ValueError("need n >= 0 and k >= 1")
     if n == 0:
         return 0
-    if k == 1:
-        return n
     x = 1 << -(-n.bit_length() // k)  # upper seed: 2^ceil(bits/k) >= n^(1/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -85,8 +85,7 @@ def _eval_monomials(monos: Sequence[tuple[int, tuple[int, ...]]], c: Sequence[in
     total = 0
     for coeff, exps in monos:
         for x, e in zip(c, exps):
-            if e:
-                coeff *= x**e
+            coeff *= x**e
         total += coeff
     return total
 
@@ -346,11 +345,9 @@ class H0Report:
 
 
 def floor_log_int_power(p: int, exponent: Fraction) -> int:
-    """floor(p^exponent) for a positive rational exponent, exact at any size."""
+    """floor(p^exponent) for a rational exponent, exact at any size (1 at exponent 0)."""
     exponent = Fraction(exponent)
     a, b = exponent.numerator, exponent.denominator
-    if a == 0:
-        return 1
     if a < 0:
         return 0  # p^e < 1 for negative e
     return int_root_floor(p**a, b)
@@ -359,39 +356,26 @@ def floor_log_int_power(p: int, exponent: Fraction) -> int:
 def dirichlet_h0(inst: DirichletInstance) -> H0Report:
     """The height threshold above which the constructive system is solvable.
 
-    Four of the entries are rational powers of p (C and epsilon are powers of
-    p by construction); the fifth is the least height whose pigeonhole bucket
-    exponents are all nonnegative. Returns the largest inadmissible integer,
-    so the guarantee reads "every integer H > h0 works"; all five case values
-    are logged in the report.
+    Four of the entries are rational powers p^e of p. With the DQE constants
+    C = epsilon = 1 and lambda = 0 of a p-integral map (`dqe_constants`),
+    alpha_1 and alpha_2 are p^0, and beta and gamma are both
+    p^(sigma / (v_min - 1)). The fifth is the least height whose pigeonhole
+    bucket exponents are all nonnegative. Returns the largest inadmissible
+    integer, so the guarantee reads "every integer H > h0 works"; all five case
+    values are logged in the report.
     """
     f = inst.f
-    dqe = dqe_constants(f)
-    v_min = min(inst.v)
-    tau_max = max(inst.tau)
-    lam = dqe.lam
-    # C = p^c0 with c0 = 0; epsilon = p^0
-    c0 = Fraction(0)
+    beta = inst.sigma_shift / (min(inst.v) - 1)
     cases = {}
-    exps = {
-        "alpha1": 2 * c0 / (2 * v_min - tau_max),
-        "alpha2": c0 / (v_min - 1),
-        "beta": (Fraction(f.n + f.m * lam, f.d)) / (v_min - 1),
-        "gamma": Fraction(f.n + f.n * lam, f.d) / (v_min - 1),
-    }
-    h0 = 1
-    for name, e in exps.items():
-        # the largest H with NOT (H > p^e); for p^e <= 1 every H >= 2 is above, so 1
-        thr = max(1, floor_log_int_power(f.p, e))
-        cases[name] = {"value": f"{f.p}^({e})", "float": _float_or_none(f.p, e), "h0": thr}
-        h0 = max(h0, thr)
+    for name, e in (("alpha1", 0), ("alpha2", 0), ("beta", beta), ("gamma", beta)):
+        # the largest H with NOT (H > p^e) is floor(p^e), at least 1 since e >= 0
+        cases[name] = {"value": f"{f.p}^({e})", "float": _float_or_none(f.p, e), "h0": floor_log_int_power(f.p, e)}
     feas = _bucket_feasible_height(inst)
     named = f"ceil({f.p}^({_feasible_exponent(inst)})) - 1"
     cases["delta"] = {
         "value": f"least feasible H = {_decimal(feas, named)}", "float": _float_or_none(feas), "h0": feas - 1
     }
-    h0 = max(h0, feas - 1)
-    return H0Report(h0=h0, cases=cases)
+    return H0Report(h0=max(case["h0"] for case in cases.values()), cases=cases)
 
 
 def _float_or_none(base: int, exponent: Fraction | int = 1) -> float | None:
@@ -552,8 +536,6 @@ def _exhaustive_dirichlet(inst: DirichletInstance) -> tuple[RationalPoint, int]:
             coords = [
                 _centered_candidates(a0 * xi.residue, p**s, Hk) for xi, s in zip(inst.x, s_exps)
             ]
-            if not all(coords):
-                continue
             fixed = [form.at(a0) for form in f.forms]
             inverses = [pow(form.unit(a0), -1, mod) for form, mod in zip(f.forms, moduli)]
             for combo in itertools.product(*coords):

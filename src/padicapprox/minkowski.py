@@ -304,8 +304,6 @@ def _congruence_lattice(forms: Sequence[Sequence[int]], moduli: Sequence[int]) -
     m = len(forms[0]) if forms else 0
     rows = [[int(i == j) for j in range(m)] for i in range(m)]
     for form, mod in zip(forms, moduli):
-        if mod == 1:
-            continue
         rows, g = _clear(rows, [sum(map(mul, form, r)) % mod for r in rows])
         scale = mod // math.gcd(g, mod)
         rows[0] = [scale * x for x in rows[0]]
@@ -366,9 +364,9 @@ def _lll(rows: list[list[int]], w2: Sequence[int]):
     """Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.6.7, with delta = 3/4) under the inner product sum_j w2_j u_j v_j.
 
-    Returns the reduced rows with their Gram-Schmidt data as integers: d[i + 1]
-    is the Gram determinant of rows 0..i (d[0] = 1), and lam[k][i] =
-    d[i + 1] mu_{k,i} for i < k.
+    Takes at least one row. Returns the reduced rows with their Gram-Schmidt
+    data as integers: d[i + 1] is the Gram determinant of rows 0..i
+    (d[0] = 1), and lam[k][i] = d[i + 1] mu_{k,i} for i < k.
     """
     b = [list(r) for r in rows]
     size = len(b)
@@ -378,8 +376,7 @@ def _lll(rows: list[list[int]], w2: Sequence[int]):
 
     d = [1] * (size + 1)
     lam = [[0] * size for _ in range(size)]
-    if size:
-        d[1] = dot(b[0], b[0])
+    d[1] = dot(b[0], b[0])
 
     def reduce(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:

@@ -31,6 +31,9 @@
 - The reduction of a Dirichlet scan vector in three passes (strip the gcd's
   part prime to p, flip the sign, divide by p^k for k = v_p(b_0)), which one
   gcd of `manifold.dirichlet_solve` replaced.
+- The H_0 report of `manifold.dirichlet_h0` from its general formulas (the
+  lambda of `dqe_constants`, C = p^0 and tau_max), which the fixed cases
+  alpha_1 = alpha_2 = p^0 and gamma = beta replaced.
 - The Taylor data of a `PolyMap` from its `Fraction` monomials: the partial
   derivatives, their evaluation at p-adic integers, and the linearized
   Dirichlet rows built by `PAdicInt` truncate, - and *, which
@@ -41,11 +44,12 @@
 
 Only the public trie primitives (`_space`, `node`, the child table), the
 integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
-the exact bucket exponents of `minkowski` and the fields of the approximation
-functions are shared with the code under test, so a fault in the new
-builders, the profiles, the column kernel, the lattice search, the lemma
-congruences, the residue rule or the power-law dispatch cannot leak into the
-oracles.
+the exact bucket exponents of `minkowski`, `dqe_constants`, the least
+feasible Dirichlet height with its float and decimal renderings, and the
+fields of the approximation functions are shared with the code under test, so
+a fault in the new builders, the profiles, the column kernel, the lattice
+search, the lemma congruences, the residue rule, the power-law dispatch or the
+fixed H_0 cases cannot leak into the oracles.
 """
 
 import functools
@@ -59,7 +63,15 @@ from padicapprox.approx import PowerLaw, ScaledPower
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
 from padicapprox.core import PAdicInt, _split_power
 from padicapprox.exactcmp import ball_exponent, floor_log_powprod, frac_pow
-from padicapprox.manifold import RationalPoint
+from padicapprox.manifold import (
+    H0Report,
+    RationalPoint,
+    _bucket_feasible_height,
+    _decimal,
+    _feasible_exponent,
+    _float_or_none,
+    dqe_constants,
+)
 from padicapprox.minkowski import MinkowskiSolution, SolverError, bucket_exponents
 
 # ---------------------------------------------------------------------------
@@ -595,6 +607,57 @@ def strip_flip_divide(p, x):
     if not all(v % p**k == 0 for v in b):
         return None
     return RationalPoint(tuple(v // p**k for v in b)), k
+
+
+# ---------------------------------------------------------------------------
+# The general H_0 formulas
+# ---------------------------------------------------------------------------
+
+
+def _floor_power(p, e):
+    """floor(p^e) for a rational e, by bisection on r^b <= p^a."""
+    a, b = e.numerator, e.denominator
+    if a == 0:
+        return 1
+    if a < 0:
+        return 0
+    n = p**a
+    lo, hi = 1, 1 << (n.bit_length() // b + 1)  # lo^b <= n < hi^b
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**b <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def general_dirichlet_h0(inst):
+    """dirichlet_h0 from the general formulas: lambda read from dqe_constants,
+    C = p^c0 with c0 = 0, alpha_1 over 2 v_min - tau_max, gamma with n lambda."""
+    f = inst.f
+    v_min = min(inst.v)
+    tau_max = max(inst.tau)
+    lam = dqe_constants(f).lam
+    c0 = Fraction(0)
+    exps = {
+        "alpha1": 2 * c0 / (2 * v_min - tau_max),
+        "alpha2": c0 / (v_min - 1),
+        "beta": (Fraction(f.n + f.m * lam, f.d)) / (v_min - 1),
+        "gamma": Fraction(f.n + f.n * lam, f.d) / (v_min - 1),
+    }
+    cases = {}
+    h0 = 1
+    for name, e in exps.items():
+        thr = max(1, _floor_power(f.p, e))
+        cases[name] = {"value": f"{f.p}^({e})", "float": _float_or_none(f.p, e), "h0": thr}
+        h0 = max(h0, thr)
+    feas = _bucket_feasible_height(inst)
+    named = f"ceil({f.p}^({_feasible_exponent(inst)})) - 1"
+    cases["delta"] = {
+        "value": f"least feasible H = {_decimal(feas, named)}", "float": _float_or_none(feas), "h0": feas - 1
+    }
+    return H0Report(h0=max(h0, feas - 1), cases=cases)
 
 
 # ---------------------------------------------------------------------------

@@ -510,7 +510,7 @@ def test_product_set_refuses_factors_of_a_replaced_space():
 
 
 def test_set_ops_refuse_sets_of_a_replaced_space():
-    saved = clopen._SPACES.pop((3, 1))
+    saved = clopen._SPACES.pop((3, 1), None)  # None when no earlier test made the space
     try:
         a = ClopenSet.from_cosets(3, 4, 2, [1])  # in a fresh space, so its ids are small
         clopen._SPACES.pop((3, 1))
@@ -531,7 +531,9 @@ def test_set_ops_refuse_sets_of_a_replaced_space():
         assert a.measure() == b.measure() == Fraction(1, 9)  # a set's own reads still work
         assert b.union(ClopenSet.from_cosets(3, 4, 2, [1])).measure() == Fraction(2, 9)
     finally:
-        clopen._SPACES[(3, 1)] = saved
+        clopen._SPACES.pop((3, 1), None)
+        if saved is not None:
+            clopen._SPACES[(3, 1)] = saved
 
 
 @settings(max_examples=60, deadline=None)

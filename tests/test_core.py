@@ -68,6 +68,12 @@ def test_embed_rational_rejects_p_in_denominator():
         embed_rational(1, 5, p=5, precision=2)
 
 
+def test_embed_rational_refuses_a_zero_denominator():
+    for a in (1, 0, Fraction(2, 7)):
+        with pytest.raises(ZeroDivisionError, match="^b must be nonzero$"):
+            embed_rational(a, 0, p=3, precision=5)
+
+
 @settings(max_examples=100)
 @given(
     a=st.integers(-500, 500),
@@ -123,6 +129,16 @@ def test_shift_map_iterated_and_bijective_on_small_ball():
     # restricted to pZ_p, the shift is a bijection onto Z_p at one less digit
     images = {shift_map(PAdicInt(p, K, r)).residue for r in range(0, p**K, p)}
     assert images == set(range(p ** (K - 1)))
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5, 7]), precision=st.integers(1, 40), data=st.data())
+def test_digits_are_the_base_p_expansion_of_the_residue(p, precision, data):
+    x = PAdicInt(p, precision, data.draw(st.integers(-(p**precision), 2 * p**precision)))
+    digits = x.digits()
+    assert len(digits) == precision
+    assert all(0 <= d < p for d in digits)
+    assert sum(d * p**i for i, d in enumerate(digits)) == x.residue
 
 
 def test_padic_valuation_and_norm():

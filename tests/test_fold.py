@@ -93,6 +93,7 @@ from oracles import (
     branched_psi_value,
     factor_lemma_thresholds,
     fraction_coordinate_residues,
+    general_dirichlet_h0,
     padic_derivative_norms,
     padic_linearized_rows,
     pivoted_solve_structured,
@@ -738,6 +739,36 @@ def test_h0_report_has_no_float_past_the_float_range():
     assert report.cases["beta"]["float"] is None and report.cases["gamma"]["float"] is None
     assert report.cases["beta"]["h0"] == 3**2000
     assert report.cases["alpha1"]["float"] == 1.0 and report.cases["delta"]["float"] == 2.0
+
+
+@st.composite
+def h0_instances(draw):
+    """A Dirichlet instance with tau and v inside the hypotheses: p in {2, 3, 5, 7},
+    d and m in {1, 2}, tau_j = 1 + a_j / D with sum a_j < D, and v_i = 1 + w_i with
+    the w_i > 0 splitting the slack 1 - sum a_j / D in drawn proportions."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    D = draw(st.integers(m + 1, 24))
+    a = []
+    for j in range(m):
+        a.append(draw(st.integers(1, D - 1 - sum(a) - (m - 1 - j))))
+    tau = tuple(1 + Fraction(aj, D) for aj in a)
+    slack = 1 - Fraction(sum(a), D)
+    b = [draw(st.integers(1, 10)) for _ in range(d)]
+    v = tuple(1 + slack * bi / sum(b) for bi in b)
+    coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20).filter(lambda q: q % p))
+    exps = st.tuples(*[st.integers(0, 3)] * d)
+    polys = tuple(((draw(coeff), draw(exps)),) for _ in range(m))
+    x = tuple(PAdicInt(p, 20, draw(st.integers(0, p**20 - 1))) for _ in range(d))
+    return DirichletInstance(PolyMap(p, d, m, polys), x, tau, v, H=draw(st.integers(1, 10**6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h0_instances())
+def test_h0_report_matches_the_general_formulas(inst):
+    # repr pins the case order, the value strings and the floats, as the CLI prints them
+    assert repr(dirichlet_h0(inst)) == repr(general_dirichlet_h0(inst))
 
 
 @st.composite

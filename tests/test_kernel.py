@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicapprox.clopen import BallSpec, ClopenSet, box_code
-from padicapprox.exactcmp import ball_exponent, cmp_powprod, floor_log_powprod
+from padicapprox.exactcmp import ball_exponent, cmp_powprod, floor_log_powprod, int_root_floor
 
 from oracles import (
     fraction_ball_exponent,
@@ -108,6 +108,27 @@ def test_kernel_named_boundaries():
     assert ball_exponent(3, [(10, F(-3, 2))]) == 4
     assert ball_exponent(3, [(8, F(-3, 2))]) == 3
     assert ball_exponent(2, []) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n=st.one_of(st.integers(0, 100), st.integers(0, 10**12), st.integers(0, 2**700)),
+    r=st.integers(0, 2**120),
+)
+def test_int_root_floor_brackets_n(k, n, r):
+    assert int_root_floor(r**k, k) == r
+    # n, and both neighbours of the exact power r^k
+    for m in (n, r**k - 1, r**k + 1):
+        if m >= 0:
+            root = int_root_floor(m, k)
+            assert root**k <= m < (root + 1) ** k
+
+
+@pytest.mark.parametrize("n, k", [(-1, 2), (-(10**30), 1), (5, 0), (5, -2), (0, 0)])
+def test_int_root_floor_refuses_negative_n_or_k_below_one(n, k):
+    with pytest.raises(ValueError, match="need n >= 0 and k >= 1"):
+        int_root_floor(n, k)
 
 
 @pytest.mark.parametrize("base", [0, -3, F(0), F(-1, 2)])
