@@ -27,10 +27,10 @@ _PUBLIC = {
         ubiquity_fraction""",
     "minkowski": """BelowThresholdError LinearFormSystem MinkowskiSolution SolverError brute_force
         bucket_exponents pigeonhole_surplus solve solve_structured""",
-    "manifold": """DirichletInstance DirichletSolution DQEConstants PolyMap RationalPoint
-        cover_preimage dirichlet_h0 dirichlet_solve dqe_constants enumerate_S_tau""",
-    "dimension": """BoxDimFit boxdim_estimate jb_dimension limit_exponents manifold_lower_bound
-        rynne_dimension waterfill_alpha waterfill_level waterfill_v ww_exponent""",
+    "manifold": """DirichletInstance DirichletSolution PolyMap RationalPoint cover_preimage
+        dirichlet_h0 dirichlet_solve enumerate_S_tau""",
+    "dimension": """BoxDimFit boxdim_estimate jb_dimension manifold_lower_bound rynne_dimension
+        waterfill_alpha waterfill_level waterfill_v ww_exponent""",
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 __all__ = sorted(_OWNER)

@@ -182,21 +182,25 @@ def _emit_set(args, S: ClopenSet, out: dict) -> None:
 
 
 def cmd_minkowski(args) -> None:
+    system = {"--form": args.form, "--height": args.height, "--tau": args.tau, "--sigma": args.sigma}
     if args.random is not None:
+        given = [flag for flag, value in system.items() if value is not None]
+        if given:
+            raise ValueError(f"--random draws its own systems; drop {', '.join(given)}")
         _random_minkowski_sweep(args)
         return
+    forms, heights, tau, sigma = (value or [] for value in system.values())
     p = args.p
-    n = len(args.form)
+    n = len(forms)
     rows = []
-    for spec in args.form:
+    for spec in forms:
         entries = [parse_fraction(v) for v in spec.split(",")]
         if len(entries) != n + 1:
             raise ValueError(f"each form needs {n + 1} coefficients")
         rows.append(tuple(embed_rational(c.numerator, c.denominator, p=p, precision=args.precision)
                           for c in entries))
     sys_ = minkowski.LinearFormSystem(
-        p, n, tuple(rows), tuple(args.height),
-        tuple(parse_fraction(t) for t in args.tau), tuple(parse_fraction(s) for s in args.sigma),
+        p, n, tuple(rows), tuple(heights), tuple(map(parse_fraction, tau)), tuple(map(parse_fraction, sigma))
     )
     sol = minkowski.solve(sys_)
     emit(
@@ -466,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minkowski", help="pigeonhole solver for linear-form systems")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--precision", type=int, default=20)
-    sp.add_argument("--form", action="append", default=[],
+    sp.add_argument("--form", action="append",
                     help="comma-separated rational coefficients, one flag per form")
-    sp.add_argument("--height", type=int, nargs="*", default=[])
-    sp.add_argument("--tau", nargs="*", default=[])
-    sp.add_argument("--sigma", nargs="*", default=[])
+    sp.add_argument("--height", type=int, nargs="*")
+    sp.add_argument("--tau", nargs="*")
+    sp.add_argument("--sigma", nargs="*")
     sp.add_argument("--random", type=_int_at_least(1), default=None, help="run a seeded random-system sweep instead")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_minkowski)

@@ -23,6 +23,11 @@ class ExactnessError(ValueError):
     """Requested value has no exact rational representation."""
 
 
+def _rationals(values) -> str:
+    """A tuple of rationals for an error detail, each as "num/den" or an integer."""
+    return f"({', '.join(map(str, values))})"
+
+
 def parse_fraction(text: str | int) -> Fraction:
     """A rational from text such as '3', '-7/5' or '1.25'; ValueError on a zero denominator."""
     try:

@@ -2,8 +2,9 @@
 constructions (as water-filling), the two-variant rectangle-transference
 exponent optimization, and a box-counting slope estimator.
 
-Everything except the box-dimension fit is exact rational arithmetic; the fit
-is an explicitly heuristic least-squares slope.
+The formulas take the exponents tau directly, as exact rationals. Everything
+except the box-dimension fit is exact rational arithmetic; the fit is an
+explicitly heuristic least-squares slope and holds the only floats here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import HypothesisError, is_prime
-from .approx import ApproxTuple, TableFunction
+from .core import HypothesisError, _rationals, is_prime
 
 
 def _fractions(values: Sequence) -> tuple[Fraction, ...]:
@@ -28,12 +28,12 @@ def jb_dimension(tau: Sequence[Fraction]) -> Fraction:
     """
     tau = _fractions(tau)
     _check_weighted(tau, len(tau), 0)
-    return min(_jb_term(tau, ti) for ti in tau)
+    return min(_jb_numerator(tau, ti) / ti for ti in tau)
 
 
-def _jb_term(tau: tuple[Fraction, ...], ti: Fraction) -> Fraction:
-    """(n+1 + sum_{tau_j < tau_i} (tau_i - tau_j)) / tau_i: the direction-i term of jb_dimension."""
-    return (Fraction(len(tau) + 1) + sum((ti - tj for tj in tau if tj < ti), Fraction(0))) / ti
+def _jb_numerator(tau: tuple[Fraction, ...], ti: Fraction) -> Fraction:
+    """n+1 + sum_{tau_j < tau_i} (tau_i - tau_j): the direction-i numerator of jb_dimension."""
+    return Fraction(len(tau) + 1) + sum((ti - tj for tj in tau if tj < ti), Fraction(0))
 
 
 def _check_weighted(tau: tuple[Fraction, ...], d: int, m: int) -> None:
@@ -45,66 +45,28 @@ def _check_weighted(tau: tuple[Fraction, ...], d: int, m: int) -> None:
     """
     dep = tau[d:]
     if any(t <= 1 for t in tau):
-        raise HypothesisError("tau_i > 1", f"got {tau}")
+        raise HypothesisError("tau_i > 1", f"got {_rationals(tau)}")
     if m >= 1 and sum(dep) >= m + 1:
         raise HypothesisError("sum(dependent tau) < m+1", f"got {sum(dep)}")
     if sum(tau) <= len(tau) + 1:
         raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
     if m >= 1 and min(tau[:d]) < max(dep):
-        raise HypothesisError("min indep tau >= max dep tau", f"got {tau}")
+        raise HypothesisError("min indep tau >= max dep tau", f"got {_rationals(tau)}")
 
 
 def rynne_dimension(tau: Sequence[Fraction]) -> Fraction:
-    """Real-case comparison value: min_k (n+1 + sum_{i>=k}(tau_k - tau_i)) / (tau_k + 1).
+    """Real-case comparison value: min_k (n+1 + sum_{i>=k}(tau_k - tau_i)) / (tau_k + 1)
+    over tau sorted descending.
 
-    Input is sorted descending internally if needed.
+    That numerator is jb_dimension's: every entry below tau_k comes after it in
+    the descending order, and the entries equal to tau_k add 0.
     """
     tau = _fractions(tau)
-    n = len(tau)
     if sum(tau) < 1:
         raise HypothesisError("sum(tau_i) >= 1", f"got {sum(tau)}")
     if any(t <= 0 for t in tau):
-        raise HypothesisError("tau_i > 0", f"got {tau}")
-    srt = tuple(sorted(tau, reverse=True))
-    best = None
-    for k in range(n):
-        num = Fraction(n + 1) + sum((srt[k] - srt[i] for i in range(k, n)), Fraction(0))
-        cand = num / (srt[k] + 1)
-        best = cand if best is None else min(best, cand)
-    return best
-
-
-@dataclass(frozen=True)
-class LimitExponents:
-    exponents: tuple[Fraction | None, ...]
-    exact: bool
-    estimates: tuple[float, ...]
-
-
-def limit_exponents(psi: ApproxTuple) -> LimitExponents:
-    """v_i = lim -log psi_i(q) / log q, exact for power-law components.
-
-    Tables get a finite-difference estimate between their first and last
-    entries and are flagged non-exact.
-    """
-    exps: list[Fraction | None] = []
-    est: list[float] = []
-    exact = True
-    for comp in psi.components:
-        if not isinstance(comp, TableFunction):
-            exps.append(comp.e)
-            est.append(float(comp.e))
-        else:
-            exact = False
-            qs = [q for q, _ in comp.values]
-            if len(qs) >= 2:
-                q0, q1 = qs[0], qs[-1]
-                v0, v1 = float(comp.lookup(q0)), float(comp.lookup(q1))
-                est.append(-(math.log(v1) - math.log(v0)) / (math.log(q1) - math.log(q0)))
-            else:
-                est.append(float("nan"))
-            exps.append(None)
-    return LimitExponents(tuple(exps), exact, tuple(est))
+        raise HypothesisError("tau_i > 0", f"got {_rationals(tau)}")
+    return min(_jb_numerator(tau, tk) / (tk + 1) for tk in tau)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +157,7 @@ def ww_exponent(
     if len(a) != len(t):
         raise ValueError("a and t must have equal length")
     if any(x <= 0 for x in a) or any(x < 0 for x in t):
-        raise HypothesisError("a_i > 0 and t_i >= 0", f"got a={a}, t={t}")
+        raise HypothesisError("a_i > 0 and t_i >= 0", f"got a={_rationals(a)}, t={_rationals(t)}")
     if variant not in ("K2-sum", "K3-sum"):
         raise ValueError("variant must be 'K2-sum' or 'K3-sum'")
     n = len(a)
@@ -232,7 +194,7 @@ def manifold_lower_bound(
     if which == "thm2.7":
         vals = set(tau)
         if len(vals) != 1:
-            raise HypothesisError("equal weights", f"got {tau}")
+            raise HypothesisError("equal weights", f"got {_rationals(tau)}")
         (t,) = vals
         if d + m != n:
             raise ValueError("d + m must equal n")
@@ -250,7 +212,7 @@ def manifold_lower_bound(
         if tilde >= n:
             raise HypothesisError("sum_{j>=2} tau_j < n", f"got {tilde}")
         if any(t <= 1 for t in tau[1:]):
-            raise HypothesisError("tau_i > 1 for i >= 2", f"got {tau}")
+            raise HypothesisError("tau_i > 1 for i >= 2", f"got {_rationals(tau)}")
         lower = max(list(tau[1:]) + [Fraction(n + 1) - tilde])
         if tau[0] < lower:
             raise HypothesisError("tau_1 >= max(tau_i, n+1-sum_{j>=2} tau_j)", f"got {tau[0]} < {lower}")
@@ -261,7 +223,7 @@ def manifold_lower_bound(
         if d < 1 or m < 0:
             raise ValueError("thm2.9 needs d >= 1 and m >= 0")
         _check_weighted(tau, d, m)
-        return min(_jb_term(tau, tau[i]) - m for i in range(d))
+        return min(_jb_numerator(tau, t) / t for t in tau[:d]) - m
     raise ValueError(f"unknown formula selector {which!r}")
 
 

@@ -1,11 +1,12 @@
 """Polynomial maps on Z_p^d with certified quadratic-error Taylor bounds, and
 the constructive Dirichlet-style approximation machinery on their graphs.
 
-The maps are restricted to polynomials with p-integral coefficients: their
+The maps are restricted to polynomials with p-integral coefficients, which
+fixes their quadratic-error constants at C = epsilon = 1 and lambda = 0: the
 first-order Taylor remainder is a polynomial with p-integral coefficients all
-of degree >= 2 in the displacement, so the quadratic-error constant C = 1 is
-certified coefficientwise, the validity radius is all of Z_p^d, and the
-derivative bound lambda is 0 by the ultrametric inequality. Every solver
+of degree >= 2 in the displacement, so C = 1 is certified coefficientwise on
+the whole of Z_p^d (epsilon = 1), and every partial derivative has norm at
+most 1 there, so p^lambda = max(1, max |df_j/dx_i|_p) = 1. Every solver
 output is re-verified against the target inequality system before it is
 returned, as integer congruences on the homogenized forms of the components.
 """
@@ -22,24 +23,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .clopen import ClopenSet, box_code
-from .core import HypothesisError, PAdicInt, _split_power, is_prime, parse_fraction
+from .core import HypothesisError, PAdicInt, _rationals, _split_power, is_prime, parse_fraction
 from .exactcmp import ball_exponent, int_root_floor
 from .minkowski import (
     LinearFormSystem,
     SolverError,
     _centered_candidates,
-    bucket_exponents,
+    _PrecisionError,
     solve_structured,
 )
 
 Monomial = tuple[Fraction, tuple[int, ...]]
 S_TAU_BUDGET = 30_000_000  # largest (2 h_max + 1)^d * h_max that enumerate_S_tau takes on
-
-
-class _PrecisionError(ValueError, SolverError):
-    """The base point is known to too few p-adic digits for a congruence the
-    search needs: bad input to a caller (ValueError), and a failed search to
-    code that handles SolverError."""
 
 
 @dataclass(frozen=True)
@@ -196,40 +191,6 @@ def _json_int(value) -> int:
     return int(_json_scalar(value))
 
 
-@dataclass(frozen=True)
-class DQEConstants:
-    """Certified quadratic-error data: |f(y)-f(x)-Df(x)(y-x)|_p <= C max|y_i-x_i|_p^2
-    on the ball of radius epsilon, and p^lambda = max(1, max |df_j/dx_i(x)|_p)."""
-
-    C: Fraction
-    epsilon: Fraction
-    lam: int
-    derivative_norms: tuple[tuple[Fraction, ...], ...] | None
-
-
-def dqe_constants(f: PolyMap, x: Sequence[PAdicInt] | None = None) -> DQEConstants:
-    """C = 1 and epsilon = 1 for p-integral polynomials; lambda evaluated at x.
-
-    The Taylor coefficients of every remainder term are integer combinations of
-    the p-integral polynomial coefficients, hence of norm at most 1, which
-    certifies C = 1 coefficientwise on all of Z_p^d. All derivative norms are
-    at most 1 as well, so lambda = 0 whenever x is in Z_p^d.
-    """
-    norms = None
-    lam = 0
-    if x is not None:
-        if len(x) != f.d:
-            raise ValueError("x must have d coordinates")
-        mod = f.p ** min(v.precision for v in x)
-        residues = [v.residue for v in x]
-        norms = tuple(
-            tuple(Fraction(1, f.p ** _split_power(g, f.p)[0]) if g else Fraction(0) for g in grad)
-            for grad in (form.taylor(residues, mod)[1] for form in f.forms)
-        )
-        # p^lambda = max(1, max norms); norms <= 1 always, so lambda = 0
-    return DQEConstants(C=Fraction(1), epsilon=Fraction(1), lam=lam, derivative_norms=norms)
-
-
 @dataclass(frozen=True, slots=True)
 class RationalPoint:
     """Integer vector (a_0, ..., a_n) seen as the rational point (a_1/a_0, ..., a_n/a_0)."""
@@ -301,13 +262,13 @@ class DirichletInstance:
         if sum(self.tau) >= f.m + 1:
             raise HypothesisError("sum(tau) < m+1", f"got {sum(self.tau)}")
         if any(t <= 1 for t in self.tau):
-            raise HypothesisError("tau_j > 1", f"got {self.tau}")
+            raise HypothesisError("tau_j > 1", f"got {_rationals(self.tau)}")
         if sum(self.v) != f.n + 1 - sum(self.tau):
             raise HypothesisError(
                 "sum(v) = n+1-sum(tau)", f"got {sum(self.v)} != {f.n + 1 - sum(self.tau)}"
             )
         if any(t <= 1 for t in self.v):
-            raise HypothesisError("v_i > 1", f"got {self.v}")
+            raise HypothesisError("v_i > 1", f"got {_rationals(self.v)}")
         if self.H < 1:
             raise ValueError("H >= 1 required")
 
@@ -357,7 +318,7 @@ def dirichlet_h0(inst: DirichletInstance) -> H0Report:
     """The height threshold above which the constructive system is solvable.
 
     Four of the entries are rational powers p^e of p. With the DQE constants
-    C = epsilon = 1 and lambda = 0 of a p-integral map (`dqe_constants`),
+    C = epsilon = 1 and lambda = 0 of every p-integral map (module docstring),
     alpha_1 and alpha_2 are p^0, and beta and gamma are both
     p^(sigma / (v_min - 1)). The fifth is the least height whose pigeonhole
     bucket exponents are all nonnegative. Returns the largest inadmissible
@@ -506,12 +467,8 @@ def dirichlet_solve(inst: DirichletInstance) -> DirichletSolution:
         if verify_dirichlet(inst, point, k):
             return DirichletSolution(point, k, True, "congruence-scan", report)
     except SolverError as exc:
-        fallback = f"solver-error: {exc}"
-    except ValueError as exc:
-        # the scan refuses a base point coarser than a bucket exponent; the
-        # search may still do with it. Any other ValueError propagates.
-        if max(bucket_exponents(sys)) <= sys.precision:
-            raise
+        # the scan refuses a base point coarser than a bucket exponent
+        # (_PrecisionError); the search may still do with it
         fallback = f"solver-error: {exc}"
     point, k = _exhaustive_dirichlet(inst)
     return DirichletSolution(point, k, True, "exhaustive", report, fallback)

@@ -42,6 +42,12 @@ class SolverError(RuntimeError):
     pass
 
 
+class _PrecisionError(ValueError, SolverError):
+    """A congruence the search needs lies beyond the known p-adic digits of the
+    coefficients (or of a Dirichlet base point): bad input to a caller
+    (ValueError), and a failed search to code that handles SolverError."""
+
+
 @dataclass(frozen=True)
 class LinearFormSystem:
     """n forms in n+1 unknowns, with box heights and exponent data."""
@@ -166,7 +172,7 @@ def _checked_buckets(sys: LinearFormSystem) -> tuple[tuple[int, ...], bool]:
     the pigeonhole surplus is non-strict (the "boundary" flag)."""
     deltas = bucket_exponents(sys)
     if max(deltas) > sys.precision:
-        raise ValueError(
+        raise _PrecisionError(
             f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
         )
     return deltas, sys.t_power == sys.p ** sum(deltas)

@@ -32,19 +32,21 @@
   part prime to p, flip the sign, divide by p^k for k = v_p(b_0)), which one
   gcd of `manifold.dirichlet_solve` replaced.
 - The H_0 report of `manifold.dirichlet_h0` from its general formulas (the
-  lambda of `dqe_constants`, C = p^0 and tau_max), which the fixed cases
-  alpha_1 = alpha_2 = p^0 and gamma = beta replaced.
+  lambda = 0 and C = p^0 of a p-integral map, and tau_max), which the fixed
+  cases alpha_1 = alpha_2 = p^0 and gamma = beta replaced.
 - The Taylor data of a `PolyMap` from its `Fraction` monomials: the partial
   derivatives, their evaluation at p-adic integers, and the linearized
   Dirichlet rows built by `PAdicInt` truncate, - and *, which
   `IntegerForm.taylor` replaced.
+- The sorted loop of `dimension.rynne_dimension`, which the numerator of
+  `jb_dimension` replaced.
 - The CLI emitter that rendered Fractions by a recursive copy of the payload
   and wrote it with `json.dump` (the pure-Python encoder), which one
   `json.dumps` through the C encoder with a Fraction `default` hook replaced.
 
 Only the public trie primitives (`_space`, `node`, the child table), the
 integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
-the exact bucket exponents of `minkowski`, `dqe_constants`, the least
+the exact bucket exponents of `minkowski` with its precision refusal, the least
 feasible Dirichlet height with its float and decimal renderings, and the
 fields of the approximation functions are shared with the code under test, so
 a fault in the new builders, the profiles, the column kernel, the lattice
@@ -61,7 +63,7 @@ from fractions import Fraction
 
 from padicapprox.approx import PowerLaw, ScaledPower
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
-from padicapprox.core import PAdicInt, _split_power
+from padicapprox.core import HypothesisError, PAdicInt, _split_power
 from padicapprox.exactcmp import ball_exponent, floor_log_powprod, frac_pow
 from padicapprox.manifold import (
     H0Report,
@@ -70,9 +72,8 @@ from padicapprox.manifold import (
     _decimal,
     _feasible_exponent,
     _float_or_none,
-    dqe_constants,
 )
-from padicapprox.minkowski import MinkowskiSolution, SolverError, bucket_exponents
+from padicapprox.minkowski import MinkowskiSolution, SolverError, _PrecisionError, bucket_exponents
 
 # ---------------------------------------------------------------------------
 # Fraction power-product kernel
@@ -409,7 +410,7 @@ def bucket_walk_solve(sys):
     dictionary; the first collision wins, brute force when none appears."""
     deltas = bucket_exponents(sys)
     if max(deltas) > sys.precision:
-        raise ValueError(
+        raise _PrecisionError(
             f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
         )
     mods = [sys.p**d for d in deltas]
@@ -528,7 +529,7 @@ def pivoted_solve_structured(sys, pivots):
     """The structured congruence scan with form i resolving variable pivots[i]."""
     deltas = bucket_exponents(sys)
     if max(deltas) > sys.precision:
-        raise ValueError(
+        raise _PrecisionError(
             f"coefficient precision {sys.precision} below max bucket exponent {max(deltas)}"
         )
     n = sys.n
@@ -633,12 +634,12 @@ def _floor_power(p, e):
 
 
 def general_dirichlet_h0(inst):
-    """dirichlet_h0 from the general formulas: lambda read from dqe_constants,
-    C = p^c0 with c0 = 0, alpha_1 over 2 v_min - tau_max, gamma with n lambda."""
+    """dirichlet_h0 from the general formulas: lambda = 0 and C = p^c0 with
+    c0 = 0 for a p-integral map, alpha_1 over 2 v_min - tau_max, gamma with n lambda."""
     f = inst.f
     v_min = min(inst.v)
     tau_max = max(inst.tau)
-    lam = dqe_constants(f).lam
+    lam = 0
     c0 = Fraction(0)
     exps = {
         "alpha1": 2 * c0 / (2 * v_min - tau_max),
@@ -743,17 +744,6 @@ def fraction_eval_padic(f, mono, x):
     return PAdicInt(f.p, prec, total)
 
 
-def padic_derivative_norms(f, x):
-    """|d f_j / d x_i (x)|_p for every j and i, 0 when zero to precision."""
-    return tuple(
-        tuple(
-            Fraction(0) if val.residue == 0 else val.norm()
-            for val in (fraction_eval_padic(f, fraction_partial(f, j, i), x) for i in range(f.d))
-        )
-        for j in range(f.m)
-    )
-
-
 def padic_linearized_rows(inst):
     """The coefficient rows of the linearized Dirichlet system, each entry
     built through PAdicInt truncate, - and *."""
@@ -778,6 +768,28 @@ def padic_linearized_rows(inst):
         row[f.d + j + 1] = minus_one
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# The sorted Rynne loop
+# ---------------------------------------------------------------------------
+
+
+def sorted_rynne_dimension(tau):
+    """min_k (n+1 + sum_{i>=k}(tau_k - tau_i)) / (tau_k + 1) over tau sorted descending."""
+    tau = tuple(Fraction(t) for t in tau)
+    n = len(tau)
+    if sum(tau) < 1:
+        raise HypothesisError("sum(tau_i) >= 1", f"got {sum(tau)}")
+    if any(t <= 0 for t in tau):
+        raise HypothesisError("tau_i > 0", "got (" + ", ".join(map(str, tau)) + ")")
+    srt = tuple(sorted(tau, reverse=True))
+    best = None
+    for k in range(n):
+        num = Fraction(n + 1) + sum((srt[k] - srt[i] for i in range(k, n)), Fraction(0))
+        cand = num / (srt[k] + 1)
+        best = cand if best is None else min(best, cand)
+    return best
 
 
 def old_fmt(value):

@@ -625,6 +625,11 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
     }
 
 
+def violated(failed, detail):
+    """The error payload of a failed hypothesis with the given detail."""
+    return {"kind": "hypothesis", "failed": failed, "message": f"hypothesis violated: {failed} (got {detail})"}
+
+
 @pytest.mark.parametrize("argv, error", [
     # neither source used to raise AttributeError on args.counts
     (["boxdim", "--p", "3"], {"kind": "usage", "message": "one of the arguments --counts --set is required"}),
@@ -714,6 +719,27 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
     # m = -1 used to exit 0 with "value": "5/2" and a checked hypothesis report
     (["dim", "manifold", "--tau", "2", "2", "--d", "3", "--m", "-1", "--which", "thm2.7"],
      {"kind": "invalid-input", "message": "thm2.7 needs d >= 1 and m >= 0"}),
+    # the details of a tuple of rationals used to print Fraction reprs, e.g. (Fraction(1, 1), Fraction(3, 1))
+    (["dim", "jb", "--tau", "1", "3"], violated("tau_i > 1", "(1, 3)")),
+    (["dim", "rynne", "--tau", "0", "0", "1"], violated("tau_i > 0", "(0, 0, 1)")),
+    (["dim", "ww", "--a", "0", "1", "--t", "1", "1"], violated("a_i > 0 and t_i >= 0", "a=(0, 1), t=(1, 1)")),
+    (["dim", "manifold", "--tau", "2", "3", "--d", "1", "--m", "1", "--which", "thm2.7"],
+     violated("equal weights", "(2, 3)")),
+    (["dim", "manifold", "--tau", "3", "1/2", "--d", "1", "--m", "1", "--which", "thm2.8"],
+     violated("tau_i > 1 for i >= 2", "(3, 1/2)")),
+    (["dim", "manifold", "--tau", "5/4", "2", "3/2", "--d", "2", "--m", "1", "--which", "thm2.9"],
+     violated("min indep tau >= max dep tau", "(5/4, 2, 3/2)")),
+    (["dirichlet-solve", "--map-json", '{"p": 3, "d": 1, "m": 1, "polys": [[["1", [2]]]]}', "--x", "5",
+      "--tau", "1", "--v", "2", "--H", "64"], violated("tau_j > 1", "(1)")),
+    (["dirichlet-solve", "--map-json", '{"p": 3, "d": 2, "m": 1, "polys": [[["1", [2, 0]]]]}', "--x", "5,7",
+      "--tau", "7/5", "--v", "1", "8/5", "--H", "64"], violated("v_i > 1", "(1, 8/5)")),
+    # the random sweep used to ignore a system given next to it, solve its own and exit 0
+    (["minkowski", "--p", "3", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1", "--random", "2"],
+     {"kind": "invalid-input", "message": "--random draws its own systems; drop --form, --height, --tau, --sigma"}),
+    (["minkowski", "--p", "3", "--random", "2", "--height", "5", "5"],
+     {"kind": "invalid-input", "message": "--random draws its own systems; drop --height"}),
+    (["minkowski", "--p", "3", "--random", "2", "--tau"],
+     {"kind": "invalid-input", "message": "--random draws its own systems; drop --tau"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet
@@ -722,6 +748,7 @@ def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     (tmp_path / "full.clopen").write_text(ClopenSet.full(3, 1, 6).to_text())
     code, out = run_cli(capsys, *argv)
     assert code == 2 and out["error"] == error
+    assert "Fraction(" not in out["error"]["message"]
 
 
 def test_boxdim_set_refuses_another_prime(tmp_path, capsys):

@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from padicapprox.core import HypothesisError
-from padicapprox.approx import ApproxTuple, PowerLaw, ScaledPower, TableFunction
 from padicapprox.dimension import (
     BoxDimFit,
     boxdim_estimate,
     jb_dimension,
-    limit_exponents,
     manifold_lower_bound,
     rynne_dimension,
     waterfill_alpha,
@@ -66,16 +64,6 @@ def test_rynne_dimension_values():
 
 def test_rynne_accepts_unsorted_input():
     assert rynne_dimension([F(2), F(3)]) == rynne_dimension([F(3), F(2)])
-
-
-def test_limit_exponents():
-    psi = ApproxTuple((PowerLaw(F(5, 2)), ScaledPower(F(3), F(2))))
-    out = limit_exponents(psi)
-    assert out.exact and out.exponents == (F(5, 2), F(2))
-    table = ApproxTuple((TableFunction(((10, F(1, 100)), (100, F(1, 10000)))),))
-    est = limit_exponents(table)
-    assert not est.exact and est.exponents == (None,)
-    assert abs(est.estimates[0] - 2.0) < 1e-9
 
 
 def test_waterfill_level():

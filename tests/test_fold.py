@@ -4,7 +4,8 @@ The volume series, layer intersections, running unions, p-valuations,
 floor-logs and the weighted dimension hypotheses each have one implementation.
 The separate loops each caller used to carry are kept here as oracles and
 compared on random approximation functions (power laws with integer exponent,
-scaled powers, tables), primes p in {2, 3, 5, 7} and n in {1, 2}.
+scaled powers, tables), primes p in {2, 3, 5, 7} and n in {1, 2}. The Rynne
+value reads the numerator of `jb_dimension`; its sorted loop is an oracle too.
 
 The congruences of the pigeonhole lemma are folded the same way: the lemma
 bound is one list of moduli, the least feasible Dirichlet height a closed
@@ -64,7 +65,7 @@ from padicapprox.core import (
     totient_sieve,
     valuation,
 )
-from padicapprox.dimension import jb_dimension, manifold_lower_bound, waterfill_alpha, waterfill_v
+from padicapprox.dimension import jb_dimension, manifold_lower_bound, rynne_dimension, waterfill_alpha, waterfill_v
 from padicapprox.exactcmp import _log_int, ball_exponent, cmp_powprod, floor_log_powprod
 from padicapprox.manifold import (
     DirichletInstance,
@@ -74,13 +75,13 @@ from padicapprox.manifold import (
     _linearized_system,
     dirichlet_h0,
     dirichlet_solve,
-    dqe_constants,
     verify_dirichlet,
 )
 from padicapprox.minkowski import (
     LinearFormSystem,
     MinkowskiSolution,
     SolverError,
+    _PrecisionError,
     bucket_exponents,
     lemma_thresholds,
     satisfies_lemma_bound,
@@ -94,9 +95,9 @@ from oracles import (
     factor_lemma_thresholds,
     fraction_coordinate_residues,
     general_dirichlet_h0,
-    padic_derivative_norms,
     padic_linearized_rows,
     pivoted_solve_structured,
+    sorted_rynne_dimension,
     stepped_feasible_height,
     strip_flip_divide,
     valuation_satisfies_lemma_bound,
@@ -271,19 +272,24 @@ def old_floor_log(value, base):
     return est
 
 
+def text(tau):
+    """A tuple of rationals as error details print it: "(a, b/c, ...)"."""
+    return "(" + ", ".join(map(str, tau)) + ")"
+
+
 def old_thm29(tau, d, m):
     tau = tuple(Fraction(t) for t in tau)
     n = len(tau)
     if d + m != n:
         raise ValueError("d + m must equal n")
     if any(t <= 1 for t in tau):
-        raise HypothesisError("tau_i > 1", f"got {tau}")
+        raise HypothesisError("tau_i > 1", f"got {text(tau)}")
     if m >= 1 and sum(tau[d:]) >= m + 1:
         raise HypothesisError("sum(dependent tau) < m+1", f"got {sum(tau[d:])}")
     if sum(tau) <= n + 1:
         raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
     if m >= 1 and min(tau[:d]) < max(tau[d:]):
-        raise HypothesisError("min indep tau >= max dep tau", f"got {tau}")
+        raise HypothesisError("min indep tau >= max dep tau", f"got {text(tau)}")
     best = None
     for i in range(d):
         num = Fraction(n + 1) + sum((tau[i] - tj for tj in tau if tj < tau[i]), Fraction(0))
@@ -296,7 +302,7 @@ def old_jb(tau):
     tau = tuple(Fraction(t) for t in tau)
     n = len(tau)
     if any(t <= 1 for t in tau):
-        raise HypothesisError("tau_i > 1", f"got {tau}")
+        raise HypothesisError("tau_i > 1", f"got {text(tau)}")
     if sum(tau) <= n + 1:
         raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
     best = None
@@ -310,14 +316,14 @@ def old_waterfill_v_hypotheses(tau, d, m):
     tau = tuple(Fraction(t) for t in tau)
     n = len(tau)
     if any(t <= 1 for t in tau):
-        raise HypothesisError("tau_i > 1", f"got {tau}")
+        raise HypothesisError("tau_i > 1", f"got {text(tau)}")
     dep = tau[d:]
     if sum(dep) >= m + 1:
         raise HypothesisError("sum(dependent tau) < m+1", f"got {sum(dep)}")
     if sum(tau) <= n + 1:
         raise HypothesisError("sum(tau_i) > n+1", f"got {sum(tau)}")
     if min(tau[:d]) < max(dep):
-        raise HypothesisError("min indep tau >= max dep tau", f"got {tau}")
+        raise HypothesisError("min indep tau >= max dep tau", f"got {text(tau)}")
 
 
 def outcome(fn, *args):
@@ -572,6 +578,12 @@ def test_weighted_hypotheses_match_separate_checks(tau, d):
             assert got[0] == "value" or got[2].startswith("hypothesis violated: v_i > 1")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-2, 16), st.integers(1, 5)), min_size=1, max_size=5))
+def test_rynne_dimension_matches_the_sorted_loop(tau):
+    assert outcome(rynne_dimension, tau) == outcome(sorted_rynne_dimension, tau)
+
+
 # ---------------------------------------------------------------------------
 # Lemma congruences, feasible height and the structured scan
 # ---------------------------------------------------------------------------
@@ -728,7 +740,6 @@ def taylor_cases(draw):
 @given(taylor_cases())
 def test_integer_taylor_data_matches_the_fraction_path(inst):
     assert _linearized_system(inst).coeffs == padic_linearized_rows(inst)
-    assert dqe_constants(inst.f, inst.x).derivative_norms == padic_derivative_norms(inst.f, inst.x)
 
 
 def test_h0_report_has_no_float_past_the_float_range():
@@ -832,7 +843,7 @@ def test_scan_corners():
     assert outcomes["flat_pivot"][1].x == (1, 0, -1) and outcomes["flat_pivot"][1].verified
     assert "before it is pivoted" in outcomes["touching"][2]
     assert "zero-to-precision pivot" in outcomes["vanishing"][2]
-    assert outcomes["coarse"][1:] == (ValueError, "coefficient precision 3 below max bucket exponent 4")
+    assert outcomes["coarse"][1:] == (_PrecisionError, "coefficient precision 3 below max bucket exponent 4")
 
 
 def test_dirichlet_solve_falls_back_below_the_bucket_precision():

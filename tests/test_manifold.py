@@ -11,7 +11,6 @@ from padicapprox.manifold import (
     cover_preimage,
     dirichlet_h0,
     dirichlet_solve,
-    dqe_constants,
     enumerate_S_tau,
     verify_dirichlet,
 )
@@ -35,18 +34,6 @@ def test_polymap_validation_and_eval():
 def test_polymap_json_roundtrip():
     f = PolyMap(3, 2, 1, (((F(1), (2, 0)), (F(-3, 2), (0, 1))),))
     assert PolyMap.from_json_dict(f.to_json_dict()) == f
-
-
-def test_dqe_constants_examples():
-    f = square_map()
-    x = (embed_rational(7, 1, p=3, precision=12),)
-    out = dqe_constants(f, x)
-    assert out.C == 1 and out.epsilon == 1 and out.lam == 0
-    # |2x|_3 <= 1 always
-    assert out.derivative_norms[0][0] <= 1
-    # f(x) = p x^3 keeps C = 1 (all Taylor coefficients p-integral)
-    g = PolyMap(3, 1, 1, (((F(3), (3,)),),))
-    assert dqe_constants(g, x).C == 1
 
 
 def test_dqe_quadratic_error_inequality_spot_check():

@@ -33,10 +33,10 @@ PUBLIC = {
                "reference_measure", "step_exponent", "ubiquity_fraction"],
     "minkowski": ["BelowThresholdError", "LinearFormSystem", "MinkowskiSolution", "SolverError", "brute_force",
                   "bucket_exponents", "pigeonhole_surplus", "solve", "solve_structured"],
-    "manifold": ["DirichletInstance", "DirichletSolution", "DQEConstants", "PolyMap", "RationalPoint",
-                 "cover_preimage", "dirichlet_h0", "dirichlet_solve", "dqe_constants", "enumerate_S_tau"],
-    "dimension": ["BoxDimFit", "boxdim_estimate", "jb_dimension", "limit_exponents", "manifold_lower_bound",
-                  "rynne_dimension", "waterfill_alpha", "waterfill_level", "waterfill_v", "ww_exponent"],
+    "manifold": ["DirichletInstance", "DirichletSolution", "PolyMap", "RationalPoint", "cover_preimage",
+                 "dirichlet_h0", "dirichlet_solve", "enumerate_S_tau"],
+    "dimension": ["BoxDimFit", "boxdim_estimate", "jb_dimension", "manifold_lower_bound", "rynne_dimension",
+                  "waterfill_alpha", "waterfill_level", "waterfill_v", "ww_exponent"],
 }
 OWNER = {name: module for module, names in PUBLIC.items() for name in names}
 
@@ -48,7 +48,7 @@ def fresh(args, cwd=None) -> subprocess.CompletedProcess:
 
 
 def test_public_names_are_the_submodule_objects():
-    assert len(OWNER) == 60
+    assert len(OWNER) == 57
     assert sorted(padicapprox.__all__) == sorted(OWNER)
     assert set(OWNER) <= set(dir(padicapprox))
     for module in [*PUBLIC, "exactcmp"]:
@@ -90,6 +90,17 @@ def test_a_layer_command_runs_no_manifold_minkowski_or_dimension():
     counts = json.loads(fresh(["-c", EXECUTED, names, *argv]).stdout)
     assert counts["manifold"] == counts["minkowski"] == counts["dimension"] == 0
     assert min(counts["core"], counts["clopen"], counts["approx"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "jb", "--tau", "3", "2"],
+    ["boxdim", "--p", "3", "--counts", "1:3,2:9,3:27,4:81,5:200"],
+], ids=["dim jb", "boxdim --counts"])
+def test_a_dimension_command_runs_no_approx_manifold_or_minkowski(argv):
+    names = "core,exactcmp,approx,manifold,minkowski,dimension"
+    counts = json.loads(fresh(["-c", EXECUTED, names, *argv]).stdout)
+    assert counts["exactcmp"] == counts["approx"] == counts["manifold"] == counts["minkowski"] == 0
+    assert min(counts["core"], counts["dimension"]) > 0
 
 
 def test_one_tour_command_per_family_in_its_own_process(tmp_path):

@@ -26,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicapprox import clopen
+from padicapprox.approx import ApproxTuple, PowerLaw, ScaledPower, partial_limsup
 from padicapprox.clopen import EMPTY, FULL, BallSpec, ClopenSet, product_set
+from padicapprox.core import Params
 from test_bulk import MALFORMED_TEXTS
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,28 @@ def test_contains_residue_stops_where_no_full_node_is_in_reach():
             sp._children.reads = 0
             assert deep.contains_residue((5, 7), level) is want
             assert sp._children.reads == rows
+
+
+def test_contains_residue_extends_the_column_over_a_large_table():
+    # every other test starts from empty spaces (conftest.py); here the first probe
+    # extends the _shallow column over a (3, 2) table of some 12 000 nodes, and
+    # each later one over the ids that the builds and ops since then interned
+    params = Params(3, 2)
+    psi = ApproxTuple((ScaledPower(Fraction(1, 2), Fraction(1)), PowerLaw(Fraction(2))))
+    sweep = partial_limsup(params, psi, 1, 60, True, 10)
+    sp = sweep._sp
+    assert len(sp._children) > 10_000 and len(sp._shallow) == 2
+    rng = random.Random(23)
+    sets = [sweep]
+    for lo in (None, 61, 71):
+        if lo is not None:
+            more = partial_limsup(params, psi, lo, lo + 9, True, 10)
+            sets += [more, sweep.union(more), sweep.difference(more), more.complement()]
+        for S in sets:
+            for _ in range(100):
+                point, level = (rng.randrange(3**12), rng.randrange(3**12)), rng.randrange(12)
+                assert S.contains_residue(point, level) == old_contains_residue(S, point, level)
+        assert sp._shallow == shallowest_full(sp)
 
 
 @st.composite
