@@ -18,11 +18,12 @@ a0 < p^{t_i}, so they land in distinct cosets). Non-reduced layers range over
 partial_limsup, layer_sweep_rows, required_depth and build_layer decide a
 denominator range in one pass: 1 <= lo <= hi, one step-exponent vector per
 a0, and a depth that covers them all, before any layer is built.
-partial_limsup and ubiquity_fraction build a range union in one helper: an
-n = 1 layer is the level-t cosets of its residues, so the layers with one t
-are one coset build over their merged residues; n >= 2 layers go to one n-ary
-union. layer_sweep_rows builds one layer per row for its running union, and
-reads the row's layer measure from the layer record, not from the built set.
+partial_limsup, ubiquity_fraction and layer_sweep_rows take an n = 1 layer,
+the level-t cosets of its residues, into a table of the maximal balls of the
+union: balls of Z_p are nested or disjoint, so measures and box counts are
+integer sums over them, and one coset build per t makes the set when asked.
+n >= 2 layers go to one n-ary union, or one union per sweep row. The rows read
+each layer measure from the layer record, not from a built set.
 """
 
 from __future__ import annotations
@@ -264,6 +265,51 @@ def _layer(params: Params, record: Sequence[tuple[int, set[int]]], depth: int) -
     return factors[0] if params.n == 1 else product_set(factors)
 
 
+class _BallTable:
+    """A finite union of balls r + p^t Z_p as its maximal balls {t: residues mod p^t}, which are
+    disjoint (balls of Z_p are nested or disjoint), and count, the level-depth cosets they cover.
+    measure, box_count, to_text and depth read what the union's ClopenSet reads; only to_set builds it."""
+
+    def __init__(self, p: int, depth: int):
+        self.p, self.depth = p, depth
+        self.balls: dict[int, set[int]] = {}
+        self.count = 0
+
+    def add(self, t: int, residues: Iterable[int]) -> None:
+        """Join the level-t balls of the residues (each in [0, p^t)); a level past depth is refused."""
+        p, balls = self.p, self.balls
+        if t > self.depth:
+            raise ValueError(f"insufficient depth: boxes need level {t}, depth is {self.depth}")
+        new, mod = set(residues), p**t
+        for j, inner in balls.items():  # drop the balls a ball at a level j <= t already holds
+            if j <= t and new:
+                coarse = p**j
+                new = {r for r in new if r % coarse not in inner}
+        for j, inner in balls.items():  # drop the finer balls the new ones hold
+            if j > t and new:
+                held = {s for s in inner if s % mod in new}
+                inner -= held
+                self.count -= len(held) * p ** (self.depth - j)
+        balls.setdefault(t, set()).update(new)
+        self.count += len(new) * p ** (self.depth - t)
+
+    def measure(self) -> Fraction:
+        return Fraction(self.count, self.p**self.depth)
+
+    def box_count(self, k: int) -> int:
+        if k < 0 or k > self.depth:
+            raise ValueError(f"level {k} outside [0, depth={self.depth}]")
+        p, mod = self.p, self.p**k
+        finer = {r % mod for t, inner in self.balls.items() if t > k for r in inner}
+        return len(finer) + sum(len(inner) * p ** (k - t) for t, inner in self.balls.items() if t <= k)
+
+    def to_set(self) -> ClopenSet:
+        return ClopenSet.from_codes(self.p, 1, self.depth, {(t,): inner for t, inner in self.balls.items()})
+
+    def to_text(self) -> str:
+        return self.to_set().to_text()
+
+
 def _range_exponents(
     params: Params, psi: ApproxTuple, lo: int, hi: int, depth: int | None
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -292,18 +338,23 @@ def partial_limsup(
     params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int | None = None
 ) -> ClopenSet:
     """Union of the layers for a0 in [lo, hi], exact, from one range pass."""
+    union = _partial_union(params, psi, lo, hi, reduced, depth)
+    return union.to_set() if params.n == 1 else union
+
+
+def _partial_union(params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: bool, depth: int | None):
+    """partial_limsup before any trie is built: for n = 1 the range's ball table."""
     exps, depth = _range_exponents(params, psi, lo, hi, depth)
     return _range_union(params, range(lo, hi + 1), exps, reduced, depth)
 
 
-def _range_union(params: Params, a0s: range, exps: Iterable[Sequence[int]], reduced: bool, depth: int) -> ClopenSet:
-    """Union of the layers of the a0s at their step exponents: for n = 1 one coset build per distinct t."""
+def _range_union(params: Params, a0s: range, exps: Iterable[Sequence[int]], reduced: bool, depth: int):
+    """Union of the layers of the a0s at their step exponents: for n = 1 their ball table."""
     if params.n == 1:
-        groups: dict[tuple[int, ...], set[int]] = {}
+        table = _BallTable(params.p, depth)
         for a0, e in zip(a0s, exps):
-            ((t, residues),) = _layer_record(params.p, a0, e, reduced)
-            groups.setdefault((t,), set()).update(residues)
-        return ClopenSet.from_codes(params.p, 1, depth, groups)
+            table.add(*_layer_record(params.p, a0, e, reduced)[0])
+        return table
     layers = (_layer(params, _layer_record(params.p, a0, e, reduced), depth) for a0, e in zip(a0s, exps))
     return ClopenSet.union_all(params.p, params.n, depth, layers)
 
@@ -320,7 +371,7 @@ def divergence_curve(
 
     Stops early once the measure exceeds stop_above, if given. The step
     exponents are evaluated lazily, one a0 per row, so an early stop reads
-    none past it; a level past depth is refused by from_cosets.
+    none past it; a level past depth is refused when its layer joins the union.
     """
     _check_n(params, psi)
     exps = (psi.step_exponents(a0, params.p) for a0 in range(1, n_max + 1))
@@ -527,7 +578,7 @@ def ubiquity_fraction(
         raise ValueError(f"insufficient depth: need {max(exps)}")
     acc = _range_union(params, range(M**k, M ** (k + 1) + 1), repeat(exps), False, depth)
     if ball is not None:
-        acc = acc.intersect(ball)
+        acc = (acc.to_set() if params.n == 1 else acc).intersect(ball)
         return acc.measure() / ball.measure()
     return acc.measure()
 
@@ -543,11 +594,11 @@ def layer_sweep_rows(
     """One row per a0: layer measure, the phi-formula reference, the running
     union measure, and both partial series (series skipped if irrational).
 
-    Each row also carries the running union itself under "union", so the last
-    row's set is partial_limsup over the same range. The range pass of
-    partial_limsup runs in this call, before any row: a bad range or a short
-    depth raises here, and the step exponents of each a0 give its layer and
-    its reference."""
+    The last row also carries the union itself under "union": partial_limsup
+    over the same range, for n = 1 as its ball table (read it as a set with
+    to_set()). The range pass of partial_limsup runs in this call, before any
+    row: a bad range or a short depth raises here, and the step exponents of
+    each a0 give its layer and its reference."""
     exps, depth = _range_exponents(params, psi, lo, hi, depth)
     return _sweep_rows(params, psi, lo, hi, exps, reduced, depth)
 
@@ -555,12 +606,16 @@ def layer_sweep_rows(
 def _sweep_rows(
     params: Params, psi: ApproxTuple, lo: int, hi: int, exps: Iterable[Sequence[int]], reduced: bool, depth: int
 ) -> Iterator[Mapping[str, object]]:
-    acc = ClopenSet.empty(params.p, params.n, depth)
+    """layer_sweep_rows: an n = 1 layer joins a ball table, an n >= 2 one a running union set."""
+    acc = _BallTable(params.p, depth) if params.n == 1 else ClopenSet.empty(params.p, params.n, depth)
     series = _series_terms(params, psi, lo, hi)
     kh = ds = Fraction(0)
     for a0, e in zip(range(lo, hi + 1), exps):
         record = _layer_record(params.p, a0, e, reduced)
-        acc = acc.union(_layer(params, record, depth))
+        if params.n == 1:
+            acc.add(*record[0])
+        else:
+            acc = acc.union(_layer(params, record, depth))
         if series is not None:
             try:
                 k, d = next(series)
@@ -573,7 +628,7 @@ def _sweep_rows(
             "layer_measure": _data_measure(params.p, record),
             "reference": _reference(params, a0, e),
             "union_measure": acc.measure(),
-            "union": acc,
             "khintchine_partial": kh,
             "duffin_schaeffer_partial": ds,
+            **({"union": acc} if a0 == hi else {}),
         }

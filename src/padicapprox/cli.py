@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import random
 import re
@@ -153,43 +154,52 @@ def cmd_duffin_schaeffer(args) -> None:
 def cmd_partial_limsup(args) -> None:
     params = Params(args.p, args.n)
     psi = psi_tuple_from_args(args, args.n)
+    files = {}
     if args.csv:
-        # the range pass runs in this call: a bad range or a short depth fails before the file exists
         rows = approx.layer_sweep_rows(params, psi, args.start, args.end, args.reduced, args.depth)
         columns = ("a0", "layer_measure", "reference", "union_measure",
                    "khintchine_partial", "duffin_schaeffer_partial")
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([fmt(row[k]) for k in columns])
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row[k]) for k in columns])
         S = row["union"]  # the range is not empty, so the last row holds partial_limsup
+        files[args.csv] = table.getvalue()
     else:
-        S = approx.partial_limsup(params, psi, args.start, args.end, args.reduced, args.depth)
-    _emit_set(args, S, {"range": [args.start, args.end], "reduced": args.reduced, "depth": S.depth})
+        # for n = 1 the ball table: its reads build no trie, and to_text builds one for --save-set
+        S = approx._partial_union(params, psi, args.start, args.end, args.reduced, args.depth)
+    _emit_set(args, S, {"range": [args.start, args.end], "reduced": args.reduced, "depth": S.depth}, files)
 
 
-def _emit_set(args, S: ClopenSet, out: dict) -> None:
-    """Emit out with the measure of S and its --boxes counts, after writing --save-set."""
+def _emit_set(args, S, out: dict, files: dict) -> None:
+    """Emit out with the measure of S (a ClopenSet or an n = 1 ball table) and its --boxes
+    counts, after writing the files (path: text) and --save-set. No file is opened before
+    every count and text is made, so a bad level or a text over the budget leaves none."""
     out["measure"] = S.measure()
     if args.boxes:
         out["box_counts"] = {str(k): S.box_count(k) for k in args.boxes}
     if args.save_set:
-        text = S.to_text()  # may exceed the text budget: fail before the file is created
-        with open(args.save_set, "w") as fh:
+        files[args.save_set] = S.to_text()
+    for path, text in files.items():
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     emit(out)
 
 
 def cmd_minkowski(args) -> None:
-    system = {"--form": args.form, "--height": args.height, "--tau": args.tau, "--sigma": args.sigma}
+    system = {"--form": args.form, "--height": args.height, "--tau": args.tau, "--sigma": args.sigma,
+              "--precision": args.precision}
     if args.random is not None:
         given = [flag for flag, value in system.items() if value is not None]
         if given:
             raise ValueError(f"--random draws its own systems; drop {', '.join(given)}")
         _random_minkowski_sweep(args)
         return
-    forms, heights, tau, sigma = (value or [] for value in system.values())
+    if args.seed is not None:
+        raise ValueError("--seed seeds only the --random sweep; drop --seed")
+    forms, heights, tau, sigma = (args.form or [], args.height or [], args.tau or [], args.sigma or [])
+    precision = 20 if args.precision is None else args.precision
     p = args.p
     n = len(forms)
     rows = []
@@ -197,7 +207,7 @@ def cmd_minkowski(args) -> None:
         entries = [parse_fraction(v) for v in spec.split(",")]
         if len(entries) != n + 1:
             raise ValueError(f"each form needs {n + 1} coefficients")
-        rows.append(tuple(embed_rational(c.numerator, c.denominator, p=p, precision=args.precision)
+        rows.append(tuple(embed_rational(c.numerator, c.denominator, p=p, precision=precision)
                           for c in entries))
     sys_ = minkowski.LinearFormSystem(
         p, n, tuple(rows), tuple(heights), tuple(map(parse_fraction, tau)), tuple(map(parse_fraction, sigma))
@@ -217,7 +227,8 @@ def cmd_minkowski(args) -> None:
 def _random_minkowski_sweep(args) -> None:
     if not is_prime(args.p):  # the sweep draws its own primes, but --p must still be one
         raise ValueError(f"p must be prime, got {args.p}")
-    rng = random.Random(args.seed)
+    seed = 0 if args.seed is None else args.seed
+    rng = random.Random(seed)
     solved = verified = surplus_ok = 0
     for _ in range(args.random):
         p = rng.choice([2, 3, 5])
@@ -241,7 +252,7 @@ def _random_minkowski_sweep(args) -> None:
         verified += sol.verified
         if minkowski.pigeonhole_surplus(sys_):
             surplus_ok += sol.method == "bucket"
-    emit({"systems": solved, "verified": verified, "surplus_bucket_successes": surplus_ok, "seed": args.seed})
+    emit({"systems": solved, "verified": verified, "surplus_bucket_successes": surplus_ok, "seed": seed})
 
 
 def _random_split(rng, n, total):
@@ -303,7 +314,7 @@ def cmd_cover_preimage(args) -> None:
         depth=args.depth,
         h_min=args.hmin,
     )
-    _emit_set(args, cover, {"depth": args.depth, "hmax": args.hmax, "hmin": args.hmin})
+    _emit_set(args, cover, {"depth": args.depth, "hmax": args.hmax, "hmin": args.hmin}, {})
 
 
 def cmd_dim(args) -> None:
@@ -469,14 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("minkowski", help="pigeonhole solver for linear-form systems")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=20)
+    sp.add_argument("--precision", type=int, default=None, help="the form path's p-adic precision (default 20)")
     sp.add_argument("--form", action="append",
                     help="comma-separated rational coefficients, one flag per form")
     sp.add_argument("--height", type=int, nargs="*")
     sp.add_argument("--tau", nargs="*")
     sp.add_argument("--sigma", nargs="*")
     sp.add_argument("--random", type=_int_at_least(1), default=None, help="run a seeded random-system sweep instead")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="the --random sweep's seed (default 0)")
     sp.set_defaults(func=cmd_minkowski)
 
     def common_map(sp):

@@ -27,7 +27,9 @@
   replaced.
 - The one-dimensional range union as one coset trie per layer and one n-ary
   union, which one coset build per step exponent over the merged residues of
-  `approx` replaced.
+  `approx` replaced; and that merged build, and the sweep rows read off a
+  running union trie (one layer trie, one binary union and one profile walk
+  per row), which the ball table of maximal balls of `approx` replaced.
 - The reduction of a Dirichlet scan vector in three passes (strip the gcd's
   part prime to p, flip the sign, divide by p^k for k = v_p(b_0)), which one
   gcd of `manifold.dirichlet_solve` replaced.
@@ -45,13 +47,15 @@
   `json.dumps` through the C encoder with a Fraction `default` hook replaced.
 
 Only the public trie primitives (`_space`, `node`, the child table), the
-integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
+layer records, layer sets, series terms and reference values of `approx` (in
+the merged build and the running-trie rows only, whose target is the ball
+table), the integer forms of `PolyMap`, `ball_exponent`, `floor_log_powprod`, `frac_pow`,
 the exact bucket exponents of `minkowski` with its precision refusal, the least
 feasible Dirichlet height with its float and decimal renderings, and the
 fields of the approximation functions are shared with the code under test, so
-a fault in the new builders, the profiles, the column kernel, the lattice
-search, the lemma congruences, the residue rule, the power-law dispatch or the
-fixed H_0 cases cannot leak into the oracles.
+a fault in the new builders, the profiles, the ball table, the column kernel,
+the lattice search, the lemma congruences, the residue rule, the power-law
+dispatch or the fixed H_0 cases cannot leak into the oracles.
 """
 
 import functools
@@ -61,9 +65,9 @@ import json
 import math
 from fractions import Fraction
 
-from padicapprox.approx import PowerLaw, ScaledPower
+from padicapprox.approx import PowerLaw, ScaledPower, _data_measure, _layer, _layer_record, _reference, _series_terms
 from padicapprox.clopen import EMPTY, FULL, ClopenSet, _space
-from padicapprox.core import HypothesisError, PAdicInt, _split_power
+from padicapprox.core import ExactnessError, HypothesisError, PAdicInt, _split_power
 from padicapprox.exactcmp import ball_exponent, floor_log_powprod, frac_pow
 from padicapprox.manifold import (
     H0Report,
@@ -694,6 +698,44 @@ def per_layer_union(p, depth, layers, reduced):
         }
         sets.append(ClopenSet.from_cosets(p, depth, t, residues))
     return ClopenSet.union_all(p, 1, depth, sets)
+
+
+def merged_range_union(p, depth, records):
+    """The one-dimensional range union of the layer records (t, residues) as one
+    from_codes call: one group per distinct t over the merged residues with that t."""
+    groups = {}
+    for t, residues in records:
+        groups.setdefault((t,), set()).update(residues)
+    return ClopenSet.from_codes(p, 1, depth, groups)
+
+
+def running_trie_sweep_rows(params, psi, lo, hi, reduced, depth):
+    """The sweep rows off a running union trie: per row one layer trie, one binary
+    union into the running set and one profile walk for its measure; every row
+    carries its running union."""
+    acc = ClopenSet.empty(params.p, params.n, depth)
+    series = _series_terms(params, psi, lo, hi)
+    kh = ds = Fraction(0)
+    for a0 in range(lo, hi + 1):
+        exps = psi.step_exponents(a0, params.p)
+        record = _layer_record(params.p, a0, exps, reduced)
+        acc = acc.union(_layer(params, record, depth))
+        if series is not None:
+            try:
+                k, d = next(series)
+                kh += k
+                ds += d
+            except ExactnessError:
+                series = kh = ds = None
+        yield {
+            "a0": a0,
+            "layer_measure": _data_measure(params.p, record),
+            "reference": _reference(params, a0, exps),
+            "union_measure": acc.measure(),
+            "union": acc,
+            "khintchine_partial": kh,
+            "duffin_schaeffer_partial": ds,
+        }
 
 
 def branched_psi_powprod(comp, q):

@@ -23,6 +23,7 @@ from padicapprox.exactcmp import ball_exponent
 
 from oracles import (
     fraction_coordinate_residues,
+    merged_range_union,
     per_call_product,
     per_layer_union,
     recursive_complement,
@@ -31,6 +32,7 @@ from oracles import (
     recursive_profile,
     recursive_union,
     rectangle_set,
+    running_trie_sweep_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,8 @@ def psi_1d(draw, p, lo, hi):
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 30), st.integers(0, 12), st.booleans(), st.integers(0, 2),
        st.data())
 def test_range_union_matches_per_layer_oracle(p, lo, width, reduced, extra, data):
-    # one-a0 ranges at width 0; most wider ranges hold some a0 divisible by p
+    # one-a0 ranges at width 0; most wider ranges hold some a0 divisible by p, and a
+    # table psi gives t = 0 clamps and finer balls that come before a coarser one holding them
     hi = lo + width
     params = Params(p, 1)
     psi = ApproxTuple((data.draw(psi_1d(p, lo, hi)),))
@@ -329,8 +332,52 @@ def test_range_union_matches_per_layer_oracle(p, lo, width, reduced, extra, data
     expected = per_layer_union(p, depth, layers, reduced)
     got = partial_limsup(params, psi, lo, hi, reduced, depth)
     assert got == expected and got.measure() == expected.measure() and got.depth == depth
-    *_, last = approx.layer_sweep_rows(params, psi, lo, hi, reduced, depth)
-    assert last["union"] == got
+    records = [approx._layer_record(p, a0, (t,), reduced)[0] for a0, t in layers]
+    assert merged_range_union(p, depth, records) == expected
+    # the ball tables of the sweep and of the plain path read what the sets read, and
+    # every sweep row but the union matches the rows off a running union trie
+    rows = list(approx.layer_sweep_rows(params, psi, lo, hi, reduced, depth))
+    old = list(running_trie_sweep_rows(params, psi, lo, hi, reduced, depth))
+    assert ["union" in row for row in rows] == [False] * width + [True]
+    assert [{**row, "union": None} for row in rows] == [{**row, "union": None} for row in old]
+    assert old[-1]["union"] == expected
+    levels = range(depth + 1)
+    for table in (rows[-1]["union"], approx._partial_union(params, psi, lo, hi, reduced, depth)):
+        assert table.to_set() == expected and table.depth == depth and table.measure() == expected.measure()
+        assert [table.box_count(k) for k in levels] == [expected.box_count(k) for k in levels]
+
+
+@st.composite
+def ball_layers(draw, p):
+    """A depth and a list of (t, residues mod p^t) in any order of t, empty residue sets included."""
+    depth = draw(st.integers(0, 6))
+    layer = st.integers(0, depth).flatmap(
+        lambda t: st.tuples(st.just(t), st.sets(st.integers(0, p**t - 1), max_size=2 * p)))
+    return depth, draw(st.lists(layer, max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_ball_table_matches_merged_and_running_unions(p, data):
+    depth, layers = data.draw(ball_layers(p))
+    table = approx._BallTable(p, depth)
+    acc = ClopenSet.empty(p, 1, depth)
+    for t, residues in layers:
+        table.add(t, residues)
+        acc = acc.union(ClopenSet.from_cosets(p, depth, t, residues))
+        assert table.measure() == acc.measure()
+    expected = merged_range_union(p, depth, layers)
+    assert table.to_set() == expected == acc
+    assert [table.box_count(k) for k in range(depth + 1)] == [expected.box_count(k) for k in range(depth + 1)]
+    # the table keeps only maximal balls, and its count is theirs
+    balls = [(t, r) for t, inner in table.balls.items() for r in inner]
+    assert all(r % p**t != s for t, s in balls for u, r in balls if t < u)
+    assert table.count == sum(p ** (depth - t) for t, _ in balls)
+    for k in (-1, depth + 1):
+        with pytest.raises(ValueError, match=rf"^level {k} outside \[0, depth={depth}\]$"):
+            table.box_count(k)
+    with pytest.raises(ValueError, match=f"^insufficient depth: boxes need level {depth + 1}, depth is {depth}$"):
+        table.add(depth + 1, [0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -658,12 +705,19 @@ def test_partial_limsup_csv_reuses_sweep_union(tmp_path, capsys, monkeypatch):
                         ScaledPower(Fraction(3), Fraction(2))]))
 def test_sweep_layer_measure_is_read_from_the_record(p, n, lo, width, reduced, psi):
     params, tup = Params(p, n), ApproxTuple.uniform(psi, n)
-    depth = approx.required_depth(params, tup, lo, lo + width)
+    hi = lo + width
+    depth = approx.required_depth(params, tup, lo, hi)
     space = clopen._space(p, n)
-    before = set(space._profiles)
-    rows = list(approx.layer_sweep_rows(params, tup, lo, lo + width, reduced, depth))
-    # every profile the sweep memoizes is a running union's, never a layer root's alone
-    assert set(space._profiles) - before <= {row["union"]._root for row in rows}
+    before, nodes = set(space._profiles), len(space._children)
+    rows = list(approx.layer_sweep_rows(params, tup, lo, hi, reduced, depth))
+    new = set(space._profiles) - before
+    # only the last row carries the union; an n = 1 sweep builds no trie, and every profile an
+    # n = 2 sweep memoizes is a running union's, never a layer root's alone
+    assert ["union" in row for row in rows] == [False] * width + [True]
+    if n == 1:
+        assert (new, len(space._children)) == (set(), nodes)
+    else:
+        assert new <= {partial_limsup(params, tup, lo, a0, reduced, depth)._root for a0 in range(lo, hi + 1)}
     for row in rows:
         a0 = row["a0"]
         layer = build_layer(params, tup, a0, reduced, depth)

@@ -740,6 +740,16 @@ def violated(failed, detail):
      {"kind": "invalid-input", "message": "--random draws its own systems; drop --height"}),
     (["minkowski", "--p", "3", "--random", "2", "--tau"],
      {"kind": "invalid-input", "message": "--random draws its own systems; drop --tau"}),
+    # the sweep used to ignore --precision, and the form path --seed, and exit 0
+    (["minkowski", "--p", "3", "--random", "2", "--precision", "-4"],
+     {"kind": "invalid-input", "message": "--random draws its own systems; drop --precision"}),
+    (["minkowski", "--p", "3", "--random", "2", "--precision", "20"],
+     {"kind": "invalid-input", "message": "--random draws its own systems; drop --precision"}),
+    (["minkowski", "--p", "3", "--precision", "12", "--form", "7,-1", "--height", "8", "8", "--tau", "2",
+      "--sigma", "1", "--seed", "99"],
+     {"kind": "invalid-input", "message": "--seed seeds only the --random sweep; drop --seed"}),
+    (["minkowski", "--p", "3", "--form", "7,-1", "--height", "8", "8", "--tau", "2", "--sigma", "1", "--seed", "0"],
+     {"kind": "invalid-input", "message": "--seed seeds only the --random sweep; drop --seed"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet
@@ -780,3 +790,31 @@ def test_partial_limsup_bad_range_fails_before_the_csv_exists(tmp_path, capsys, 
     path = tmp_path / "s.csv"
     assert run_cli(capsys, *argv, "--csv", str(path)) == (2, {"error": error, "schema_version": "1"})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_partial_limsup_bad_boxes_level_leaves_no_file(tmp_path, capsys, n):
+    # --boxes 99 used to fail after the CSV was written
+    paths = [tmp_path / "x.csv", tmp_path / "s.clopen"]
+    argv = ["partial-limsup", "--p", "3", "--n", str(n), "--psi", "q^-2", "--from", "1", "--to", "5",
+            "--csv", str(paths[0]), "--save-set", str(paths[1]), "--boxes", "2", "99"]
+    error = {"kind": "invalid-input", "message": "level 99 outside [0, depth=3]"}
+    assert run_cli(capsys, *argv) == (2, {"error": error, "schema_version": "1"})
+    assert not any(path.exists() for path in paths)
+
+
+@pytest.mark.parametrize("files", [[], ["--csv", "sweep.csv"]], ids=["plain", "--csv"])
+def test_partial_limsup_n1_builds_a_trie_only_for_save_set(tmp_path, capsys, monkeypatch, files):
+    # the measure and box counts are read off the maximal balls of the union; the
+    # (3, 1) space used to hold the union's trie, and with --csv one trie per row
+    from padicapprox import clopen
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(clopen, "_SPACES", {})
+    argv = ["partial-limsup", "--p", "3", "--n", "1", "--psi", "q^-5/2", "--from", "100", "--to", "200",
+            "--boxes", "3", "4", "5", "6", *files]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out["measure"] == "2899/59049"
+    assert clopen._SPACES == {}
+    assert run_cli(capsys, *argv, "--save-set", "tail.clopen") == (0, out)
+    assert list(clopen._SPACES) == [(3, 1)] and len(clopen._SPACES[(3, 1)]._children) > 2
