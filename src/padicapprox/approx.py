@@ -22,6 +22,7 @@ partial_limsup, ubiquity_fraction and layer_sweep_rows take an n = 1 layer,
 the level-t cosets of its residues, into a table of the maximal balls of the
 union: balls of Z_p are nested or disjoint, so measures and box counts are
 integer sums over them, and one coset build per t makes the set when asked.
+The table refuses a depth with clopen's own check (below 0, past MAX_DEPTH).
 n >= 2 layers go to one n-ary union, or one union per sweep row. The rows read
 each layer measure from the layer record, not from a built set.
 """
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .clopen import ClopenSet, product_set
+from .clopen import ClopenSet, _check_depth, product_set
 from .core import ExactnessError, Params, _split_power, euler_phi, totient_sieve
 from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
@@ -271,6 +272,7 @@ class _BallTable:
     measure, box_count, to_text and depth read what the union's ClopenSet reads; only to_set builds it."""
 
     def __init__(self, p: int, depth: int):
+        _check_depth(depth)
         self.p, self.depth = p, depth
         self.balls: dict[int, set[int]] = {}
         self.count = 0
@@ -506,8 +508,8 @@ def measure_claims_check(params: Params, psi: ApproxTuple, a0: int, b0: int) -> 
     db = layer_coordinate_data(params, psi, b0, True)
     mu_a = _data_measure(params.p, da)
     mu_b = _data_measure(params.p, db)
-    ref_a = reference_measure(params, psi, a0)
-    ref_b = reference_measure(params, psi, b0)
+    ref_a = _reference(params, a0, (t for t, _ in da))
+    ref_b = _reference(params, b0, (t for t, _ in db))
     mu_ab = _data_intersection(params.p, da, db)
     denom = _ratio_denominator(
         params.n, a0, b0, ((psi_value(c, a0), psi_value(c, b0)) for c in psi.components)
@@ -564,18 +566,14 @@ def ubiquity_fraction(
 
     Rectangles of the fixed dyadic-block radius around every rational point
     a/a0 with |a_i| <= a0; the local-ubiquity experiment reports how much of
-    the ball the block covers.
+    the ball the block covers. Its exponents are step_exponent(ScaledPower(c1,
+    alpha_i), M^{k+1}); the first layer refuses a bad depth or a level past it.
     """
     if len(alpha) != params.n:
         raise ValueError("alpha must have n components")
     if M < 2 or k < 0:
         raise ValueError(f"need M >= 2 and k >= 0, got M={M}, k={k}")
-    exps = []
-    for a in alpha:
-        radius = [(c1, Fraction(1)), (Fraction(M), -Fraction(a) * (k + 1))]
-        exps.append(max(0, ball_exponent(params.p, radius)))
-    if max(exps) > depth:
-        raise ValueError(f"insufficient depth: need {max(exps)}")
+    exps = [step_exponent(ScaledPower(c1, a), M ** (k + 1), params.p) for a in alpha]
     acc = _range_union(params, range(M**k, M ** (k + 1) + 1), repeat(exps), False, depth)
     if ball is not None:
         acc = (acc.to_set() if params.n == 1 else acc).intersect(ball)

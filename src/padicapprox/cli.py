@@ -9,13 +9,16 @@ violations exit with status 2 and a structured report naming the failed inequali
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import io
 import json
+import os
 import random
 import re
+import stat
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -88,13 +91,14 @@ def parse_psi(text: str) -> approx.PsiComponent:
     raise ValueError(f"cannot parse approximation function {text!r}")
 
 
-def psi_tuple_from_args(args, n: int) -> approx.ApproxTuple:
-    specs = args.psi
+def _layer_args(args) -> tuple[Params, approx.ApproxTuple]:
+    """The (p, n) of a layer command, checked first, and its psi: one --psi for every coordinate, or n."""
+    params, specs = Params(args.p, args.n), args.psi
     if len(specs) == 1:
-        specs = specs * n
-    if len(specs) != n:
-        raise ValueError(f"need 1 or {n} --psi specifications, got {len(specs)}")
-    return approx.ApproxTuple(tuple(parse_psi(s) for s in specs))
+        specs = specs * args.n
+    if len(specs) != args.n:
+        raise ValueError(f"need 1 or {args.n} --psi specifications, got {len(specs)}")
+    return params, approx.ApproxTuple(tuple(parse_psi(s) for s in specs))
 
 
 def load_map(args) -> manifold.PolyMap:
@@ -115,8 +119,7 @@ def load_map(args) -> manifold.PolyMap:
 
 
 def cmd_measure_layer(args) -> None:
-    params = Params(args.p, args.n)
-    psi = psi_tuple_from_args(args, args.n)
+    params, psi = _layer_args(args)
     mu = approx.layer_measure(params, psi, args.a0, args.reduced)
     ref = approx.reference_measure(params, psi, args.a0)
     emit(
@@ -133,27 +136,23 @@ def cmd_measure_layer(args) -> None:
 
 
 def cmd_claims_check(args) -> None:
-    params = Params(args.p, args.n)
-    psi = psi_tuple_from_args(args, args.n)
+    params, psi = _layer_args(args)
     emit(dataclasses.asdict(approx.measure_claims_check(params, psi, args.a0, args.b0)))
 
 
 def cmd_khintchine(args) -> None:
-    params = Params(args.p, args.n)
-    psi = psi_tuple_from_args(args, args.n)
+    params, psi = _layer_args(args)
     emit({"terms": args.terms, "partial_sum": approx.khintchine_sum(params, psi, args.terms)})
 
 
 def cmd_duffin_schaeffer(args) -> None:
-    params = Params(args.p, args.n)
-    psi = psi_tuple_from_args(args, args.n)
+    params, psi = _layer_args(args)
     total, ratio = approx.duffin_schaeffer_sum(params, psi, args.terms)
     emit({"terms": args.terms, "partial_sum": total, "ratio_to_khintchine": ratio})
 
 
 def cmd_partial_limsup(args) -> None:
-    params = Params(args.p, args.n)
-    psi = psi_tuple_from_args(args, args.n)
+    params, psi = _layer_args(args)
     files = {}
     if args.csv:
         rows = approx.layer_sweep_rows(params, psi, args.start, args.end, args.reduced, args.depth)
@@ -174,16 +173,35 @@ def cmd_partial_limsup(args) -> None:
 
 def _emit_set(args, S, out: dict, files: dict) -> None:
     """Emit out with the measure of S (a ClopenSet or an n = 1 ball table) and its --boxes
-    counts, after writing the files (path: text) and --save-set. No file is opened before
-    every count and text is made, so a bad level or a text over the budget leaves none."""
+    counts, after writing the files (path: text) and --save-set. Every count and text is
+    made, then every path is opened in place as a plain open would, before any file is
+    truncated or written: a bad level or path changes no file (an OSError removes the
+    files this call created)."""
     out["measure"] = S.measure()
     if args.boxes:
         out["box_counts"] = {str(k): S.box_count(k) for k in args.boxes}
     if args.save_set:
         files[args.save_set] = S.to_text()
-    for path, text in files.items():
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    created = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path in files:
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    created.append(path)
+                except FileExistsError:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                handles.append(stack.enter_context(open(fd, "w", newline="")))
+            for fh, text in zip(handles, files.values()):
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
+    except OSError:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     emit(out)
 
 
@@ -243,15 +261,14 @@ def _random_minkowski_sweep(args) -> None:
                 heights, tau, sigma,
             )
             try:
-                minkowski.bucket_exponents(sys_)
+                sol = minkowski.solve(sys_)
                 break
             except minkowski.BelowThresholdError:
                 continue
-        sol = minkowski.solve(sys_)
         solved += 1
         verified += sol.verified
-        if minkowski.pigeonhole_surplus(sys_):
-            surplus_ok += sol.method == "bucket"
+        # p^(sum delta) <= prod(H_j + 1) always, so a strict surplus is a non-boundary system
+        surplus_ok += not sol.boundary and sol.method == "bucket"
     emit({"systems": solved, "verified": verified, "surplus_bucket_successes": surplus_ok, "seed": seed})
 
 

@@ -135,7 +135,6 @@ class WWResult:
     value: Fraction
     argmin: Fraction
     partition: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    candidates: tuple[tuple[Fraction, Fraction], ...]
 
 
 def ww_exponent(
@@ -163,7 +162,6 @@ def ww_exponent(
     n = len(a)
     cuts = sorted(set(a) | {ai + ti for ai, ti in zip(a, t)})
     best: tuple[Fraction, Fraction, tuple] | None = None
-    scored = []
     for A in cuts:
         k1 = tuple(j for j in range(n) if a[j] >= A)
         k2 = tuple(j for j in range(n) if a[j] + t[j] <= A and j not in k1)
@@ -171,11 +169,9 @@ def ww_exponent(
         t_block = k2 if variant == "K2-sum" else k3
         num = sum((a[j] for j in k3), Fraction(0)) - sum((t[j] for j in t_block), Fraction(0))
         value = Fraction(len(k1) + len(k2)) + num / A
-        scored.append((A, value))
         if best is None or value < best[0]:
             best = (value, A, (k1, k2, k3))
-    value, argmin, partition = best
-    return WWResult(value, argmin, partition, tuple(scored))
+    return WWResult(*best)
 
 
 def manifold_lower_bound(
@@ -236,7 +232,6 @@ def manifold_lower_bound(
 class BoxDimFit:
     slope: float
     intercept: float
-    residuals: tuple[float, ...]
     r_squared: float
     levels: tuple[int, ...]
 
@@ -281,4 +276,4 @@ def boxdim_estimate(
     mean = sy / n
     ss_tot = sum((y - mean) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return BoxDimFit(slope, intercept, residuals, r2, tuple(k for k, _ in pts))
+    return BoxDimFit(slope, intercept, r2, tuple(k for k, _ in pts))

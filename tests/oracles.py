@@ -30,6 +30,10 @@
   `approx` replaced; and that merged build, and the sweep rows read off a
   running union trie (one layer trie, one binary union and one profile walk
   per row), which the ball table of maximal balls of `approx` replaced.
+- The block exponents of `approx.ubiquity_fraction` as one power product
+  c1 * M^(-alpha_i (k+1)) per coordinate, which `step_exponent` of the scaled
+  power c1 * q^(-alpha_i) at q = M^(k+1) replaced, and the block union of any n
+  from a per-call product of coset tries per layer.
 - The reduction of a Dirichlet scan vector in three passes (strip the gcd's
   part prime to p, flip the sign, divide by p^k for k = v_p(b_0)), which one
   gcd of `manifold.dirichlet_solve` replaced.
@@ -698,6 +702,28 @@ def per_layer_union(p, depth, layers, reduced):
         }
         sets.append(ClopenSet.from_cosets(p, depth, t, residues))
     return ClopenSet.union_all(p, 1, depth, sets)
+
+
+def powprod_ubiquity_exponents(p, alpha, M, k, c1):
+    """The block exponents of ubiquity_fraction: per alpha_i the ball exponent of the radius
+    c1 * M^(-alpha_i (k+1)) as one power product, clamped at 0."""
+    exps = []
+    for a in alpha:
+        radius = [(Fraction(c1), Fraction(1)), (Fraction(M), -Fraction(a) * (k + 1))]
+        exps.append(max(0, ball_exponent(p, radius)))
+    return exps
+
+
+def per_layer_block_union(p, depth, a0s, exps):
+    """Union of the non-reduced n-dimensional layers of the a0s at the fixed exponents:
+    per a0 one from_cosets trie per coordinate, from residues read off one Fraction per
+    numerator, their product by the per-call builder, and one union_all."""
+    sets = []
+    for a0 in a0s:
+        nums = range(-a0, a0 + 1)
+        factors = [ClopenSet.from_cosets(p, depth, t, fraction_coordinate_residues(p, a0, t, nums)) for t in exps]
+        sets.append(per_call_product(factors))
+    return ClopenSet.union_all(p, len(exps), depth, sets)
 
 
 def merged_range_union(p, depth, records):

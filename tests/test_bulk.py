@@ -8,6 +8,7 @@ oracle, and against brute force over residue vectors where the space is small.
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,14 @@ from padicapprox.approx import ApproxTuple, PowerLaw, ScaledPower, build_layer, 
 from padicapprox.cli import main
 from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, product_set
 from padicapprox.core import Params
-from padicapprox.exactcmp import ball_exponent
 
 from oracles import (
     fraction_coordinate_residues,
     merged_range_union,
     per_call_product,
+    per_layer_block_union,
     per_layer_union,
+    powprod_ubiquity_exponents,
     recursive_complement,
     recursive_difference,
     recursive_intersect,
@@ -296,7 +298,7 @@ def test_partial_limsup_matches_layer_fold():
 def test_ubiquity_fraction_matches_rectangle_path():
     params = Params(3, 1)
     alpha, M, k, depth, c1 = [Fraction(2)], 3, 2, 14, Fraction(9)
-    t = max(0, ball_exponent(3, [(c1, Fraction(1)), (Fraction(M), -alpha[0] * (k + 1))]))
+    (t,) = powprod_ubiquity_exponents(3, alpha, M, k, c1)
     acc = ClopenSet.empty(3, 1, depth)
     for a0 in range(M**k, M ** (k + 1) + 1):
         nums = approx.layer_numerators(a0, reduced=False)
@@ -380,17 +382,84 @@ def test_ball_table_matches_merged_and_running_unions(p, data):
         table.add(depth + 1, [0])
 
 
+UBIQUITY_ALPHAS = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+UBIQUITY_C1S = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(9)])
+
+
+def _assert_ubiquity_refuses_one_level_short(params, alpha, M, k, c1, need):
+    # the first layer refuses depth need - 1: clopen's depth check at need = 0, the level check otherwise
+    message = "depth must be >= 0" if need == 0 else f"insufficient depth: boxes need level {need}, depth is {need - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        approx.ubiquity_fraction(params, alpha, M, k, need - 1, c1)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]),
-       st.sampled_from([2, 3]), st.integers(0, 2), st.sampled_from([Fraction(1), Fraction(2), Fraction(9)]),
-       st.integers(0, 2), st.one_of(st.none(), st.integers(0, 24)))
+@given(st.sampled_from([2, 3, 5]), UBIQUITY_ALPHAS, st.sampled_from([2, 3]), st.integers(0, 2), UBIQUITY_C1S,
+       st.integers(-1, 2), st.one_of(st.none(), st.integers(0, 24)))
 def test_ubiquity_fraction_matches_per_layer_oracle(p, alpha, M, k, c1, extra, centre):
-    t = max(0, ball_exponent(p, [(c1, Fraction(1)), (Fraction(M), -alpha * (k + 1))]))
+    (t,) = powprod_ubiquity_exponents(p, [alpha], M, k, c1)
+    if extra < 0:
+        _assert_ubiquity_refuses_one_level_short(Params(p, 1), [alpha], M, k, c1, t)
+        return
     depth = max(t, 2) + extra
     ball = None if centre is None else ClopenSet.from_cosets(p, depth, 2, [centre])
     acc = per_layer_union(p, depth, [(a0, t) for a0 in range(M**k, M ** (k + 1) + 1)], False)
     expected = acc.measure() if ball is None else acc.intersect(ball).measure() / ball.measure()
     assert approx.ubiquity_fraction(Params(p, 1), [alpha], M, k, depth, c1, ball) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), UBIQUITY_ALPHAS, UBIQUITY_ALPHAS, st.sampled_from([2, 3]), st.integers(0, 1),
+       UBIQUITY_C1S, st.integers(-1, 1), st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))))
+def test_ubiquity_fraction_n2_matches_per_layer_oracle(p, a1, a2, M, k, c1, extra, centre):
+    # n = 2 blocks: the same exponents as the power-product loop, the same union as one
+    # per-call product per layer, and a depth one level short refused at the first layer
+    params, alpha = Params(p, 2), [a1, a2]
+    exps = powprod_ubiquity_exponents(p, alpha, M, k, c1)
+    if extra < 0:
+        _assert_ubiquity_refuses_one_level_short(params, alpha, M, k, c1, max(exps))
+        return
+    depth = max(*exps, 1) + extra
+    a0s = range(M**k, M ** (k + 1) + 1)
+    acc = per_layer_block_union(p, depth, a0s, exps)
+    ball = None if centre is None else per_call_product([ClopenSet.from_cosets(p, depth, 1, [c % p]) for c in centre])
+    expected = acc.measure() if ball is None else acc.intersect(ball).measure() / ball.measure()
+    assert approx.ubiquity_fraction(params, alpha, M, k, depth, c1, ball) == expected
+
+
+def test_ubiquity_fraction_refuses_a_nonpositive_c1():
+    # c1 <= 0 is refused by the radius ScaledPower(c1, a)
+    for c1 in (Fraction(0), Fraction(-1)):
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            approx.ubiquity_fraction(Params(3, 1), [Fraction(2)], 3, 1, 14, c1)
+
+
+@pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1])
+def test_n1_paths_refuse_the_depths_a_clopen_set_refuses(depth):
+    # n = 1 refuses the depths n = 2 refuses, with the message a ClopenSet gives
+    with pytest.raises(ValueError) as refused:
+        ClopenSet.empty(3, 1, depth)
+    message = str(refused.value)
+    assert message == ("depth must be >= 0" if depth < 0 else
+                       f"depth {depth} exceeds the trie depth limit MAX_DEPTH={MAX_DEPTH}")
+    calls = {
+        "divergence_curve": lambda params, psi: approx.divergence_curve(params, psi, 3, depth),
+        "ubiquity_fraction": lambda params, psi: approx.ubiquity_fraction(params, [Fraction(2)] * params.n, 3, 1, depth),
+        "partial_limsup": lambda params, psi: approx.partial_limsup(params, psi, 1, 3, False, depth),
+        "_partial_union": lambda params, psi: approx._partial_union(params, psi, 1, 3, False, depth),
+        "layer_sweep_rows": lambda params, psi: list(approx.layer_sweep_rows(params, psi, 1, 3, False, depth)),
+    }
+    # the range pass of the sweep and of partial_limsup checks its levels first: no level fits depth -1
+    expected = {name: message for name in calls}
+    if depth < 0:
+        for name in ("partial_limsup", "_partial_union", "layer_sweep_rows"):
+            expected[name] = "insufficient depth: range needs level 3, depth is -1"
+    for n in (1, 2):
+        params, psi = Params(3, n), ApproxTuple.uniform(PowerLaw(Fraction(2)), n)
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as refused:
+                call(params, psi)
+            assert (n, name, str(refused.value)) == (n, name, expected[name])
 
 
 def test_rebuilding_an_interned_set_appends_no_node():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -818,3 +819,74 @@ def test_partial_limsup_n1_builds_a_trie_only_for_save_set(tmp_path, capsys, mon
     assert clopen._SPACES == {}
     assert run_cli(capsys, *argv, "--save-set", "tail.clopen") == (0, out)
     assert list(clopen._SPACES) == [(3, 1)] and len(clopen._SPACES[(3, 1)]._children) > 2
+
+
+@pytest.mark.parametrize("files", [[], ["--csv", "x.csv"], ["--save-set", "s.clopen"]],
+                         ids=["plain", "--csv", "--save-set"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_partial_limsup_refuses_a_depth_past_max_depth_for_every_n(tmp_path, capsys, monkeypatch, n, files):
+    # n = 1 refuses the depths n = 2 refuses, with or without files to write
+    monkeypatch.chdir(tmp_path)
+    argv = ["partial-limsup", "--p", "3", "--n", str(n), "--psi", "q^-2", "--from", "1", "--to", "3",
+            "--depth", "301", *files]
+    error = {"kind": "invalid-input", "message": "depth 301 exceeds the trie depth limit MAX_DEPTH=300"}
+    assert run_cli(capsys, *argv) == (2, {"error": error, "schema_version": "1"})
+    assert list(tmp_path.iterdir()) == []
+
+
+PARTIAL_LIMSUP_FILES = ["partial-limsup", "--p", "3", "--psi", "q^-2", "--from", "1", "--to", "5"]
+
+
+def test_partial_limsup_failed_save_set_leaves_the_csv_as_it_was(tmp_path, capsys):
+    # a --save-set path that cannot be opened leaves no new --csv file and an old one's bytes
+    csv_path, missing = tmp_path / "x.csv", tmp_path / "nonexistent" / "s.clopen"
+    argv = [*PARTIAL_LIMSUP_FILES, "--csv", str(csv_path), "--save-set", str(missing)]
+    error = {"kind": "invalid-input", "message": f"[Errno 2] No such file or directory: '{missing}'"}
+    assert run_cli(capsys, *argv) == (2, {"error": error, "schema_version": "1"})
+    assert list(tmp_path.iterdir()) == []
+    csv_path.write_bytes(b"a0,old\r\n")
+    assert run_cli(capsys, *argv) == (2, {"error": error, "schema_version": "1"})
+    assert list(tmp_path.iterdir()) == [csv_path] and csv_path.read_bytes() == b"a0,old\r\n"
+    # a directory cannot be opened for writing, whoever runs it
+    (tmp_path / "dir").mkdir()
+    code, out = run_cli(capsys, *PARTIAL_LIMSUP_FILES, "--save-set", str(tmp_path / "new.clopen"),
+                        "--csv", str(tmp_path / "dir"))
+    assert (code, out["error"]["message"]) == (2, f"[Errno 21] Is a directory: '{tmp_path / 'dir'}'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "x.csv"]
+
+
+def test_partial_limsup_writes_files_in_place_as_a_plain_open(tmp_path, capsys):
+    # an existing file keeps its inode, mode and links, a symlink is written through, and a
+    # new file gets the mode a plain open gives
+    code, _ = run_cli(capsys, *PARTIAL_LIMSUP_FILES, "--csv", str(tmp_path / "x.csv"),
+                      "--save-set", str(tmp_path / "s.clopen"))
+    fresh = {name: (tmp_path / name).read_bytes() for name in ("x.csv", "s.clopen")}
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert code == 0 and (tmp_path / "x.csv").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    kept, link, target = tmp_path / "kept.csv", tmp_path / "link.clopen", tmp_path / "target.clopen"
+    kept.write_bytes(b"old\n" * 100)
+    kept.chmod(0o600)
+    os.link(kept, tmp_path / "kept-alias.csv")
+    target.write_text("old")
+    link.symlink_to(target)
+    inode = kept.stat().st_ino
+    code, _ = run_cli(capsys, *PARTIAL_LIMSUP_FILES, "--csv", str(kept), "--save-set", str(link))
+    assert code == 0 and link.is_symlink()
+    assert (kept.stat().st_ino, kept.stat().st_mode & 0o777) == (inode, 0o600)
+    assert kept.read_bytes() == (tmp_path / "kept-alias.csv").read_bytes() == fresh["x.csv"]
+    assert target.read_bytes() == fresh["s.clopen"]
+
+
+def test_partial_limsup_read_only_csv_is_refused_where_a_plain_open_refuses_it(tmp_path, capsys):
+    csv_path, saved = tmp_path / "ro.csv", tmp_path / "s.clopen"
+    csv_path.write_bytes(b"old")
+    csv_path.chmod(0o444)
+    code, out = run_cli(capsys, *PARTIAL_LIMSUP_FILES, "--save-set", str(saved), "--csv", str(csv_path))
+    if os.access(csv_path, os.W_OK):
+        # a privileged user's plain open writes it; the mode stays read-only
+        assert code == 0 and csv_path.read_text().startswith("a0,layer_measure,")
+    else:
+        assert (code, out["error"]["message"]) == (2, f"[Errno 13] Permission denied: '{csv_path}'")
+        assert csv_path.read_bytes() == b"old" and not saved.exists()
+    assert csv_path.stat().st_mode & 0o777 == 0o444

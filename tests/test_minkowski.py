@@ -390,6 +390,23 @@ def test_lattice_solver_matches_the_dictionary_walk_without_surplus(sys, cap):
     _check_against_oracles(sys, cap)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generic_systems(), boundary_systems()))
+def test_surplus_is_exactly_a_solve_off_the_boundary(sys):
+    # p^(sum delta) <= prod(H_j + 1) always, so a strict surplus is a system that
+    # solve does not flag as boundary; the --random sweep counts its surplus this way
+    try:
+        sol = solve(sys)
+    except BelowThresholdError:
+        with pytest.raises(BelowThresholdError):
+            pigeonhole_surplus(sys)
+        return
+    except minkowski.SolverError:  # a precision below the buckets refuses the system
+        return
+    assert sys.p ** sum(sol.bucket_exponents) <= sys.t_power
+    assert pigeonhole_surplus(sys) == (not sol.boundary)
+
+
 def test_first_collision_is_not_the_lex_least_difference():
     # (1, -4, 2) and (1, 0, -2) both lie in the bucket lattice and the box, and
     # (1, -4, 2) is lex-smaller; but the walk meets z = (1, 0, 0), whose key
