@@ -22,9 +22,11 @@ partial_limsup, ubiquity_fraction and layer_sweep_rows take an n = 1 layer,
 the level-t cosets of its residues, into a table of the maximal balls of the
 union: balls of Z_p are nested or disjoint, so measures and box counts are
 integer sums over them, and one coset build per t makes the set when asked.
-The table refuses a depth with clopen's own check (below 0, past MAX_DEPTH).
-n >= 2 layers go to one n-ary union, or one union per sweep row. The rows read
-each layer measure from the layer record, not from a built set.
+No depth rule is stated here: the range pass, the table (when made and per
+level added) and the n >= 2 layers refuse a depth with clopen's _check_depth,
+so every entry point gives clopen's message. n >= 2 layers go to one n-ary
+union, or one union per sweep row. The rows read each layer measure from the
+layer record, not from a built set.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .clopen import ClopenSet, _check_depth, product_set
+from .clopen import ClopenSet, _check_depth, _check_level, product_set
 from .core import ExactnessError, Params, _split_power, euler_phi, totient_sieve
 from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
@@ -268,20 +270,18 @@ def _layer(params: Params, record: Sequence[tuple[int, set[int]]], depth: int) -
 
 class _BallTable:
     """A finite union of balls r + p^t Z_p as its maximal balls {t: residues mod p^t}, which are
-    disjoint (balls of Z_p are nested or disjoint), and count, the level-depth cosets they cover.
-    measure, box_count, to_text and depth read what the union's ClopenSet reads; only to_set builds it."""
+    disjoint (balls of Z_p are nested or disjoint). measure, box_count, to_text and depth read
+    what the union's ClopenSet reads; only to_set builds it."""
 
     def __init__(self, p: int, depth: int):
         _check_depth(depth)
         self.p, self.depth = p, depth
         self.balls: dict[int, set[int]] = {}
-        self.count = 0
 
     def add(self, t: int, residues: Iterable[int]) -> None:
         """Join the level-t balls of the residues (each in [0, p^t)); a level past depth is refused."""
+        _check_depth(self.depth, t)
         p, balls = self.p, self.balls
-        if t > self.depth:
-            raise ValueError(f"insufficient depth: boxes need level {t}, depth is {self.depth}")
         new, mod = set(residues), p**t
         for j, inner in balls.items():  # drop the balls a ball at a level j <= t already holds
             if j <= t and new:
@@ -289,18 +289,14 @@ class _BallTable:
                 new = {r for r in new if r % coarse not in inner}
         for j, inner in balls.items():  # drop the finer balls the new ones hold
             if j > t and new:
-                held = {s for s in inner if s % mod in new}
-                inner -= held
-                self.count -= len(held) * p ** (self.depth - j)
+                inner -= {s for s in inner if s % mod in new}
         balls.setdefault(t, set()).update(new)
-        self.count += len(new) * p ** (self.depth - t)
 
     def measure(self) -> Fraction:
-        return Fraction(self.count, self.p**self.depth)
+        return Fraction(self.box_count(self.depth), self.p**self.depth)
 
     def box_count(self, k: int) -> int:
-        if k < 0 or k > self.depth:
-            raise ValueError(f"level {k} outside [0, depth={self.depth}]")
+        _check_level(k, self.depth)
         p, mod = self.p, self.p**k
         finer = {r % mod for t, inner in self.balls.items() if t > k for r in inner}
         return len(finer) + sum(len(inner) * p ** (k - t) for t, inner in self.balls.items() if t <= k)
@@ -317,17 +313,17 @@ def _range_exponents(
 ) -> tuple[list[tuple[int, ...]], int]:
     """The step exponents of every a0 in [lo, hi], each evaluated once, and the depth.
 
-    Their maximum is the depth when none is given and is checked against the
-    depth otherwise, so a bad range or a short depth fails before any layer."""
+    Their maximum is the depth when none is given, and a short depth fails
+    before any layer; a bad range or a depth out of bounds before any exponent."""
     if lo > hi or lo < 1:
         raise ValueError("need 1 <= lo <= hi")
     _check_n(params, psi)
+    _check_depth(0 if depth is None else depth)
     exps = [psi.step_exponents(a0, params.p) for a0 in range(lo, hi + 1)]
     need = max(map(max, exps))
     if depth is None:
         return exps, need
-    if need > depth:
-        raise ValueError(f"insufficient depth: range needs level {need}, depth is {depth}")
+    _check_depth(depth, need)
     return exps, depth
 
 

@@ -25,8 +25,11 @@ the old one are refused by every operation that combines or complements sets
 
 Set algebra and products recurse once per level (two interpreter frames
 each), so depth is capped at MAX_DEPTH, well inside the interpreter's default
-recursion limit. The box-count walk and the reads that walk one path or one
-frontier (containment, coset enumeration, the .clopen parser and writer) are
+recursion limit. _check_depth states the depth rules once (depth in [0,
+MAX_DEPTH], then the deepest boxes fit), and every builder, here and in approx
+and manifold, runs it before any work; _check_level refuses a read past it.
+The box-count walk and the reads that walk one path or one frontier
+(containment, coset enumeration, the .clopen parser and writer) are
 iterative; the parser checks nesting against the header depth.
 A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
 p^n child slots is allocated, a .clopen body longer than TEXT_BUDGET is
@@ -53,11 +56,18 @@ TEXT_BUDGET = 1 << 24  # longest .clopen body to_text builds, in characters (16 
 COSET_BUDGET = 1 << 22  # most coset representatives enumerate_cosets lists
 
 
-def _check_depth(depth: int) -> None:
+def _check_depth(depth: int, level: int = 0) -> None:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the trie depth limit MAX_DEPTH={MAX_DEPTH}")
+    if level > depth:
+        raise ValueError(f"insufficient depth: boxes need level {level}, depth is {depth}")
+
+
+def _check_level(k: int, depth: int) -> None:
+    if k < 0 or k > depth:
+        raise ValueError(f"level {k} outside [0, depth={depth}]")
 
 
 class _Space:
@@ -369,17 +379,16 @@ class ClopenSet:
     def from_codes(
         cls, p: int, n: int, depth: int, groups: Mapping[tuple[int, ...], Iterable[int]]
     ) -> ClopenSet:
-        """Union over exponent vectors t of the boxes whose box_code at t is listed under t."""
-        _check_depth(depth)
+        """Union over exponent vectors t of the boxes whose box_code at t is listed under t.
+
+        Every vector and the depth are checked before the first box is built, so a
+        refused call interns no node."""
         sp = _space(p, n)
-        roots = []
-        for t, codes in groups.items():
-            if len(t) != n or min(t, default=0) < 0:
+        for t in groups:
+            if len(t) != n or min(t) < 0:
                 raise ValueError(f"exponent vector {t} needs {n} entries >= 0")
-            if max(t, default=0) > depth:
-                raise ValueError(f"insufficient depth: boxes need level {max(t)}, depth is {depth}")
-            roots.append(sp.cosets(t, codes))
-        return cls(p, n, depth, sp.union_many(roots))
+        _check_depth(depth, max(map(max, groups), default=0))
+        return cls(p, n, depth, sp.union_many([sp.cosets(t, codes) for t, codes in groups.items()]))
 
     @classmethod
     def from_cosets(cls, p: int, depth: int, t: int, residues: Iterable[int]) -> "ClopenSet":
@@ -426,8 +435,7 @@ class ClopenSet:
         return self._sp.measure(self._root)
 
     def box_count(self, k: int) -> int:
-        if k < 0 or k > self.depth:
-            raise ValueError(f"level {k} outside [0, depth={self.depth}]")
+        _check_level(k, self.depth)
         return self._sp.box_count(self._root, k)
 
     def enumerate_cosets(self, k: int) -> list[tuple[int, ...]]:
@@ -442,8 +450,7 @@ class ClopenSet:
         profile first, and more than COSET_BUDGET cosets raise ValueError
         before any is listed.
         """
-        if k < 0 or k > self.depth:
-            raise ValueError(f"level {k} outside [0, depth={self.depth}]")
+        _check_level(k, self.depth)
         count = self._sp.box_count(self._root, k)
         if count > COSET_BUDGET:
             raise ValueError(

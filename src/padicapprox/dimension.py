@@ -187,15 +187,16 @@ def manifold_lower_bound(
     tau = _fractions(tau)
     n = len(tau)
     which = which.lower()
+    if which in ("thm2.7", "thm2.9"):
+        if d + m != n:
+            raise ValueError("d + m must equal n")
+        if d < 1 or m < 0:
+            raise ValueError(f"{which} needs d >= 1 and m >= 0")
     if which == "thm2.7":
         vals = set(tau)
         if len(vals) != 1:
             raise HypothesisError("equal weights", f"got {_rationals(tau)}")
         (t,) = vals
-        if d + m != n:
-            raise ValueError("d + m must equal n")
-        if d < 1 or m < 0:
-            raise ValueError("thm2.7 needs d >= 1 and m >= 0")
         if not Fraction(1) + Fraction(1, n) < t:
             raise HypothesisError("tau > 1 + 1/n", f"got {t}")
         if m >= 1 and not t < Fraction(1) + Fraction(1, m):
@@ -214,10 +215,6 @@ def manifold_lower_bound(
             raise HypothesisError("tau_1 >= max(tau_i, n+1-sum_{j>=2} tau_j)", f"got {tau[0]} < {lower}")
         return (Fraction(n + 1) - tilde) / tau[0]
     if which == "thm2.9":
-        if d + m != n:
-            raise ValueError("d + m must equal n")
-        if d < 1 or m < 0:
-            raise ValueError("thm2.9 needs d >= 1 and m >= 0")
         _check_weighted(tau, d, m)
         return min(_jb_numerator(tau, t) / t for t in tau[:d]) - m
     raise ValueError(f"unknown formula selector {which!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .clopen import ClopenSet, box_code
+from .clopen import ClopenSet, _check_depth, box_code
 from .core import HypothesisError, PAdicInt, _rationals, _split_power, is_prime, parse_fraction
 from .exactcmp import ball_exponent, int_root_floor
 from .minkowski import (
@@ -34,7 +34,9 @@ from .minkowski import (
 )
 
 Monomial = tuple[Fraction, tuple[int, ...]]
-S_TAU_BUDGET = 30_000_000  # largest (2 h_max + 1)^d * h_max that enumerate_S_tau takes on
+# largest work enumerate_S_tau takes on: (2 h_max + 1)^(d - 1) * h_max residue columns, each of
+# 2 h_max + 1 positions plus k^3 for sampling and differencing its degree-k polynomial on big integers
+S_TAU_BUDGET = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -564,7 +566,8 @@ def enumerate_S_tau(
     tau_dep = [Fraction(t) for t in tau_dep]
     if len(tau_dep) != f.m:
         raise ValueError("need one dependent exponent per component")
-    if (2 * h_max + 1) ** f.d * h_max > S_TAU_BUDGET:
+    k = max(form.degree for form in f.forms)
+    if (2 * h_max + 1) ** (f.d - 1) * h_max * (2 * h_max + 1 + k**3) > S_TAU_BUDGET:
         raise ValueError("enumeration budget exceeded")
     if max(1, h_min) > h_max:
         return []
@@ -681,9 +684,7 @@ def cover_preimage(
         """Rectangle exponents at height h, computed once per distinct height."""
         return tuple(max(0, ball_exponent(p, [(delta, 1), (h, neg)])) for neg in negs)
 
-    worst = max(exponents(h_max))
-    if worst > depth:
-        raise ValueError(f"insufficient depth: need {worst}, have {depth}")
+    _check_depth(depth, max(exponents(h_max)))
     if points is None:
         points = enumerate_S_tau(f, tau[f.d :], h_max, h_min=h_min)
 

@@ -182,7 +182,7 @@ def test_range_callers_refuse_at_call_time():
     params = Params(3, 1)
     psi = ApproxTuple.uniform(PowerLaw(Fraction(2)), 1)
     for lo, hi, depth, message in [
-        (1, 10, 3, "insufficient depth: range needs level 5, depth is 3"),
+        (1, 10, 3, "insufficient depth: boxes need level 5, depth is 3"),
         (5, 3, None, "need 1 <= lo <= hi"),
         (0, 3, 6, "need 1 <= lo <= hi"),
     ]:
@@ -192,7 +192,7 @@ def test_range_callers_refuse_at_call_time():
             partial_limsup(params, psi, lo, hi, False, depth)
     with pytest.raises(ValueError, match="^need 1 <= lo <= hi$"):
         required_depth(params, psi, 5, 3)
-    with pytest.raises(ValueError, match="^insufficient depth: range needs level 4, depth is 3$"):
+    with pytest.raises(ValueError, match="^insufficient depth: boxes need level 4, depth is 3$"):
         build_layer(params, psi, 6, True, 3)
 
 
@@ -213,6 +213,21 @@ def test_divergence_curve_reads_no_exponent_past_its_stop(monkeypatch):
     curve = divergence_curve(params, ApproxTuple((HALF_Q,)), 10_000, depth=10, stop_above=Fraction(9, 10))
     assert curve[-1][1] > Fraction(9, 10)
     assert len(calls) <= len(curve) < 10_000
+
+
+@pytest.mark.parametrize("depth", [-1, 301])
+def test_range_pass_refuses_a_depth_out_of_bounds_before_any_exponent(monkeypatch, depth):
+    # the range pass used to evaluate every step exponent of the range before
+    # it looked at the depth, so a long range took seconds to refuse depth -1
+    import padicapprox.approx as approx
+
+    calls = []
+    monkeypatch.setattr(approx, "ball_exponent", lambda *args: calls.append(args))
+    psi = ApproxTuple.uniform(PowerLaw(Fraction(2)), 1)
+    for call in (partial_limsup, layer_sweep_rows):
+        with pytest.raises(ValueError, match="^depth (must be >= 0|301 exceeds the trie depth limit MAX_DEPTH=300)$"):
+            call(Params(3, 1), psi, 1, 10_000, False, depth)
+    assert calls == []
 
 
 def test_divergence_curve_sieves_only_as_far_as_its_rows(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicapprox import approx, clopen
+from padicapprox import approx, clopen, manifold
 from padicapprox.approx import ApproxTuple, PowerLaw, ScaledPower, build_layer, partial_limsup
 from padicapprox.cli import main
 from padicapprox.clopen import EMPTY, FULL, MAX_DEPTH, BallSpec, ClopenSet, product_set
@@ -371,10 +371,10 @@ def test_ball_table_matches_merged_and_running_unions(p, data):
     expected = merged_range_union(p, depth, layers)
     assert table.to_set() == expected == acc
     assert [table.box_count(k) for k in range(depth + 1)] == [expected.box_count(k) for k in range(depth + 1)]
-    # the table keeps only maximal balls, and its count is theirs
+    # the table keeps only maximal balls, and its level-depth count is theirs
     balls = [(t, r) for t, inner in table.balls.items() for r in inner]
     assert all(r % p**t != s for t, s in balls for u, r in balls if t < u)
-    assert table.count == sum(p ** (depth - t) for t, _ in balls)
+    assert table.box_count(depth) == sum(p ** (depth - t) for t, _ in balls)
     for k in (-1, depth + 1):
         with pytest.raises(ValueError, match=rf"^level {k} outside \[0, depth={depth}\]$"):
             table.box_count(k)
@@ -434,32 +434,85 @@ def test_ubiquity_fraction_refuses_a_nonpositive_c1():
             approx.ubiquity_fraction(Params(3, 1), [Fraction(2)], 3, 1, 14, c1)
 
 
-@pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1])
-def test_n1_paths_refuse_the_depths_a_clopen_set_refuses(depth):
-    # n = 1 refuses the depths n = 2 refuses, with the message a ClopenSet gives
-    with pytest.raises(ValueError) as refused:
-        ClopenSet.empty(3, 1, depth)
-    message = str(refused.value)
-    assert message == ("depth must be >= 0" if depth < 0 else
-                       f"depth {depth} exceeds the trie depth limit MAX_DEPTH={MAX_DEPTH}")
+SQUARE_MAPS = {1: '{"p": 3, "d": 1, "m": 1, "polys": [[["1", [2]]]]}',
+               2: '{"p": 3, "d": 2, "m": 1, "polys": [[["1", [2, 0]]]]}'}
+
+
+def depth_entry_points(n):
+    """Per entry point at dimension n: the level its boxes need, and a call at a given depth."""
+    params, psi = Params(3, n), ApproxTuple.uniform(PowerLaw(Fraction(2)), n)
+    f = manifold.PolyMap.from_json_dict(json.loads(SQUARE_MAPS[n]))
+    tau = [Fraction(12, 5)] * n + [Fraction(7, 5)]
     calls = {
-        "divergence_curve": lambda params, psi: approx.divergence_curve(params, psi, 3, depth),
-        "ubiquity_fraction": lambda params, psi: approx.ubiquity_fraction(params, [Fraction(2)] * params.n, 3, 1, depth),
-        "partial_limsup": lambda params, psi: approx.partial_limsup(params, psi, 1, 3, False, depth),
-        "_partial_union": lambda params, psi: approx._partial_union(params, psi, 1, 3, False, depth),
-        "layer_sweep_rows": lambda params, psi: list(approx.layer_sweep_rows(params, psi, 1, 3, False, depth)),
+        # psi(3) = 3^-2 is a closed ball of level 3
+        "partial_limsup": (3, lambda depth: approx.partial_limsup(params, psi, 1, 3, False, depth)),
+        "_partial_union": (3, lambda depth: approx._partial_union(params, psi, 1, 3, False, depth)),
+        "layer_sweep_rows": (3, lambda depth: list(approx.layer_sweep_rows(params, psi, 1, 3, False, depth))),
+        "build_layer": (3, lambda depth: build_layer(params, psi, 3, False, depth)),
+        "divergence_curve": (3, lambda depth: approx.divergence_curve(params, psi, 3, depth, reduced=False)),
+        # the block radius 9^-2 is a closed ball of level 5
+        "ubiquity_fraction": (5, lambda depth: approx.ubiquity_fraction(params, [Fraction(2)] * n, 3, 1, depth)),
+        # the radius 10^(-12/5) at the largest height is a closed ball of level 6
+        "cover_preimage": (6, lambda depth: manifold.cover_preimage(f, tau, Fraction(1), 10, depth)),
+        "from_codes": (4, lambda depth: ClopenSet.from_codes(3, n, depth, {(1,) * (n - 1) + (4,): [1]})),
     }
-    # the range pass of the sweep and of partial_limsup checks its levels first: no level fits depth -1
-    expected = {name: message for name in calls}
-    if depth < 0:
-        for name in ("partial_limsup", "_partial_union", "layer_sweep_rows"):
-            expected[name] = "insufficient depth: range needs level 3, depth is -1"
+    if n == 1:
+        calls["from_cosets"] = (4, lambda depth: ClopenSet.from_cosets(3, depth, 4, [1]))
+    return calls
+
+
+def depth_command_lines(n):
+    """Per command line at dimension n: the level its boxes need, and its argv before --depth."""
+    sweep = ["partial-limsup", "--p", "3", "--n", str(n), "--psi", "q^-2", "--from", "1", "--to", "3"]
+    cover = ["cover-preimage", "--map-json", SQUARE_MAPS[n], "--tau", *["12/5"] * n, "7/5", "--hmax", "10"]
+    return {
+        "partial-limsup": (3, sweep),
+        "partial-limsup --csv": (3, [*sweep, "--csv", "x.csv"]),
+        "partial-limsup --save-set": (3, [*sweep, "--save-set", "s.clopen"]),
+        "cover-preimage": (6, cover),
+    }
+
+
+@pytest.mark.parametrize("depth", [-1, None, MAX_DEPTH + 1], ids=["-1", "short", "301"])
+def test_n1_paths_refuse_the_depths_a_clopen_set_refuses(tmp_path, capsys, monkeypatch, depth):
+    # every builder refuses a bad depth with clopen's message: its bounds first, then
+    # one level short of what the boxes need (None), for n = 1 as for n = 2
+    monkeypatch.chdir(tmp_path)
+
+    def refusal(need):
+        if depth is None:
+            return need - 1, f"insufficient depth: boxes need level {need}, depth is {need - 1}"
+        if depth < 0:
+            return depth, "depth must be >= 0"
+        return depth, f"depth {depth} exceeds the trie depth limit MAX_DEPTH={MAX_DEPTH}"
+
     for n in (1, 2):
-        params, psi = Params(3, n), ApproxTuple.uniform(PowerLaw(Fraction(2)), n)
-        for name, call in calls.items():
+        for name, (need, call) in depth_entry_points(n).items():
+            at, message = refusal(need)
             with pytest.raises(ValueError) as refused:
-                call(params, psi)
-            assert (n, name, str(refused.value)) == (n, name, expected[name])
+                call(at)
+            assert (n, name, str(refused.value)) == (n, name, message)
+        for name, (need, argv) in depth_command_lines(n).items():
+            at, message = refusal(need)
+            code = main([*argv, "--depth", str(at)])
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert (n, name, code, error) == (n, name, 2, {"kind": "invalid-input", "message": message})
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_from_codes_interns_no_node():
+    # each group used to be checked only when it was built: a level past the depth in a
+    # later group (n = 1) or a malformed vector after a good one (n = 2) came after the
+    # nodes of the groups before it
+    for n, groups, message in [
+        (1, {(4,): range(0, 81, 2), (6,): [5]}, "insufficient depth: boxes need level 6, depth is 4"),
+        (2, {(2, 3): range(0, 729, 5), (1, -1): [0]}, "exponent vector (1, -1) needs 2 entries >= 0"),
+    ]:
+        sp = clopen._space(3, n)
+        nodes = len(sp._children)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClopenSet.from_codes(3, n, 4, groups)
+        assert (n, len(sp._children)) == (n, nodes)
 
 
 def test_rebuilding_an_interned_set_appends_no_node():

@@ -622,7 +622,7 @@ def test_partial_limsup_depth_zero_is_checked(capsys):
     code, out = run_cli(capsys, "partial-limsup", "--p", "3", "--psi", "q^-2", "--from", "1", "--to", "3",
                         "--depth", "0")
     assert code == 2 and out["error"] == {
-        "kind": "invalid-input", "message": "insufficient depth: range needs level 3, depth is 0"
+        "kind": "invalid-input", "message": "insufficient depth: boxes need level 3, depth is 0"
     }
 
 
@@ -762,6 +762,27 @@ def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     assert "Fraction(" not in out["error"]["message"]
 
 
+@pytest.mark.parametrize("command", [
+    ["enumerate-s-tau", "--tau", "7/5", "--hmax", "10", "--limit", "0"],
+    ["cover-preimage", "--tau", "12/5", "7/5", "--hmax", "10", "--depth", "6"],
+], ids=lambda argv: argv[0])
+def test_s_tau_budget_counts_the_map_degree(command):
+    # x^1500 used to pass the budget as 21 * 10 positions and then spend minutes sampling
+    # and differencing its residue columns; a child process bounds the wait on a regression
+    import pathlib
+
+    import padicapprox
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(padicapprox.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "padicapprox.cli", command[0],
+            "--map-json", '{"p": 3, "d": 1, "m": 1, "polys": [[["1", [1500]]]]}', *command[1:]]
+    done = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert done.returncode == 2 and json.loads(done.stdout)["error"] == {
+        "kind": "invalid-input", "message": "enumeration budget exceeded"
+    }
+
+
 def test_boxdim_set_refuses_another_prime(tmp_path, capsys):
     # the counts of a set over Z_3 used to be fitted against log 5 (slope 0.682606)
     path = tmp_path / "full.clopen"
@@ -778,7 +799,7 @@ def test_boxdim_set_refuses_another_prime(tmp_path, capsys):
 
 @pytest.mark.parametrize("bounds, message", [
     # --csv used to write five rows, then fail with "layer a0=6 needs level 4"
-    (["--from", "1", "--to", "10", "--depth", "3"], "insufficient depth: range needs level 5, depth is 3"),
+    (["--from", "1", "--to", "10", "--depth", "3"], "insufficient depth: boxes need level 5, depth is 3"),
     # --csv used to leave a header-only file
     (["--from", "5", "--to", "3"], "need 1 <= lo <= hi"),
     # --csv used to say "a0 must be a positive integer"

@@ -192,6 +192,10 @@ def test_manifold_lower_bound_hypotheses_enumerated():
     for tau, d, m in [([F(2)] * 2, 3, -1), ([F(2)] * 2, 0, 2), ([F(3, 2)] * 2, 0, 2), ([F(2)] * 3, -1, 4)]:
         with pytest.raises(ValueError, match="thm2.7 needs d >= 1 and m >= 0"):
             manifold_lower_bound(tau, d, m, "thm2.7")
+    # both formulas check the split before their hypotheses: unequal weights used to win for thm2.7
+    for which in ("thm2.7", "thm2.9"):
+        with pytest.raises(ValueError, match=f"^{which} needs d >= 1 and m >= 0$"):
+            manifold_lower_bound([F(2), F(3)], 3, -1, which)
 
 
 def test_thm29_reduces_to_jb_when_m_is_zero():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicapprox import manifold
 from padicapprox.core import HypothesisError, PAdicInt, embed_rational
 from padicapprox.manifold import (
     DirichletInstance,
@@ -220,6 +221,20 @@ def test_cover_preimage_depth_guard():
     f = square_map()
     with pytest.raises(ValueError, match="insufficient depth"):
         cover_preimage(f, [F(12, 5), F(7, 5)], F(1), 200, depth=5)
+
+
+@pytest.mark.parametrize("depth, message", [
+    (-1, "depth must be >= 0"),
+    (301, "depth 301 exceeds the trie depth limit MAX_DEPTH=300"),
+])
+def test_cover_preimage_refuses_a_bad_depth_before_enumerating(monkeypatch, depth, message):
+    # the depth used to be checked against the boxes only, so 301 ran the whole
+    # enumeration before the set builder refused it
+    calls = []
+    monkeypatch.setattr(manifold, "enumerate_S_tau", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cover_preimage(square_map(), [F(12, 5), F(7, 5)], F(1), 2000, depth)
+    assert calls == []
 
 
 def test_rational_point_flags():
