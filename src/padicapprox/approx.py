@@ -22,11 +22,11 @@ partial_limsup, ubiquity_fraction and layer_sweep_rows take an n = 1 layer,
 the level-t cosets of its residues, into a table of the maximal balls of the
 union: balls of Z_p are nested or disjoint, so measures and box counts are
 integer sums over them, and one coset build per t makes the set when asked.
-No depth rule is stated here: the range pass, the table (when made and per
-level added) and the n >= 2 layers refuse a depth with clopen's _check_depth,
-so every entry point gives clopen's message. n >= 2 layers go to one n-ary
-union, or one union per sweep row. The rows read each layer measure from the
-layer record, not from a built set.
+No depth or space rule is stated here: the range pass, the table (when made
+and per level added) and the n >= 2 layers refuse through clopen's
+_check_depth and _check_space, so every entry point gives clopen's message.
+n >= 2 layers go to one n-ary union, or one union per sweep row. The rows read
+each layer measure from the layer record, not from a built set.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .clopen import ClopenSet, _check_depth, _check_level, product_set
+from .clopen import ClopenSet, _check_depth, _check_level, _check_space, product_set
 from .core import ExactnessError, Params, _split_power, euler_phi, totient_sieve
 from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
@@ -275,6 +275,7 @@ class _BallTable:
 
     def __init__(self, p: int, depth: int):
         _check_depth(depth)
+        _check_space(p, 1)  # the rule of the set it stands for, without making its space
         self.p, self.depth = p, depth
         self.balls: dict[int, set[int]] = {}
 

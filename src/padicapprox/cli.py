@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import approx, dimension, manifold, minkowski
 from .clopen import ClopenSet
-from .core import HypothesisError, PAdicInt, Params, embed_rational, is_prime, parse_fraction
+from .core import HypothesisError, PAdicInt, Params, _check_prime, embed_rational, parse_fraction
 
 SCHEMA_VERSION = "1"
 
@@ -243,8 +243,7 @@ def cmd_minkowski(args) -> None:
 
 
 def _random_minkowski_sweep(args) -> None:
-    if not is_prime(args.p):  # the sweep draws its own primes, but --p must still be one
-        raise ValueError(f"p must be prime, got {args.p}")
+    _check_prime(args.p)  # the sweep draws its own primes, but --p must still be one
     seed = 0 if args.seed is None else args.seed
     rng = random.Random(seed)
     solved = verified = surplus_ok = 0

@@ -31,10 +31,10 @@ and manifold, runs it before any work; _check_level refuses a read past it.
 The box-count walk and the reads that walk one path or one frontier
 (containment, coset enumeration, the .clopen parser and writer) are
 iterative; the parser checks nesting against the header depth.
-A (p, n) space is refused when p^n exceeds MAX_WIDTH, before any node of
-p^n child slots is allocated, a .clopen body longer than TEXT_BUDGET is
-refused before any of it is written, and more than COSET_BUDGET coset
-representatives are refused before any is listed.
+(p, n) is core.Params' rule and a box center core._residue's; _check_space
+adds MAX_WIDTH: a wider p^n is refused before any space or n = 1 ball table is
+made, a .clopen body longer than TEXT_BUDGET before any of it is written, and
+more than COSET_BUDGET coset representatives before any is listed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import islice, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import is_prime
+from .core import Params, _residue
 
 EMPTY = 0
 FULL = 1
@@ -268,19 +268,18 @@ class _Space:
 _SPACES: dict[tuple[int, int], _Space] = {}
 
 
+def _check_space(p: int, n: int) -> None:
+    Params(p, n)  # p prime and n >= 1
+    # p >= 2, so a large n fails the first test before p**n is formed
+    if n >= MAX_WIDTH.bit_length() or p**n > MAX_WIDTH:
+        raise ValueError(f"p^n = {p}^{n} exceeds the trie width limit MAX_WIDTH={MAX_WIDTH}")
+
+
 def _space(p: int, n: int) -> _Space:
-    key = (p, n)
-    sp = _SPACES.get(key)
+    sp = _SPACES.get((p, n))
     if sp is None:
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if n < 1:
-            raise ValueError("n >= 1 required")
-        # p >= 2, so a large n fails the first test before p**n is formed
-        if n >= MAX_WIDTH.bit_length() or p**n > MAX_WIDTH:
-            raise ValueError(f"p^n = {p}^{n} exceeds the trie width limit MAX_WIDTH={MAX_WIDTH}")
-        sp = _Space(p, n)
-        _SPACES[key] = sp
+        _check_space(p, n)
+        sp = _SPACES[p, n] = _Space(p, n)
     return sp
 
 
@@ -367,11 +366,7 @@ class ClopenSet:
         _space(p, n)  # p and n are valid before any residue is taken mod p^t
         groups: dict[tuple[int, ...], list[int]] = {}
         for rect in rects:
-            residues = []
-            for c, t in zip(rect.center, rect.exponents):
-                if c.denominator % p == 0:
-                    raise ValueError(f"center {c} is not a p-adic integer for p={p}")
-                residues.append(c.numerator * pow(c.denominator, -1, p**t))
+            residues = [_residue(c, p, t) for c, t in zip(rect.center, rect.exponents)]
             groups.setdefault(rect.exponents, []).append(box_code(p, residues, rect.exponents))
         return cls.from_codes(p, n, depth, groups)
 

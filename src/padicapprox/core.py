@@ -3,6 +3,10 @@
 Everything here is exact: valuations and norms of rationals are computed from
 integer factor counts, p-adic integers are residue classes mod p^K, and no
 floating point enters any value that a caller might compare against.
+
+Two input rules have their one owner here: _check_prime ("p must be prime")
+and _residue, which takes a rational mod p^k and refuses one whose reduced
+denominator p divides. Params owns the (p, n) rule, PAdicInt its precision.
 """
 
 from __future__ import annotations
@@ -60,10 +64,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def _residue(x: Fraction, p: int, k: int) -> int:
+    """An integer congruent to x mod p^k; refused unless p is prime to x's reduced denominator."""
+    if x.denominator % p == 0:
+        raise ValueError(f"{x} is not a p-adic integer for p={p}")
+    return x.numerator * pow(x.denominator, -1, p**k)
+
+
 def valuation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational: x = p^v * (a/b) with p coprime to a, b."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation undefined (infinite) for 0")
@@ -83,8 +98,7 @@ def norm(x: int | Fraction, p: int) -> Fraction:
     """p-adic absolute value |x|_p = p^{-v_p(x)}, with |0|_p = 0. Exact rational."""
     x = Fraction(x)
     if x == 0:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         return Fraction(0)
     return Fraction(p) ** -valuation(x, p)
 
@@ -126,8 +140,7 @@ class Params:
     n: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        _check_prime(self.p)
         if self.n < 1:
             raise ValueError("n >= 1 required")
 
@@ -145,8 +158,7 @@ class PAdicInt:
     residue: int
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ValueError(f"prime must be prime, got {self.prime}")
+        _check_prime(self.prime)
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.prime**self.precision)
@@ -198,19 +210,10 @@ class PAdicInt:
 
 def embed_rational(a: int | Fraction, b: int = 1, *, p: int, precision: int) -> PAdicInt:
     """Embed a/b into Z_p mod p^precision; requires b != 0 and the reduced denominator coprime to p."""
-    if not is_prime(p):
-        raise ValueError(f"prime must be prime, got {p}")
     if b == 0:
         raise ZeroDivisionError("b must be nonzero")
-    frac = Fraction(a) / b
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    mod = p**precision
-    den = frac.denominator
-    if den % p == 0:
-        raise ValueError(f"not a p-adic integer: denominator {den} divisible by {p}")
-    inv = pow(den, -1, mod)
-    return PAdicInt(p, precision, frac.numerator * inv)
+    PAdicInt(p, precision, 0)  # PAdicInt checks p and precision before any residue is taken
+    return PAdicInt(p, precision, _residue(Fraction(a) / b, p, precision))
 
 
 def shift_map(x: PAdicInt) -> PAdicInt:

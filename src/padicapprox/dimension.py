@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import HypothesisError, _rationals, is_prime
+from .core import HypothesisError, _check_prime, _rationals
 
 
 def _fractions(values: Sequence) -> tuple[Fraction, ...]:
@@ -78,6 +78,8 @@ def waterfill_level(tau: Sequence[Fraction], target: Fraction) -> Fraction:
     """The unique c with sum_i min(tau_i, c) = target, for target <= sum(tau)."""
     tau = _fractions(tau)
     target = Fraction(target)
+    if not tau:
+        raise ValueError("tau must not be empty")
     if target > sum(tau):
         raise ValueError("target exceeds sum(tau)")
     srt = sorted(tau)
@@ -91,7 +93,7 @@ def waterfill_level(tau: Sequence[Fraction], target: Fraction) -> Fraction:
         if value_at_t >= target:
             return (target - total_low) / remaining
         total_low += t
-    return srt[-1]
+    # not reached: at the last entry the value is sum(tau) >= target
 
 
 def waterfill_alpha(tau: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -155,6 +157,8 @@ def ww_exponent(
     t = _fractions(t)
     if len(a) != len(t):
         raise ValueError("a and t must have equal length")
+    if not a:
+        raise ValueError("a and t must not be empty")
     if any(x <= 0 for x in a) or any(x < 0 for x in t):
         raise HypothesisError("a_i > 0 and t_i >= 0", f"got a={_rationals(a)}, t={_rationals(t)}")
     if variant not in ("K2-sum", "K3-sum"):
@@ -243,8 +247,7 @@ def boxdim_estimate(
     level or count, at least 3 levels with nonzero counts, and no level
     given twice.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
     if drop_coarsest < 0:
         raise ValueError(f"need drop_coarsest >= 0, got {drop_coarsest}")
     given = sorted((int(k), int(N)) for k, N in counts)

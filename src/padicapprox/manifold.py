@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .clopen import ClopenSet, _check_depth, box_code
-from .core import HypothesisError, PAdicInt, _rationals, _split_power, is_prime, parse_fraction
+from .clopen import ClopenSet, _check_depth, _space, box_code
+from .core import HypothesisError, PAdicInt, _check_prime, _rationals, _residue, _split_power, parse_fraction
 from .exactcmp import ball_exponent, int_root_floor
 from .minkowski import (
     LinearFormSystem,
@@ -102,8 +102,7 @@ class PolyMap:
     forms: tuple[IntegerForm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        _check_prime(self.p)
         if self.d < 1 or self.m < 1:
             raise ValueError("d >= 1 and m >= 1 required")
         if len(self.polys) != self.m:
@@ -116,8 +115,7 @@ class PolyMap:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.d or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector {exps}")
-                if coeff.denominator % self.p == 0:
-                    raise ValueError(f"coefficient {coeff} is not a p-adic integer")
+                _residue(coeff, self.p, 0)  # refuses a coefficient that is not a p-adic integer
                 if coeff != 0:
                     mono.append((coeff, exps))
             normalized.append(tuple(sorted(mono, key=lambda t: t[1])))
@@ -685,6 +683,7 @@ def cover_preimage(
         return tuple(max(0, ball_exponent(p, [(delta, 1), (h, neg)])) for neg in negs)
 
     _check_depth(depth, max(exponents(h_max)))
+    _space(p, f.d)  # the space rule too, before S_tau is enumerated
     if points is None:
         points = enumerate_S_tau(f, tau[f.d :], h_max, h_min=h_min)
 

@@ -434,14 +434,15 @@ def test_ubiquity_fraction_refuses_a_nonpositive_c1():
             approx.ubiquity_fraction(Params(3, 1), [Fraction(2)], 3, 1, 14, c1)
 
 
-SQUARE_MAPS = {1: '{"p": 3, "d": 1, "m": 1, "polys": [[["1", [2]]]]}',
-               2: '{"p": 3, "d": 2, "m": 1, "polys": [[["1", [2, 0]]]]}'}
+def square_map(n, p=3):
+    """The JSON of x_1^2 on Z_p^n, as --map-json takes it."""
+    return json.dumps({"p": p, "d": n, "m": 1, "polys": [[["1", [2] + [0] * (n - 1)]]]})
 
 
-def depth_entry_points(n):
-    """Per entry point at dimension n: the level its boxes need, and a call at a given depth."""
-    params, psi = Params(3, n), ApproxTuple.uniform(PowerLaw(Fraction(2)), n)
-    f = manifold.PolyMap.from_json_dict(json.loads(SQUARE_MAPS[n]))
+def depth_entry_points(n, p=3):
+    """Per entry point at dimension n: the level its boxes need at p = 3, and a call at a given depth."""
+    params, psi = Params(p, n), ApproxTuple.uniform(PowerLaw(Fraction(2)), n)
+    f = manifold.PolyMap.from_json_dict(json.loads(square_map(n, p)))
     tau = [Fraction(12, 5)] * n + [Fraction(7, 5)]
     calls = {
         # psi(3) = 3^-2 is a closed ball of level 3
@@ -454,17 +455,17 @@ def depth_entry_points(n):
         "ubiquity_fraction": (5, lambda depth: approx.ubiquity_fraction(params, [Fraction(2)] * n, 3, 1, depth)),
         # the radius 10^(-12/5) at the largest height is a closed ball of level 6
         "cover_preimage": (6, lambda depth: manifold.cover_preimage(f, tau, Fraction(1), 10, depth)),
-        "from_codes": (4, lambda depth: ClopenSet.from_codes(3, n, depth, {(1,) * (n - 1) + (4,): [1]})),
+        "from_codes": (4, lambda depth: ClopenSet.from_codes(p, n, depth, {(1,) * (n - 1) + (4,): [1]})),
     }
     if n == 1:
-        calls["from_cosets"] = (4, lambda depth: ClopenSet.from_cosets(3, depth, 4, [1]))
+        calls["from_cosets"] = (4, lambda depth: ClopenSet.from_cosets(p, depth, 4, [1]))
     return calls
 
 
-def depth_command_lines(n):
-    """Per command line at dimension n: the level its boxes need, and its argv before --depth."""
-    sweep = ["partial-limsup", "--p", "3", "--n", str(n), "--psi", "q^-2", "--from", "1", "--to", "3"]
-    cover = ["cover-preimage", "--map-json", SQUARE_MAPS[n], "--tau", *["12/5"] * n, "7/5", "--hmax", "10"]
+def depth_command_lines(n, p=3):
+    """Per command line at dimension n: the level its boxes need at p = 3, and its argv before --depth."""
+    sweep = ["partial-limsup", "--p", str(p), "--n", str(n), "--psi", "q^-2", "--from", "1", "--to", "3"]
+    cover = ["cover-preimage", "--map-json", square_map(n, p), "--tau", *["12/5"] * n, "7/5", "--hmax", "10"]
     return {
         "partial-limsup": (3, sweep),
         "partial-limsup --csv": (3, [*sweep, "--csv", "x.csv"]),
@@ -497,6 +498,26 @@ def test_n1_paths_refuse_the_depths_a_clopen_set_refuses(tmp_path, capsys, monke
             code = main([*argv, "--depth", str(at)])
             error = json.loads(capsys.readouterr().out)["error"]
             assert (n, name, code, error) == (n, name, 2, {"kind": "invalid-input", "message": message})
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_n1_paths_refuse_the_spaces_a_clopen_set_refuses(tmp_path, capsys, monkeypatch):
+    # p^n = 4099^n exceeds MAX_WIDTH: the n = 1 ball table used to answer without a
+    # space (partial-limsup plain and --csv exited 0), and cover_preimage refused only
+    # after enumerating S_tau; a depth that fits the boxes at p = 3 fits them at p = 4099
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(manifold, "enumerate_S_tau", lambda *a, **k: pytest.fail("enumerated S_tau"))
+    for n in (1, 2):
+        # an n = 2 layer is a product of n = 1 factors, so it may meet the (p, 1) space first
+        refusals = {f"p^n = 4099^{k} exceeds the trie width limit MAX_WIDTH={clopen.MAX_WIDTH}" for k in (1, n)}
+        for name, (need, call) in depth_entry_points(n, 4099).items():
+            with pytest.raises(ValueError) as refused:
+                call(need)
+            assert str(refused.value) in refusals, (n, name)
+        for name, (need, argv) in depth_command_lines(n, 4099).items():
+            code = main([*argv, "--depth", str(need)])
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert code == 2 and error["message"] in refusals, (n, name, error)
             assert list(tmp_path.iterdir()) == []
 
 

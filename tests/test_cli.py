@@ -662,11 +662,11 @@ def violated(failed, detail):
      {"kind": "invalid-input", "message": "p must be prime, got 4"}),
     # the form was reduced mod p^precision first: ZeroDivisionError at p = 0, a divisibility message at p = 1
     (["minkowski", "--p", "0", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
-     {"kind": "invalid-input", "message": "prime must be prime, got 0"}),
+     {"kind": "invalid-input", "message": "p must be prime, got 0"}),
     (["minkowski", "--p", "1", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
-     {"kind": "invalid-input", "message": "prime must be prime, got 1"}),
+     {"kind": "invalid-input", "message": "p must be prime, got 1"}),
     (["minkowski", "--p", "4", "--form", "1,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
-     {"kind": "invalid-input", "message": "prime must be prime, got 4"}),
+     {"kind": "invalid-input", "message": "p must be prime, got 4"}),
     # a negative drop used to slice off all but the finest levels and fit [3, 4, 5]
     (["boxdim", "--p", "3", "--counts", "0:1,1:3,2:9,3:27,4:81,5:200", "--drop-coarsest", "-3"],
      {"kind": "invalid-input", "message": "need drop_coarsest >= 0, got -3"}),
@@ -751,6 +751,27 @@ def violated(failed, detail):
      {"kind": "invalid-input", "message": "--seed seeds only the --random sweep; drop --seed"}),
     (["minkowski", "--p", "3", "--form", "7,-1", "--height", "8", "8", "--tau", "2", "--sigma", "1", "--seed", "0"],
      {"kind": "invalid-input", "message": "--seed seeds only the --random sweep; drop --seed"}),
+    (["khintchine", "--p", "3", "--psi", "1/(0q)", "--terms", "5"],
+     {"kind": "invalid-input", "message": "division by zero in the approximation function"}),
+    (["measure-layer", "--p", "3", "--psi", "table:2=0", "--a0", "2"],
+     {"kind": "invalid-input", "message": "table values must be positive"}),
+    (["dirichlet-solve", "--map-json", SQUARE, "--x", "1,2", "--tau", "7/5", "--v", "8/5", "--H", "64"],
+     {"kind": "invalid-input", "message": "x must have d coordinates"}),
+    (["dirichlet-solve", "--map-json", SQUARE, "--x", "1", "--tau", "7/5", "7/5", "--v", "8/5", "--H", "64"],
+     {"kind": "invalid-input", "message": "tau must have m entries and v must have d entries"}),
+    (["dirichlet-solve", "--map-json", SQUARE, "--x", "1", "--tau", "7/5", "--v", "8/5", "--H", "0"],
+     {"kind": "invalid-input", "message": "H >= 1 required"}),
+    (["cover-preimage", "--map-json", SQUARE, "--tau", "12/5", "--hmax", "10", "--depth", "6"],
+     {"kind": "invalid-input", "message": "tau must carry all n exponents"}),
+    (["cover-preimage", "--map-json", SQUARE, "--tau", "12/5", "7/5", "--delta", "2", "--hmax", "10", "--depth", "6"],
+     {"kind": "invalid-input", "message": "need 0 < delta <= 1"}),
+    (["dim", "ww", "--a", "1", "2", "--t", "1"], {"kind": "invalid-input", "message": "a and t must have equal length"}),
+    (["dim", "manifold", "--tau", "3", "2", "--d", "1", "--m", "1", "--which", "thm2.8"],
+     {"kind": "hypothesis", "failed": "sum_{j>=2} tau_j < n",
+      "message": "hypothesis violated: sum_{j>=2} tau_j < n (got 2)"}),
+    # core._residue's message; the form path used to say "not a p-adic integer: denominator 3 divisible by 3"
+    (["minkowski", "--p", "3", "--form", "1/3,2", "--height", "5", "5", "--tau", "2", "--sigma", "1"],
+     {"kind": "invalid-input", "message": "1/3 is not a p-adic integer for p=3"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_two(capsys, monkeypatch, tmp_path, argv, error):
     from padicapprox.clopen import ClopenSet

@@ -174,6 +174,21 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_matches_a_sieve_and_refuses_strong_pseudoprimes():
+    # every composite below 50 has a trial-division factor; the Miller-Rabin
+    # rounds' composite branch needs one without, such as those pinned below
+    limit = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+    assert [n for n in range(-3, limit + 1) if is_prime(n)] == [n for n in range(limit + 1) if sieve[n]]
+    # 41 * 43, then strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    for n in (1763, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+
+
 @settings(max_examples=100)
 @given(
     num=st.integers(1, 10**9),

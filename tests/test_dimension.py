@@ -72,6 +72,14 @@ def test_waterfill_level():
     assert waterfill_level([F(2), F(2)], F(4)) == F(2)
 
 
+def test_empty_inputs_are_refused_by_name():
+    # waterfill_level([], 0) used to raise IndexError, and ww_exponent([], []) TypeError
+    with pytest.raises(ValueError, match="^tau must not be empty$"):
+        waterfill_level([], 0)
+    with pytest.raises(ValueError, match="^a and t must not be empty$"):
+        ww_exponent([], [])
+
+
 def test_waterfill_alpha_examples():
     alpha, c = waterfill_alpha([F(3), F(2)])
     assert alpha == (F(3, 2), F(3, 2)) and c == F(3, 2)

@@ -220,7 +220,8 @@ def column_inputs(draw):
     return f, tau_dep, h_max, h_min
 
 
-@settings(max_examples=120, deadline=None)
+# derandomized: unseeded draws made its time vary from 6 to 15 s between runs of one tree
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(column_inputs())
 # x^2 + 1 over Z_3 with tau = -1/2: the level is 3 at h = 1 and 1 above it, so
 # the top modulus is not the one at h_max
