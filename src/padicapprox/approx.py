@@ -22,9 +22,10 @@ partial_limsup, ubiquity_fraction and layer_sweep_rows take an n = 1 layer,
 the level-t cosets of its residues, into a table of the maximal balls of the
 union: balls of Z_p are nested or disjoint, so measures and box counts are
 integer sums over them, and one coset build per t makes the set when asked.
-No depth or space rule is stated here: the range pass, the table (when made
-and per level added) and the n >= 2 layers refuse through clopen's
-_check_depth and _check_space, so every entry point gives clopen's message.
+No depth or space rule is stated here: the range pass (before any step
+exponent), the union of a range, the table (when made and per level added)
+and the n >= 2 layers refuse through clopen's _check_depth and _space, so
+every entry point gives clopen's message for its own (p, n).
 n >= 2 layers go to one n-ary union, or one union per sweep row. The rows read
 each layer measure from the layer record, not from a built set.
 """
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .clopen import ClopenSet, _check_depth, _check_level, _check_space, product_set
+from .clopen import ClopenSet, _check_depth, _check_level, _space, product_set
 from .core import ExactnessError, Params, _split_power, euler_phi, totient_sieve
 from .exactcmp import ball_exponent, cmp_powprod, frac_pow
 
@@ -253,9 +254,8 @@ def _reference(params: Params, a0: int, exps: Iterable[int]) -> Fraction:
 
 
 def build_layer(params: Params, psi: ApproxTuple, a0: int, reduced: bool, depth: int) -> ClopenSet:
-    """The layer as an exact ClopenSet in Z_p^n: the range pass over [a0, a0]."""
-    (exps,), depth = _range_exponents(params, psi, a0, a0, depth)
-    return _layer(params, _layer_record(params.p, a0, exps, reduced), depth)
+    """The layer as an exact ClopenSet in Z_p^n: partial_limsup over [a0, a0]."""
+    return partial_limsup(params, psi, a0, a0, reduced, depth)
 
 
 def _layer(params: Params, record: Sequence[tuple[int, set[int]]], depth: int) -> ClopenSet:
@@ -275,7 +275,7 @@ class _BallTable:
 
     def __init__(self, p: int, depth: int):
         _check_depth(depth)
-        _check_space(p, 1)  # the rule of the set it stands for, without making its space
+        _space(p, 1)  # the rule of the set it stands for; its empty space interns no node
         self.p, self.depth = p, depth
         self.balls: dict[int, set[int]] = {}
 
@@ -315,11 +315,13 @@ def _range_exponents(
     """The step exponents of every a0 in [lo, hi], each evaluated once, and the depth.
 
     Their maximum is the depth when none is given, and a short depth fails
-    before any layer; a bad range or a depth out of bounds before any exponent."""
+    before any layer; a bad range, a depth out of bounds or a (p, n) space clopen
+    refuses before any exponent."""
     if lo > hi or lo < 1:
         raise ValueError("need 1 <= lo <= hi")
     _check_n(params, psi)
     _check_depth(0 if depth is None else depth)
+    _space(params.p, params.n)
     exps = [psi.step_exponents(a0, params.p) for a0 in range(lo, hi + 1)]
     need = max(map(max, exps))
     if depth is None:
@@ -349,6 +351,7 @@ def _partial_union(params: Params, psi: ApproxTuple, lo: int, hi: int, reduced: 
 
 def _range_union(params: Params, a0s: range, exps: Iterable[Sequence[int]], reduced: bool, depth: int):
     """Union of the layers of the a0s at their step exponents: for n = 1 their ball table."""
+    _space(params.p, params.n)  # before the (p, 1) factors of a first n >= 2 layer
     if params.n == 1:
         table = _BallTable(params.p, depth)
         for a0, e in zip(a0s, exps):

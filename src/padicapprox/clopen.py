@@ -31,10 +31,10 @@ and manifold, runs it before any work; _check_level refuses a read past it.
 The box-count walk and the reads that walk one path or one frontier
 (containment, coset enumeration, the .clopen parser and writer) are
 iterative; the parser checks nesting against the header depth.
-(p, n) is core.Params' rule and a box center core._residue's; _check_space
-adds MAX_WIDTH: a wider p^n is refused before any space or n = 1 ball table is
-made, a .clopen body longer than TEXT_BUDGET before any of it is written, and
-more than COSET_BUDGET coset representatives before any is listed.
+(p, n) is core.Params' rule and a box center core._residue's; _space adds
+MAX_WIDTH where it makes a space: a wider p^n is refused before any node is
+interned, a .clopen body longer than TEXT_BUDGET before any of it is written,
+and more than COSET_BUDGET coset representatives before any is listed.
 """
 
 from __future__ import annotations
@@ -268,17 +268,13 @@ class _Space:
 _SPACES: dict[tuple[int, int], _Space] = {}
 
 
-def _check_space(p: int, n: int) -> None:
-    Params(p, n)  # p prime and n >= 1
-    # p >= 2, so a large n fails the first test before p**n is formed
-    if n >= MAX_WIDTH.bit_length() or p**n > MAX_WIDTH:
-        raise ValueError(f"p^n = {p}^{n} exceeds the trie width limit MAX_WIDTH={MAX_WIDTH}")
-
-
 def _space(p: int, n: int) -> _Space:
     sp = _SPACES.get((p, n))
     if sp is None:
-        _check_space(p, n)
+        Params(p, n)  # p prime and n >= 1
+        # p >= 2, so a large n fails the first test before p**n is formed
+        if n >= MAX_WIDTH.bit_length() or p**n > MAX_WIDTH:
+            raise ValueError(f"p^n = {p}^{n} exceeds the trie width limit MAX_WIDTH={MAX_WIDTH}")
         sp = _SPACES[p, n] = _Space(p, n)
     return sp
 

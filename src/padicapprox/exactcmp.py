@@ -48,14 +48,6 @@ def cmp_powprod(lhs: PowerProduct, rhs: PowerProduct) -> int:
     return (left > right) - (left < right)
 
 
-def _log_int(n: int) -> float:
-    """Natural log of a positive integer, safe for arbitrarily large ints."""
-    bits = n.bit_length()
-    if bits <= 900:
-        return math.log(n)
-    return math.log(n >> (bits - 900)) + (bits - 900) * math.log(2)
-
-
 def _floor_log(p: int, s: int, num: int, den: int) -> int:
     """max{e in Z : p^e <= (num/den)^(1/s)}: a float seed, corrected by p^(e*s) * den <= num."""
 
@@ -63,7 +55,7 @@ def _floor_log(p: int, s: int, num: int, den: int) -> int:
         k = e * s
         return p**k * den <= num if k >= 0 else den <= num * p**-k
 
-    est = int((_log_int(num) - _log_int(den)) / (s * math.log(p)))
+    est = int((math.log(num) - math.log(den)) / (s * math.log(p)))
     while not at_most(est):
         est -= 1
     while at_most(est + 1):

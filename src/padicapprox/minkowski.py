@@ -4,8 +4,9 @@ Given n forms L_i in (x_0, ..., x_n) with p-adic integer coefficients, height
 bounds H_j, exponents tau (summing to n+1) and shifts sigma (summing to n), the
 pigeonhole argument buckets the value vectors (L_i(x) mod p^{delta_i}) over the
 box 0 <= x_j <= H_j and returns the difference of the first colliding pair in
-lex order. The bucket exponents delta_i are the exact integers with
-p^{delta_i - 1} <= p^{-sigma_i} T^{tau_i} < p^{delta_i}, T^{n+1} = prod(H_j+1).
+lex order. The bucket exponent delta_i is the closed-ball exponent of the lemma
+radius p^{sigma_i} T^{-tau_i}, T^{n+1} = prod(H_j+1): the exact integer with
+p^{delta_i - 1} <= p^{-sigma_i} T^{tau_i} < p^{delta_i}.
 
 Computed at exact T (no epsilon perturbation): the bucket bound p^{-delta_i} is
 then strictly below p^{sigma_i} T^{-tau_i}, so any collision difference
@@ -31,7 +32,7 @@ from operator import mul
 from typing import Sequence
 
 from .core import PAdicInt, _split_power
-from .exactcmp import floor_log_powprod
+from .exactcmp import PowerProduct, ball_exponent, floor_log_powprod
 
 
 class BelowThresholdError(ValueError):
@@ -90,15 +91,16 @@ class LinearFormSystem:
         return math.prod(h + 1 for h in self.heights)
 
 
+def _lemma_radii(sys: LinearFormSystem) -> list[PowerProduct]:
+    """Per form, the lemma radius p^{sigma_i} T^{-tau_i} as a power product."""
+    return [[(sys.p, s), (sys.t_power, -t / (sys.n + 1))] for s, t in zip(sys.sigma, sys.tau)]
+
+
 def bucket_exponents(sys: LinearFormSystem) -> tuple[int, ...]:
-    """The unique integers with p^{delta_i-1} <= p^{-sigma_i} T^{tau_i} < p^{delta_i}."""
+    """The closed-ball exponents of the lemma radii: p^{delta_i-1} <= p^{-sigma_i} T^{tau_i} < p^{delta_i}."""
     out = []
-    for i in range(sys.n):
-        value = [
-            (Fraction(sys.p), -sys.sigma[i]),
-            (Fraction(sys.t_power), sys.tau[i] / (sys.n + 1)),
-        ]
-        delta = floor_log_powprod(sys.p, value) + 1
+    for i, radius in enumerate(_lemma_radii(sys)):
+        delta = ball_exponent(sys.p, radius)
         if delta < 0:
             raise BelowThresholdError(
                 f"below H_sigma threshold: bucket exponent {delta} < 0 for form {i}"
@@ -118,11 +120,7 @@ class MinkowskiSolution:
 
 def lemma_thresholds(sys: LinearFormSystem) -> tuple[int, ...]:
     """m_i = least v with p^{-v} <= p^{sigma_i} T^{-tau_i}; always m_i <= delta_i."""
-    p, t_power = Fraction(sys.p), Fraction(sys.t_power)
-    return tuple(
-        -floor_log_powprod(sys.p, [(p, s), (t_power, -t / (sys.n + 1))])
-        for s, t in zip(sys.sigma, sys.tau)
-    )
+    return tuple(-floor_log_powprod(sys.p, radius) for radius in _lemma_radii(sys))
 
 
 def _lemma_moduli(sys: LinearFormSystem) -> list[int]:

@@ -504,20 +504,21 @@ def test_n1_paths_refuse_the_depths_a_clopen_set_refuses(tmp_path, capsys, monke
 def test_n1_paths_refuse_the_spaces_a_clopen_set_refuses(tmp_path, capsys, monkeypatch):
     # p^n = 4099^n exceeds MAX_WIDTH: the n = 1 ball table used to answer without a
     # space (partial-limsup plain and --csv exited 0), and cover_preimage refused only
-    # after enumerating S_tau; a depth that fits the boxes at p = 3 fits them at p = 4099
+    # after enumerating S_tau; a depth that fits the boxes at p = 3 fits them at p = 4099.
+    # An n = 2 layer is a product of (p, 1) factors, and the plain and --save-set sweeps
+    # used to meet that space first and say 4099^1
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(manifold, "enumerate_S_tau", lambda *a, **k: pytest.fail("enumerated S_tau"))
     for n in (1, 2):
-        # an n = 2 layer is a product of n = 1 factors, so it may meet the (p, 1) space first
-        refusals = {f"p^n = 4099^{k} exceeds the trie width limit MAX_WIDTH={clopen.MAX_WIDTH}" for k in (1, n)}
+        refusal = f"p^n = 4099^{n} exceeds the trie width limit MAX_WIDTH={clopen.MAX_WIDTH}"
         for name, (need, call) in depth_entry_points(n, 4099).items():
             with pytest.raises(ValueError) as refused:
                 call(need)
-            assert str(refused.value) in refusals, (n, name)
+            assert (n, name, str(refused.value)) == (n, name, refusal)
         for name, (need, argv) in depth_command_lines(n, 4099).items():
             code = main([*argv, "--depth", str(need)])
             error = json.loads(capsys.readouterr().out)["error"]
-            assert code == 2 and error["message"] in refusals, (n, name, error)
+            assert (n, name, code, error["message"]) == (n, name, 2, refusal)
             assert list(tmp_path.iterdir()) == []
 
 

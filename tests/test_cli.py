@@ -849,7 +849,8 @@ def test_partial_limsup_bad_boxes_level_leaves_no_file(tmp_path, capsys, n):
 @pytest.mark.parametrize("files", [[], ["--csv", "sweep.csv"]], ids=["plain", "--csv"])
 def test_partial_limsup_n1_builds_a_trie_only_for_save_set(tmp_path, capsys, monkeypatch, files):
     # the measure and box counts are read off the maximal balls of the union; the
-    # (3, 1) space used to hold the union's trie, and with --csv one trie per row
+    # (3, 1) space used to hold the union's trie, and with --csv one trie per row.
+    # The range pass makes the space to check (p, n), so it holds only EMPTY and FULL
     from padicapprox import clopen
 
     monkeypatch.chdir(tmp_path)
@@ -858,7 +859,7 @@ def test_partial_limsup_n1_builds_a_trie_only_for_save_set(tmp_path, capsys, mon
             "--boxes", "3", "4", "5", "6", *files]
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out["measure"] == "2899/59049"
-    assert clopen._SPACES == {}
+    assert list(clopen._SPACES) == [(3, 1)] and len(clopen._SPACES[(3, 1)]._children) == 2
     assert run_cli(capsys, *argv, "--save-set", "tail.clopen") == (0, out)
     assert list(clopen._SPACES) == [(3, 1)] and len(clopen._SPACES[(3, 1)]._children) > 2
 

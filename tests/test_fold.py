@@ -66,7 +66,7 @@ from padicapprox.core import (
     valuation,
 )
 from padicapprox.dimension import jb_dimension, manifold_lower_bound, rynne_dimension, waterfill_alpha, waterfill_v
-from padicapprox.exactcmp import _log_int, ball_exponent, cmp_powprod, floor_log_powprod
+from padicapprox.exactcmp import ball_exponent, cmp_powprod, floor_log_powprod
 from padicapprox.manifold import (
     DirichletInstance,
     PolyMap,
@@ -264,7 +264,7 @@ def old_floor_log(value, base):
     value = Fraction(value)
     if value <= 0:
         raise ValueError("floor_log needs a positive value")
-    est = int((_log_int(value.numerator) - _log_int(value.denominator)) / math.log(base))
+    est = int((math.log(value.numerator) - math.log(value.denominator)) / math.log(base))
     while Fraction(base) ** est > value:
         est -= 1
     while Fraction(base) ** (est + 1) <= value:

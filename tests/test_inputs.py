@@ -2,18 +2,22 @@
 
 The CLI maps ValueError to exit status 2 with a JSON error, so any other
 exception escaping `parse_psi` or `PolyMap.from_json_dict` would surface as a
-traceback and exit status 1. The last test fuzzes whole command lines drawn
-from the parser's own actions.
+traceback and exit status 1. The last fuzz test draws whole command lines
+from the parser's own actions. A table then pins the type and text of the
+library refusals that no command line reaches.
 """
 
 import argparse
 import contextlib
 import io
 import json
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicapprox import approx, clopen, core, dimension, exactcmp, manifold, minkowski
 from padicapprox.cli import build_parser, main, parse_psi
 from padicapprox.manifold import PolyMap
 
@@ -208,3 +212,90 @@ def test_cli_fuzz_exits_zero_or_two_with_one_json_object(tmp_path):
         assert "Traceback" not in err.getvalue(), argv
 
     run()
+
+
+def _setattr_depth(s):
+    s.depth = 3
+
+
+def _system(p=3, n=1, coeffs=None, tau=None):
+    """A LinearFormSystem over coefficients in Z_3 with one field replaced."""
+    row = (core.PAdicInt(3, 4, 1),) * (n + 1)
+    coeffs = (row,) * n if coeffs is None else coeffs
+    tau = (Fraction(n + 1, n),) * n if tau is None else tau
+    return minkowski.LinearFormSystem(p, n, coeffs, (1,) * (n + 1), tau, (1,) * n)
+
+
+SQUARE_MAP = PolyMap.from_json_dict(json.loads(SQUARE))
+POWER_LAW = approx.PowerLaw(Fraction(2))
+
+# (callable, exception type, exact message), one row per refusal; the raises the
+# proofs make unreachable (waterfill_v's v_i > 1, the "no solution found" ones) are left out
+REFUSALS = {
+    "step_exponent a0 < 1": (lambda: approx.step_exponent(POWER_LAW, 0, 3), ValueError,
+                             "a0 must be a positive integer"),
+    "ApproxTuple(())": (lambda: approx.ApproxTuple(()), ValueError, "need at least one component"),
+    "layer_numerators a0 < 1": (lambda: approx.layer_numerators(0, True), ValueError,
+                                "a0 must be a positive integer"),
+    "psi against params.n": (lambda: approx.layer_measure(core.Params(3, 2), approx.ApproxTuple((POWER_LAW,)), 1,
+                                                          True), ValueError, "psi has 1 components, params.n = 2"),
+    "ubiquity_fraction alpha": (lambda: approx.ubiquity_fraction(core.Params(3, 2), [Fraction(2)], 3, 1, 5),
+                                ValueError, "alpha must have n components"),
+    "BallSpec lengths": (lambda: clopen.BallSpec((Fraction(0),), (1, 2)), ValueError,
+                         "center and exponents must have equal length"),
+    "BallSpec exponent": (lambda: clopen.BallSpec((Fraction(0),), (-1,)), ValueError,
+                          "radius exponents must be nonnegative"),
+    "ClopenSet immutable": (lambda: _setattr_depth(clopen.ClopenSet.empty(3, 1, 2)), AttributeError,
+                            "ClopenSet is immutable"),
+    "product_set no factor": (lambda: clopen.product_set([]), ValueError, "need at least one factor"),
+    "product_set primes": (lambda: clopen.product_set([clopen.ClopenSet.empty(3, 1, 2),
+                                                       clopen.ClopenSet.empty(5, 1, 2)]), ValueError,
+                           "factors must be one-dimensional sets over a common prime"),
+    "product_set n = 2 factor": (lambda: clopen.product_set([clopen.ClopenSet.empty(3, 2, 2)]), ValueError,
+                                 "factors must be one-dimensional sets over a common prime"),
+    "euler_phi(0)": (lambda: core.euler_phi(0), ValueError, "euler_phi needs q >= 1"),
+    "Params(3, 0)": (lambda: core.Params(3, 0), ValueError, "n >= 1 required"),
+    "truncate upward": (lambda: core.PAdicInt(3, 2, 1).truncate(3), ValueError,
+                        "cannot raise precision by truncation"),
+    "shift_map precision 1": (lambda: core.shift_map(core.PAdicInt(3, 1, 1)), ValueError,
+                              "shift_map needs precision >= 2"),
+    "waterfill_level target": (lambda: dimension.waterfill_level([1, 1], 3), ValueError,
+                               "target exceeds sum(tau)"),
+    "waterfill_v split": (lambda: dimension.waterfill_v([2, 2], 2, 1), ValueError,
+                          "need d >= 1, m >= 1, d + m = n"),
+    "ww_exponent variant": (lambda: dimension.ww_exponent([1], [1], "K4-sum"), ValueError,
+                            "variant must be 'K2-sum' or 'K3-sum'"),
+    "manifold_lower_bound d + m": (lambda: dimension.manifold_lower_bound([2, 2], 1, 2, "thm2.9"), ValueError,
+                                   "d + m must equal n"),
+    "thm2.8 split": (lambda: dimension.manifold_lower_bound([2, 2, 2], 2, 1, "thm2.8"), ValueError,
+                     "the curve case needs d = 1, m = n - 1"),
+    "thm2.8 tau_1 bound": (lambda: dimension.manifold_lower_bound([1, Fraction(3, 2)], 1, 1, "thm2.8"),
+                           core.HypothesisError,
+                           "hypothesis violated: tau_1 >= max(tau_i, n+1-sum_{j>=2} tau_j) (got 1 < 3/2)"),
+    "unknown selector": (lambda: dimension.manifold_lower_bound([2], 1, 0, "thm3.1"), ValueError,
+                         "unknown formula selector 'thm3.1'"),
+    "frac_pow base <= 0": (lambda: exactcmp.frac_pow(-4, Fraction(1, 2)), ValueError,
+                           "fractional power 1/2 of the non-positive base -4"),
+    "PolyMap d = 0": (lambda: PolyMap(3, 0, 1, ((),)), ValueError, "d >= 1 and m >= 1 required"),
+    "PolyMap m = 0": (lambda: PolyMap(3, 1, 0, ()), ValueError, "d >= 1 and m >= 1 required"),
+    "RationalPoint a0 = 0": (lambda: manifold.RationalPoint((0, 1)), ValueError, "a_0 must be nonzero"),
+    "DirichletInstance prime": (lambda: manifold.DirichletInstance(SQUARE_MAP, (core.PAdicInt(5, 4, 1),),
+                                                                   (Fraction(3, 2),), (Fraction(3, 2),), 10),
+                                ValueError, "x coordinates must live over the map's prime"),
+    "enumerate_S_tau tau": (lambda: manifold.enumerate_S_tau(SQUARE_MAP, [2, 2], 3), ValueError,
+                            "need one dependent exponent per component"),
+    "cover_preimage delta": (lambda: manifold.cover_preimage(SQUARE_MAP, [2, 2], 1, 3, 10, lipschitz_bound=2),
+                             ValueError, "delta too large for the Lipschitz bound"),
+    "LinearFormSystem coeffs": (lambda: _system(coeffs=()), ValueError, "need n forms with n+1 coefficients each"),
+    "LinearFormSystem tau": (lambda: _system(tau=()), ValueError, "tau and sigma must have n entries"),
+    "LinearFormSystem tau > 0": (lambda: _system(n=2, tau=(4, -1)), ValueError, "tau entries must be positive"),
+    "LinearFormSystem prime": (lambda: _system(p=5), ValueError, "coefficient prime differs from system prime"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusals(name):
+    call, kind, message = REFUSALS[name]
+    with pytest.raises(Exception) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (kind, message)
