@@ -264,8 +264,7 @@ def _layer(params: Params, record: Sequence[tuple[int, set[int]]], depth: int) -
     from_cosets refuses a level t_i past depth. A coordinate without residues
     (the reduced case p | a0, where every coordinate is (0, {})) is the empty
     factor, so the product is empty."""
-    factors = [ClopenSet.from_cosets(params.p, depth, t, residues) for t, residues in record]
-    return factors[0] if params.n == 1 else product_set(factors)
+    return product_set([ClopenSet.from_cosets(params.p, depth, t, residues) for t, residues in record])
 
 
 class _BallTable:

@@ -12,7 +12,8 @@ Computed at exact T (no epsilon perturbation): the bucket bound p^{-delta_i} is
 then strictly below p^{sigma_i} T^{-tau_i}, so any collision difference
 satisfies the target system outright. The only loss is that the pigeonhole
 surplus may be non-strict (p^{sum delta} = T^{n+1}); such runs are flagged
-"boundary" and fall back to exhaustive search if no collision appears.
+"boundary" and, if nothing collides, take the lex-least nonzero box point of
+the lemma lattice (`brute_force`).
 
 The collision is computed without walking the box. Every collision difference
 lies in the kernel lattice {x : L_i(x) = 0 mod p^{delta_i}}, and the first
@@ -237,19 +238,12 @@ def _first_collision(lattice: list[list[int]], heights: Sequence[int]) -> tuple[
     (lex) with |v_j| <= H_j. The lex-least z with z and z - v both in the box
     is z(v) = max(0, v) coordinatewise, so the walk stops at the least z(v),
     and that v is unique: two of them would give two earlier points with
-    equal keys, an earlier collision. When the lattice has too many box points
-    to list, the v whose first nonzero coordinate comes last has the least
-    z(v), so the regions {v_0 = ... = v_{k-1} = 0 < v_k} are searched for
-    k = n, n - 1, ..., 0.
+    equal keys, an earlier collision. The v whose first nonzero coordinate
+    comes last has the least z(v), so `_least_point` under z searches the
+    regions {v_0 = ... = v_{k-1} = 0 < v_k} for k = n, n - 1, ..., 0.
     """
-    m = len(heights)
-    zero = [0] * m
-    points = _box_points(zero, lattice, [-h for h in heights], list(heights), ENUM_CAP, half=True)
-    if len(points) < ENUM_CAP:
-        positive = (v if v > zero else [-x for x in v] for v in points)
-        v = min(positive, key=_collision_point, default=None)
-        return None if v is None else tuple(v)
-    for k in reversed(range(m)):
+    zero = [0] * len(heights)
+    for k in reversed(range(len(heights))):
         lo = [0] * k + [1] + [-h for h in heights[k + 1 :]]
         hi = [0] * k + list(heights[k:])
         v = _least_point(zero, lattice, lo, hi, k, _collision_point)
@@ -422,11 +416,9 @@ def _lll(rows: list[list[int]], w2: Sequence[int]):
     return b, d, lam, dot
 
 
-def _box_points(t, rows, lo, hi, cap, half=False):
+def _box_points(t, rows, lo, hi, cap):
     """Points of the affine lattice t + span(rows) in the box lo <= x <= hi, at
-    most cap of them (a list of cap points means there may be more). With half,
-    for a lattice (t = 0) and a box symmetric about 0, one of each pair +-v of
-    nonzero points: the one whose last nonzero basis coefficient is positive.
+    most cap of them (a list of cap points means there may be more).
 
     Coordinates with lo_j = hi_j are sliced off first. The rest is Fincke-Pohst
     enumeration of the ellipsoid sum_j (w_j (x_j - c_j))^2 <= r L^2 around the
@@ -460,15 +452,12 @@ def _box_points(t, rows, lo, hi, cap, half=False):
     found: list[list[int]] = []
     coeffs = [0] * size
 
-    def descend(i, budget, point, signed):
-        # budget = common * (r L^2 - sum over levels above i of N^2 / (d d));
-        # signed: some coefficient above i is nonzero, or both signs are wanted
+    def descend(i, budget, point):
+        # budget = common * (r L^2 - sum over levels above i of N^2 / (d d))
         s = lam_e[i] + sum(lam[k][i] * coeffs[k] for k in range(i + 1, size))
         step = d[i + 1]
         reach = math.isqrt(budget // weights[i])
         first, last = -((reach + s) // step), (reach - s) // step
-        if not signed:
-            first = max(first, 0 if i else 1)
         row = rows[i]
         if i:
             # centre out, so that a capped listing of a dense box stops early
@@ -477,7 +466,7 @@ def _box_points(t, rows, lo, hi, cap, half=False):
                 coeffs[i] = u
                 n_i = step * u + s
                 x = [a + u * r for a, r in zip(point, row)]
-                if descend(i - 1, budget - n_i * n_i * weights[i], x, signed or u != 0):
+                if descend(i - 1, budget - n_i * n_i * weights[i], x):
                     return True
             return False
         # last level: the box itself bounds u, one interval per coordinate
@@ -492,7 +481,7 @@ def _box_points(t, rows, lo, hi, cap, half=False):
             found.append([a + u * r for a, r in zip(point, row)])
         return len(found) >= cap
 
-    descend(size - 1, size * scale * scale * common, list(t), not half)
+    descend(size - 1, size * scale * scale * common, list(t))
     return found
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicapprox import minkowski
@@ -364,8 +364,9 @@ def _check_against_oracles(sys, cap):
         minkowski.ENUM_CAP = saved
 
 
-# None keeps the default cap, so small boxes are listed whole; caps of 1 to 3
-# send every box through the lex-ordered search
+# None keeps the default cap, so a region of the collision search or a brute-force
+# box with fewer points is listed whole; caps of 1 to 3 split every one of them
+# coordinate by coordinate in the lex-ordered search
 caps = st.sampled_from([None, None, 1, 2, 3])
 
 
@@ -388,6 +389,47 @@ def test_lattice_solver_matches_the_dictionary_walk_without_surplus(sys, cap):
     except BelowThresholdError:
         pass
     _check_against_oracles(sys, cap)
+
+
+@st.composite
+def benchmark_systems(draw):
+    """Systems drawn as the resonant-solve benchmark draws its minkowski ops, at its
+    heights, which lie above ORACLE_HEIGHTS: one height H for every coordinate,
+    coefficients a/b with |a| <= 30 and b <= 9 prime to p, tau in quarters, integer
+    sigma, a strict surplus and precision max(20, max delta + 4)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    heights = (draw(st.integers(*{1: (100, 400), 2: (14, 44), 3: (6, 14)}[n])),) * (n + 1)
+    cuts = sorted(draw(st.lists(st.integers(1, 4 * n + 3), min_size=n - 1, max_size=n - 1, unique=True)))
+    bounds = [Fraction(0)] + [Fraction(c, 4) for c in cuts] + [Fraction(n + 1)]
+    tau = [b - a for a, b in zip(bounds, bounds[1:])]
+    sigma = [Fraction(draw(st.integers(-1, 1))) for _ in range(n - 1)]
+    sigma.append(n - sum(sigma, Fraction(0)))
+    denominators = [b for b in range(1, 10) if b % p]
+    forms = [[Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from(denominators))) for _ in range(n + 1)]
+             for _ in range(n)]
+    unset = LinearFormSystem(p, n, ((PAdicInt(p, 1, 0),) * (n + 1),) * n, heights, tau, sigma)
+    try:
+        deltas = bucket_exponents(unset)
+    except BelowThresholdError:
+        deltas = ()
+    assume(sum(deltas) >= 1 and pigeonhole_surplus(unset))
+    precision = max(20, max(deltas) + 4)
+    coeffs = tuple(tuple(embed_rational(c, p=p, precision=precision) for c in row) for row in forms)
+    return LinearFormSystem(p, n, coeffs, heights, tau, sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(benchmark_systems())
+def test_lattice_solver_matches_the_dictionary_walk_at_benchmark_sizes(sys):
+    want = _outcome(bucket_walk_solve, sys)
+    saved = minkowski.ENUM_CAP
+    try:
+        for cap in (saved, 1):
+            minkowski.ENUM_CAP = cap
+            assert _outcome(solve, sys) == want
+    finally:
+        minkowski.ENUM_CAP = saved
 
 
 @settings(max_examples=150, deadline=None)
